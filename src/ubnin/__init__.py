@@ -33,15 +33,12 @@ from .graphs import (
     target_edge_count,
 )
 from .codec import (
-    ColumnDecimals,
     UbninCode,
-    column_decimals,
     complete_graph_code,
     decode,
     encode,
     encode_float64_emulation,
     from_record,
-    matrix_from_column_decimals,
     parse_decimal_string,
     to_decimal_string,
     to_float64,
@@ -76,8 +73,7 @@ __all__ = [
     "WeightedNetwork", "BinaryNetwork", "sparsity_threshold", "consistency_threshold",
     "degree", "degree_sequence", "edge_count", "target_edge_count",
     "load_weighted_matrix", "load_binary_matrix", "save_weighted_matrix", "save_binary_matrix",
-    "ColumnDecimals", "UbninCode", "column_decimals", "matrix_from_column_decimals",
-    "encode", "decode", "to_decimal_string", "parse_decimal_string",
+    "UbninCode", "encode", "decode", "to_decimal_string", "parse_decimal_string",
     "to_record", "from_record", "to_float64", "encode_float64_emulation",
     "complete_graph_code",
     "SubjectRecord", "CohortTable", "residualize_covariate", "individual_network",

@@ -62,7 +62,11 @@ def cmd_decode(code_text, nodes, out_path):
     """Reconstruct the 0/1 matrix CSV encoded by a network code."""
     text = code_text
     path = Path(code_text)
-    if path.is_file():
+    try:
+        is_file = path.is_file()
+    except OSError:  # a code literal longer than any file name
+        is_file = False
+    if is_file:
         text = path.read_text().strip()
     if text.lstrip().startswith("{"):
         code = from_record(text)

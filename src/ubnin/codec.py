@@ -9,10 +9,17 @@ scaling produces one number per network:
 where D_j is the code of column j. Carried out in exact arithmetic the map is
 a bijection between n-node binary networks and dyadic rationals m / 2^e with
 0 <= m / 2^e < 2^(n-1) and e <= (n-2)(n-1)/2, so the network is recoverable
-from the number and the node count alone. All arithmetic here is integer
-based and exact at any network size; a separate double-precision emulation
-reproduces the behavior of running the same recurrence in binary64, which
-caps out at 1024 nodes for complete graphs.
+from the number and the node count alone.
+
+At the largest scale e = T(n-2), with T(k) = k(k+1)/2, the fold places D_j at
+bit offset T(j-2) of the numerator, and the columns never overlap. The
+numerator is therefore the strict lower triangle of the adjacency matrix in
+row-major order, read least-significant bit first: encoding is one
+``packbits`` and decoding one ``unpackbits``, exact at every network size.
+The decimal and record forms render and parse at every size too, whatever
+CPython's int/str digit limit. A separate double-precision emulation
+reproduces the behavior of running the recurrence in binary64, which caps
+out at 1024 nodes for complete graphs.
 """
 
 from __future__ import annotations
@@ -25,13 +32,10 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import MalformedCodeError
-from .graphs import BinaryNetwork, default_labels
+from .graphs import BinaryNetwork
 
 __all__ = [
-    "ColumnDecimals",
     "UbninCode",
-    "column_decimals",
-    "matrix_from_column_decimals",
     "encode",
     "decode",
     "to_decimal_string",
@@ -52,60 +56,6 @@ def _triangular(k: int) -> int:
 def max_scale(n: int) -> int:
     """Largest canonical power-of-two scale for an n-node code."""
     return _triangular(n - 2) if n >= 3 else 0
-
-
-@dataclass(frozen=True)
-class ColumnDecimals:
-    """Per-column integer codes D_2 .. D_n of an adjacency upper triangle.
-
-    ``values[k]`` holds D_(k+2); bit r of D_j (0-based) is the edge between
-    nodes r and j-1 in 0-based indexing, so each D_j lies in [0, 2^(j-1)).
-    """
-
-    n: int
-    values: tuple[int, ...]
-
-    def __post_init__(self):
-        n = int(self.n)
-        if n < 2:
-            raise MalformedCodeError(f"node count must be >= 2, got {n}")
-        values = tuple(int(v) for v in self.values)
-        if len(values) != n - 1:
-            raise MalformedCodeError(f"expected {n - 1} column codes, got {len(values)}")
-        for k, v in enumerate(values):
-            if not 0 <= v < (1 << (k + 1)):
-                raise MalformedCodeError(
-                    f"column code {v} out of range [0, {1 << (k + 1)}) at column {k + 2}"
-                )
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "values", values)
-
-
-def column_decimals(b: BinaryNetwork) -> ColumnDecimals:
-    """Read each upper-triangle column, diagonal upward, as a binary integer.
-
-    The entry nearest the diagonal is the most significant bit, so column j
-    (1-based) yields sum over rows r < j of edges(r, j) * 2^(r-1).
-    """
-    e = b.edges
-    vals = []
-    for c in range(1, b.n):
-        bits = np.packbits(np.ascontiguousarray(e[:c, c]), bitorder="little")
-        vals.append(int.from_bytes(bits.tobytes(), "little"))
-    return ColumnDecimals(b.n, tuple(vals))
-
-
-def matrix_from_column_decimals(cd: ColumnDecimals, labels=None) -> BinaryNetwork:
-    """Rebuild the adjacency matrix encoded by per-column integer codes."""
-    n = cd.n
-    e = np.zeros((n, n), dtype=bool)
-    for c in range(1, n):
-        d = cd.values[c - 1]
-        if d:
-            raw = np.frombuffer(d.to_bytes((c + 7) // 8, "little"), dtype=np.uint8)
-            e[:c, c] = np.unpackbits(raw, bitorder="little")[:c].astype(bool)
-    e |= e.T
-    return BinaryNetwork(e, labels or default_labels(n))
 
 
 @dataclass(frozen=True)
@@ -162,50 +112,60 @@ class UbninCode:
         return to_decimal_string(self)
 
 
+def _packed_numerator(b: BinaryNetwork) -> int:
+    """Numerator of the code at scale ``max_scale(b.n)``: the lower triangle as bits."""
+    bits = np.packbits(b.edges[np.tril_indices(b.n, -1)], bitorder="little")
+    return int.from_bytes(bits.tobytes(), "little")
+
+
 def encode(b: BinaryNetwork) -> UbninCode:
     """Encode a binary network into its exact dyadic-rational identifier.
 
-    Runs the folding recurrence in integer arithmetic, tracking the value as
-    numerator / 2^scale, then strips factors of two for the canonical form.
-    Exact at every network size.
+    Packs the lower triangle into the numerator at scale ``max_scale(n)``,
+    then strips factors of two for the canonical form. Exact at every
+    network size.
     """
-    cd = column_decimals(b)
-    num = cd.values[0]
-    e = 0
-    for i in range(2, b.n):
-        e += i - 1
-        num += cd.values[i - 1] << e
-    # 0 <= value < 2^(n-1), and the integer part is exactly the last column code
-    assert num < (1 << (b.n - 1 + e))
-    assert num >> e == cd.values[-1]
-    return UbninCode.canonical(b.n, num, e)
+    return UbninCode.canonical(b.n, _packed_numerator(b), max_scale(b.n))
 
 
 def decode(code: UbninCode, labels=None) -> BinaryNetwork:
     """Reconstruct the binary network encoded by ``code``.
 
-    Peels columns from the last node down: the integer part of the running
-    value is that column's code, and the remainder is rescaled by 2^(j-2) to
-    expose the next one. Inverse of :func:`encode` for every valid network.
+    Shifts the numerator back to scale ``max_scale(n)`` and unpacks its bits
+    into the lower triangle. Inverse of :func:`encode` for every valid network;
+    the bounds :class:`UbninCode` enforces make every code decodable.
     """
     n = code.n
-    num, e = code.numerator, code.scale
-    values = [0] * (n - 1)
-    for j in range(n, 2, -1):
-        d = num >> e
-        if d >= (1 << (j - 1)):
-            raise MalformedCodeError(
-                f"recovered column code {d} out of range at column {j}; value/n mismatch"
-            )
-        num = (num - (d << e)) << (j - 2)
-        values[j - 2] = d
-    if e and num & ((1 << e) - 1):
-        raise MalformedCodeError("fractional residue at final column; value/n mismatch")
-    d2 = num >> e
-    if d2 not in (0, 1):
-        raise MalformedCodeError(f"first column code must be 0 or 1, got {d2}")
-    values[0] = d2
-    return matrix_from_column_decimals(ColumnDecimals(n, tuple(values)), labels)
+    pairs = n * (n - 1) // 2
+    num = code.numerator << (max_scale(n) - code.scale)
+    raw = np.frombuffer(num.to_bytes((pairs + 7) // 8, "little"), dtype=np.uint8)
+    e = np.zeros((n, n), dtype=bool)
+    e[np.tril_indices(n, -1)] = np.unpackbits(raw, count=pairs, bitorder="little")
+    e |= e.T
+    return BinaryNetwork(e, labels)
+
+
+# CPython refuses int/str conversions beyond sys.get_int_max_str_digits()
+# digits (CVE-2020-10735) but never below this many, whatever the setting.
+_SAFE_DIGITS = 640
+_SAFE_BOUND = 10 ** _SAFE_DIGITS
+
+
+def _int_to_digits(x: int) -> str:
+    """Decimal digits of a nonnegative int of any size."""
+    if x < _SAFE_BOUND:
+        return str(x)
+    k = x.bit_length() * 30103 // 200000  # about half the digit count
+    high, low = divmod(x, 10 ** k)
+    return _int_to_digits(high) + _int_to_digits(low).zfill(k)
+
+
+def _digits_to_int(digits: str) -> int:
+    """Inverse of :func:`_int_to_digits` for a string of any length."""
+    if len(digits) <= _SAFE_DIGITS:
+        return int(digits)
+    k = len(digits) // 2
+    return _digits_to_int(digits[:-k]) * 10 ** k + _digits_to_int(digits[-k:])
 
 
 def to_decimal_string(code: UbninCode) -> str:
@@ -216,8 +176,8 @@ def to_decimal_string(code: UbninCode) -> str:
     produce trailing fractional zeros; integers render with no point.
     """
     if code.scale == 0:
-        return str(code.numerator)
-    digits = str(code.numerator * 5 ** code.scale).zfill(code.scale + 1)
+        return _int_to_digits(code.numerator)
+    digits = _int_to_digits(code.numerator * 5 ** code.scale).zfill(code.scale + 1)
     return f"{digits[:-code.scale]}.{digits[-code.scale:]}"
 
 
@@ -227,21 +187,22 @@ def parse_decimal_string(text: str, n: int) -> UbninCode:
     int_part, sep, frac_part = text.partition(".")
     if not int_part.isdigit() or (sep and not frac_part.isdigit()):
         raise MalformedCodeError(f"not a nonnegative decimal number: {text!r}")
+    frac_part = frac_part.rstrip("0")
     k = len(frac_part)
-    m = int(int_part + frac_part)
-    if k:
-        p5 = 5 ** k
-        if m % p5:
-            raise MalformedCodeError(
-                f"{text!r} is not a dyadic rational; it cannot be a network code"
-            )
-        m //= p5
+    # Reject before converting: a value below 2^(n-1) has at most n-1 integer
+    # digits and a dyadic one has as many fraction digits as its scale.
+    if len(int_part.lstrip("0")) > n - 1 or k > max_scale(n):
+        raise MalformedCodeError(f"{text!r} is out of range for {n} nodes")
+    m = _digits_to_int(int_part + frac_part)
+    m, rest = divmod(m, 5 ** k)
+    if rest:
+        raise MalformedCodeError(f"{text!r} is not a dyadic rational; it cannot be a network code")
     return UbninCode.canonical(n, m, k)
 
 
 def to_record(code: UbninCode) -> dict:
     """Structured form {n, numerator digit string, scale}."""
-    return {"n": code.n, "numerator": str(code.numerator), "scale": code.scale}
+    return {"n": code.n, "numerator": _int_to_digits(code.numerator), "scale": code.scale}
 
 
 def from_record(record) -> UbninCode:
@@ -256,17 +217,20 @@ def from_record(record) -> UbninCode:
     missing = {"n", "numerator", "scale"} - set(record)
     if missing:
         raise MalformedCodeError(f"code record missing fields: {sorted(missing)}")
-    num = record["numerator"]
-    if isinstance(num, str):
-        if not num.isdigit():
-            raise MalformedCodeError(f"numerator must be a digit string, got {num!r}")
-        num = int(num)
-    if not isinstance(num, int) or isinstance(num, bool):
-        raise MalformedCodeError("numerator must be an integer or digit string")
     for key in ("n", "scale"):
         if not isinstance(record[key], int) or isinstance(record[key], bool):
             raise MalformedCodeError(f"{key} must be an integer")
-    return UbninCode(record["n"], num, record["scale"])
+    n, num = record["n"], record["numerator"]
+    if isinstance(num, str):
+        if not num.isdigit():
+            raise MalformedCodeError(f"numerator must be a digit string, got {num!r}")
+        # A valid numerator has at most n(n-1)/2 bits, so at most as many digits.
+        if len(num.lstrip("0")) > n * (n - 1) // 2:
+            raise MalformedCodeError(f"numerator out of range for {n} nodes")
+        num = _digits_to_int(num)
+    if not isinstance(num, int) or isinstance(num, bool):
+        raise MalformedCodeError("numerator must be an integer or digit string")
+    return UbninCode(n, num, record["scale"])
 
 
 def to_float64(code: UbninCode) -> float:
@@ -287,19 +251,19 @@ def _int_to_float64(x: int) -> float:
 def encode_float64_emulation(b: BinaryNetwork) -> float:
     """Run the folding recurrence entirely in binary64.
 
-    Column codes are first rounded to the nearest double, and the scaling
-    factor is evaluated as 1 / 2^power with the denominator overflowing to
-    +inf (hence a zero factor) past 2^1023. Reproduces the numeric behavior
-    of the double-precision pipeline, including non-finite results for
-    complete graphs beyond 1024 nodes.
+    Column codes D_j, read from the packed numerator at bit offset T(j-2),
+    are first rounded to the nearest double, and the scaling factor is
+    evaluated as 1 / 2^power with the denominator overflowing to +inf (hence
+    a zero factor) past 2^1023. Reproduces the numeric behavior of the
+    double-precision pipeline, including non-finite results for complete
+    graphs beyond 1024 nodes.
     """
-    cd = column_decimals(b)
-    u = _int_to_float64(cd.values[0])
-    power = 1
-    for d in cd.values[1:]:
+    num = _packed_numerator(b)
+    u = _int_to_float64(num & 1)
+    for power in range(1, b.n - 1):
+        d = (num >> _triangular(power)) & ((1 << (power + 1)) - 1)
         denom = 2.0 ** power if power <= 1023 else math.inf
         u = u * (1.0 / denom) + _int_to_float64(d)
-        power += 1
     return u
 
 

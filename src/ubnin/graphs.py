@@ -102,16 +102,16 @@ class BinaryNetwork:
         n = e.shape[0]
         if n < 2:
             raise ValidationError("a network needs at least 2 nodes")
+        labels = _check_labels(self.labels or default_labels(n), n)
         if not np.array_equal(e, e.T):
             i, j = _first_asymmetric_cell(e)
             raise ValidationError(
-                f"adjacency matrix is not symmetric at ({i + 1},{j + 1}): "
+                f"adjacency matrix is not symmetric at ({labels[i]},{labels[j]}): "
                 f"{int(e[i, j])} vs {int(e[j, i])}"
             )
         if np.any(np.diagonal(e)):
             i = int(np.flatnonzero(np.diagonal(e))[0])
-            raise ValidationError(f"self-loop at node {i + 1}; diagonal must be zero")
-        labels = _check_labels(self.labels or default_labels(n), n)
+            raise ValidationError(f"self-loop at {labels[i]}; diagonal must be zero")
         e.setflags(write=False)
         object.__setattr__(self, "edges", e)
         object.__setattr__(self, "labels", labels)
@@ -130,12 +130,9 @@ class BinaryNetwork:
 
 
 def _first_asymmetric_cell(m: np.ndarray) -> tuple[int, int]:
-    n = m.shape[0]
-    for i in range(n):
-        for j in range(i + 1, n):
-            if m[i, j] != m[j, i]:
-                return i, j
-    raise AssertionError("matrix is symmetric")
+    """First (row, col) with row < col, in row-major order, where m differs from m.T."""
+    i, j = np.argwhere(np.triu(m != m.T, 1))[0]
+    return int(i), int(j)
 
 
 def degree(b: BinaryNetwork, i: int) -> int:
@@ -286,27 +283,18 @@ def load_weighted_matrix(path) -> WeightedNetwork:
 def load_binary_matrix(path) -> BinaryNetwork:
     """Load a binary network from matrix CSV with strict 0/1 entries."""
     labels, body = _read_matrix_rows(path)
-    n = len(labels)
-    e = np.empty((n, n), dtype=bool)
-    for i, row in enumerate(body):
-        for j, cell in enumerate(row):
-            tok = cell.strip()
-            if tok not in ("0", "1"):
-                raise ValidationError(
-                    f"{path}: invalid binary value {cell!r} at ({i + 1},{j + 1}); expected 0 or 1"
-                )
-            e[i, j] = tok == "1"
-    for i in range(n):
-        for j in range(i + 1, n):
-            if e[i, j] != e[j, i]:
-                raise ValidationError(
-                    f"{path}: matrix is not symmetric at ({labels[i]},{labels[j]}): "
-                    f"{int(e[i, j])} vs {int(e[j, i])}"
-                )
-    if np.any(np.diagonal(e)):
-        i = int(np.flatnonzero(np.diagonal(e))[0])
-        raise ValidationError(f"{path}: self-loop at {labels[i]}; diagonal must be zero")
-    return BinaryNetwork(e, labels)
+    cells = np.char.strip(np.array(body, dtype=str))
+    invalid = (cells != "0") & (cells != "1")
+    if invalid.any():
+        i, j = np.argwhere(invalid)[0]
+        raise ValidationError(
+            f"{path}: invalid binary value {body[i][j]!r} at ({i + 1},{j + 1}); expected 0 or 1"
+        )
+    e = cells == "1"
+    try:
+        return BinaryNetwork(e, labels)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def _format_matrix(labels, rows) -> str:

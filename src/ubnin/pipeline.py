@@ -15,7 +15,7 @@ from itertools import combinations
 from pathlib import Path
 
 from . import __version__
-from .codec import encode, to_decimal_string
+from .codec import encode, to_decimal_string, to_record
 from .errors import NotEstimableError, UndefinedMetricError, ValidationError
 from .graphs import consistency_threshold, sparsity_threshold
 from .metrics import metrics_report
@@ -184,13 +184,7 @@ def run_fingerprint(config: RunConfig) -> dict:
     for subject, net in zip(table.subjects, binarized):
         code = encode(net)
         records.append(
-            {
-                "id": subject.id,
-                "n": code.n,
-                "value": to_decimal_string(code),
-                "numerator": str(code.numerator),
-                "scale": code.scale,
-            }
+            {"id": subject.id, "n": code.n, "value": to_decimal_string(code)} | to_record(code)
         )
         by_code.setdefault((code.numerator, code.scale), []).append(subject.id)
     duplicates = [ids for ids in by_code.values() if len(ids) > 1]

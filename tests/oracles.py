@@ -60,8 +60,8 @@ def cpl_floyd(edges) -> tuple[float, float]:
     return total / reachable, reachable / (n * (n - 1))
 
 
-def encode_fraction(edges) -> Fraction:
-    """Fold the column codes with Fraction arithmetic."""
+def column_codes(edges) -> tuple[int, ...]:
+    """Column codes D_2 .. D_n: bit r of D_(j+1) is the edge (r, j), 0-based."""
     n = edges.shape[0]
     decs = []
     for j in range(1, n):
@@ -70,6 +70,12 @@ def encode_fraction(edges) -> Fraction:
             if edges[r, j]:
                 value += 2 ** r
         decs.append(value)
+    return tuple(decs)
+
+
+def encode_fraction(edges) -> Fraction:
+    """Fold the column codes with Fraction arithmetic."""
+    decs = column_codes(edges)
     u = Fraction(decs[0])
     for i, d in enumerate(decs[1:], start=2):
         u = u / 2 ** (i - 1) + d

@@ -3,10 +3,20 @@ import json
 import numpy as np
 import pytest
 
-from ubnin import load_binary_matrix, save_binary_matrix, sweep_values
+from ubnin import (
+    decode,
+    from_record,
+    individual_network,
+    load_binary_matrix,
+    load_subjects_csv,
+    parse_decimal_string,
+    save_binary_matrix,
+    sparsity_threshold,
+    sweep_values,
+)
 from ubnin.cli import main
 from ubnin.pipeline import parse_threshold_spec
-from synth import complete_graph, path_graph, subjects_csv_text
+from synth import complete_graph, path_graph, random_binary, subjects_csv_text
 
 K10_DECIMAL = "511.999999999985448084771633148193359375"
 
@@ -134,8 +144,40 @@ class TestFileLevelRoundTrips:
         assert code == 0
         assert dst.read_text() == src.read_text()
 
+    @pytest.mark.parametrize("source", ["value", "record"])
+    def test_150_node_matrix_round_trips(self, tmp_path, capsys, source):
+        # its decimal value exceeds CPython's 4300-digit int/str limit
+        src = tmp_path / "src.csv"
+        save_binary_matrix(random_binary(150, 0.5, np.random.default_rng(150)), src)
+        code, out, err = run(capsys, "encode", "--input", str(src))
+        assert code == 0, err
+        record = json.loads(out)
+        assert len(record["value"]) > 4300
+        args = ["--input", record["value"], "--nodes", "150"] if source == "value" else [
+            "--input", json.dumps(record)]
+        dst = tmp_path / "dst.csv"
+        code, _, err = run(capsys, "decode", *args, "--out", str(dst))
+        assert code == 0, err
+        assert load_binary_matrix(dst).edges.tolist() == load_binary_matrix(src).edges.tolist()
+
 
 class TestFingerprintCommand:
+    @pytest.mark.parametrize("regions", [116, 148])
+    def test_atlas_sized_records_decode_to_each_network(self, tmp_path, capsys, regions):
+        data = tmp_path / "subjects.csv"
+        data.write_text(subjects_csv_text(20, regions, seed=1))
+        out_dir = tmp_path / "out"
+        code, _, err = run(capsys, "fingerprint", "--input", str(data), "--out-dir", str(out_dir))
+        assert code == 0, err
+        doc = json.loads((out_dir / "fingerprints.json").read_text())
+        table = load_subjects_csv(data)
+        assert [r["id"] for r in doc["records"]] == [s.id for s in table.subjects]
+        for rec, subject in zip(doc["records"], table.subjects):
+            expected = sparsity_threshold(individual_network(subject, table.region_labels), 0.3)
+            code = from_record({k: rec[k] for k in ("n", "numerator", "scale")})
+            assert parse_decimal_string(rec["value"], regions) == code
+            assert decode(code, table.region_labels) == expected
+
     def test_registry_distinct_and_reproducible(self, tmp_path, capsys):
         data = tmp_path / "subjects.csv"
         data.write_text(subjects_csv_text(12, 16, seed=100))

@@ -1,4 +1,6 @@
+import json
 import math
+from decimal import Decimal, localcontext
 from fractions import Fraction
 
 import numpy as np
@@ -8,23 +10,28 @@ from hypothesis import strategies as st
 
 from ubnin import (
     BinaryNetwork,
-    ColumnDecimals,
     MalformedCodeError,
     UbninCode,
-    column_decimals,
     complete_graph_code,
     decode,
     encode,
     encode_float64_emulation,
     from_record,
-    matrix_from_column_decimals,
     parse_decimal_string,
     to_decimal_string,
     to_float64,
     to_record,
 )
-from oracles import encode_fraction
-from synth import complete_graph, empty_graph, graph_from_bitmask, path_graph, random_bitmask
+from ubnin.codec import max_scale
+from oracles import column_codes, encode_fraction
+from synth import (
+    complete_graph,
+    empty_graph,
+    graph_from_bitmask,
+    path_graph,
+    random_binary,
+    random_bitmask,
+)
 
 K10_DECIMAL = "511.999999999985448084771633148193359375"
 
@@ -35,27 +42,42 @@ def single_edge(n=2):
     return BinaryNetwork(e)
 
 
+def packed_columns(code):
+    """Column codes D_2 .. D_n read from the numerator at scale max_scale(n).
+
+    Column D_(c+1) holds c bits at offset c(c-1)/2, so the columns tile the
+    numerator without overlap.
+    """
+    num = code.numerator << (max_scale(code.n) - code.scale)
+    return tuple((num >> (c * (c - 1) // 2)) & ((1 << c) - 1) for c in range(1, code.n))
+
+
 class TestColumnDecimals:
     def test_single_edge(self):
-        assert column_decimals(single_edge()).values == (1,)
+        assert packed_columns(encode(single_edge())) == column_codes(single_edge().edges) == (1,)
 
     def test_complete_graph_all_ones_columns(self):
-        assert column_decimals(complete_graph(5)).values == (1, 3, 7, 15)
+        b = complete_graph(5)
+        assert packed_columns(encode(b)) == column_codes(b.edges) == (1, 3, 7, 15)
 
     def test_path_graph_one_bit_per_column(self):
-        assert column_decimals(path_graph(5)).values == (1, 2, 4, 8)
+        b = path_graph(5)
+        assert packed_columns(encode(b)) == column_codes(b.edges) == (1, 2, 4, 8)
 
     def test_matrix_round_trip(self):
         b = graph_from_bitmask(7, 0b101100111010101001011)
-        assert matrix_from_column_decimals(column_decimals(b)) == b
+        assert packed_columns(encode(b)) == column_codes(b.edges)
+        assert decode(encode(b)) == b
 
     def test_rejects_out_of_range_value(self):
+        # D_2 = 1 and D_3 = 4, one bit wider than column 3 holds
         with pytest.raises(MalformedCodeError):
-            ColumnDecimals(3, (1, 4))
+            UbninCode.canonical(3, 1 | 4 << 1, max_scale(3))
 
     def test_rejects_wrong_length(self):
+        # the 5-node path graph code carries one column more than 4 nodes have
         with pytest.raises(MalformedCodeError):
-            ColumnDecimals(4, (1, 1))
+            UbninCode(4, 549, 6)
 
 
 class TestEncode:
@@ -88,6 +110,13 @@ class TestEncode:
 
     def test_closed_form_beyond_the_double_ceiling(self):
         assert encode(complete_graph(1300)) == complete_graph_code(1300)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 17, 90, 150])
+    def test_matches_fraction_oracle_at_every_density(self, n):
+        rng = np.random.default_rng(n)
+        for density in (0.0, 0.1, 0.5, 0.9, 1.0):
+            b = random_binary(n, density, rng)
+            assert encode(b).value == encode_fraction(b.edges)
 
     def test_matches_fraction_oracle_on_random_graphs(self):
         rng = np.random.default_rng(7)
@@ -125,7 +154,43 @@ class TestDecode:
         assert len(seen) == 64
 
 
+class TestEveryValidCode:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_every_code_decodes_and_reencodes_to_itself(self, n):
+        networks = set()
+        for scale in range(max_scale(n) + 1):
+            for numerator in range(1 << (n - 1 + scale)):
+                if scale and numerator % 2 == 0:
+                    continue
+                code = UbninCode(n, numerator, scale)
+                b = decode(code)
+                assert encode(b) == code
+                networks.add(b.edges.tobytes())
+        assert len(networks) == 2 ** (n * (n - 1) // 2)
+
+
+def decimal_reference(code):
+    """Exact decimal rendering through the decimal module, which has no digit limit."""
+    with localcontext() as ctx:
+        ctx.prec = code.numerator.bit_length() + code.scale + 2
+        return format(Decimal(code.numerator) / Decimal(2) ** code.scale, "f")
+
+
 class TestDecimalStrings:
+    @pytest.mark.parametrize("n", [94, 150, 400])
+    def test_beyond_the_int_str_digit_limit(self, n):
+        # the K94 decimal already has more than 4300 digits
+        code = complete_graph_code(n)
+        text = to_decimal_string(code)
+        assert len(text) > 4300
+        assert text == decimal_reference(code)
+        assert parse_decimal_string(text, n) == code
+
+    @pytest.mark.parametrize("text", ["1" * 10**6, "0." + "1" * 10**6, "1." + "5" * 10**6])
+    def test_oversized_literal_rejected_before_conversion(self, text):
+        with pytest.raises(MalformedCodeError, match="out of range"):
+            parse_decimal_string(text, 5)
+
     def test_integer_value_has_no_point(self):
         assert to_decimal_string(encode(single_edge())) == "1"
 
@@ -164,6 +229,18 @@ class TestRecords:
         assert rec == {"n": 5, "numerator": "549", "scale": 6}
         assert from_record(rec) == code
         assert from_record('{"n": 5, "numerator": "549", "scale": 6}') == code
+
+    @pytest.mark.parametrize("n", [170, 400])
+    def test_round_trip_beyond_the_int_str_digit_limit(self, n):
+        code = complete_graph_code(n)
+        rec = to_record(code)
+        assert len(rec["numerator"]) > 4300
+        assert rec["numerator"] == format(Decimal(code.numerator), "f")
+        assert from_record(json.dumps(rec)) == code
+
+    def test_oversized_numerator_rejected_before_conversion(self):
+        with pytest.raises(MalformedCodeError, match="out of range"):
+            from_record({"n": 5, "numerator": "1" * 10**6, "scale": 0})
 
     def test_missing_field_rejected(self):
         with pytest.raises(MalformedCodeError):
@@ -300,7 +377,7 @@ class TestProperties:
         code = encode(b)
         assert 0 <= code.value < 2 ** (b.n - 1)
         assert code.scale <= (b.n - 2) * (b.n - 1) // 2 if b.n >= 3 else code.scale == 0
-        assert math.floor(code.value) == column_decimals(b).values[-1]
+        assert math.floor(code.value) == column_codes(b.edges)[-1]
 
     @settings(max_examples=100, deadline=None)
     @given(small_networks())
