@@ -160,6 +160,15 @@ def _int_to_digits(x: int) -> str:
     return _int_to_digits(high) + _int_to_digits(low).zfill(k)
 
 
+def _is_digits(text: str) -> bool:
+    """True for a nonempty string of ASCII digits 0-9 only.
+
+    ``str.isdigit`` alone also accepts superscripts and the digits of other
+    scripts, which ``int`` then rejects or reads as if they were 0-9.
+    """
+    return text.isascii() and text.isdigit()
+
+
 def _digits_to_int(digits: str) -> int:
     """Inverse of :func:`_int_to_digits` for a string of any length."""
     if len(digits) <= _SAFE_DIGITS:
@@ -185,7 +194,7 @@ def parse_decimal_string(text: str, n: int) -> UbninCode:
     """Parse a decimal rendering back into a code for an n-node network."""
     text = text.strip()
     int_part, sep, frac_part = text.partition(".")
-    if not int_part.isdigit() or (sep and not frac_part.isdigit()):
+    if not _is_digits(int_part) or (sep and not _is_digits(frac_part)):
         raise MalformedCodeError(f"not a nonnegative decimal number: {text!r}")
     frac_part = frac_part.rstrip("0")
     k = len(frac_part)
@@ -222,7 +231,7 @@ def from_record(record) -> UbninCode:
             raise MalformedCodeError(f"{key} must be an integer")
     n, num = record["n"], record["numerator"]
     if isinstance(num, str):
-        if not num.isdigit():
+        if not _is_digits(num):
             raise MalformedCodeError(f"numerator must be a digit string, got {num!r}")
         # A valid numerator has at most n(n-1)/2 bits, so at most as many digits.
         if len(num.lstrip("0")) > n * (n - 1) // 2:

@@ -60,9 +60,14 @@ def mean_clustering(b: BinaryNetwork) -> float:
 def characteristic_path_length(b: BinaryNetwork) -> tuple[float, float]:
     """Mean shortest-path distance over reachable node pairs.
 
-    Runs breadth-first search from every node. Unreachable pairs are excluded
-    from the mean; the fraction of reachable ordered pairs is returned
-    alongside so sparse or fragmented networks are explicit about coverage.
+    Runs breadth-first search from all sources at once: row s of ``frontier``
+    holds the nodes first reached from s at the current distance, and one
+    matrix product with the adjacency matrix per distance level advances every
+    row. Distances and pair counts are summed as Python ints, so the result is
+    the same float as a per-source search (``cpl_bfs_loop`` in
+    ``tests/oracles.py``). Unreachable pairs are excluded from the mean; the
+    fraction of reachable ordered pairs is returned alongside so sparse or
+    fragmented networks are explicit about coverage.
 
     Returns
     -------
@@ -76,25 +81,22 @@ def characteristic_path_length(b: BinaryNetwork) -> tuple[float, float]:
     UndefinedMetricError
         If no pair of distinct nodes is reachable (edgeless network).
     """
-    e = b.edges
+    a = b.edges.astype(np.float64)
     n = b.n
+    visited = np.eye(n, dtype=bool)
+    frontier = visited
     total = 0
     reachable = 0
-    for src in range(n):
-        visited = np.zeros(n, dtype=bool)
-        visited[src] = True
-        frontier = visited.copy()
-        dist = 0
-        while True:
-            nxt = e[frontier].any(axis=0) & ~visited
-            if not nxt.any():
-                break
-            dist += 1
-            cnt = int(nxt.sum())
-            total += dist * cnt
-            reachable += cnt
-            visited |= nxt
-            frontier = nxt
+    dist = 0
+    while True:
+        frontier = ((frontier.astype(np.float64) @ a) > 0) & ~visited
+        cnt = int(np.count_nonzero(frontier))
+        if cnt == 0:
+            break
+        dist += 1
+        total += dist * cnt
+        reachable += cnt
+        visited |= frontier
     if reachable == 0:
         raise UndefinedMetricError("no reachable node pairs; path length is undefined")
     return total / reachable, reachable / (n * (n - 1))
@@ -108,41 +110,55 @@ def random_reference(b: BinaryNetwork, seed, swaps_per_edge: int = 10) -> Binary
     edge is rejected and simply counts as an attempt. The degree sequence of
     the output equals the input exactly, and the result is a deterministic
     function of (input, seed, swaps_per_edge).
+
+    The edge list is held as two int lists of endpoints (u < v) and the edge
+    set as a flat ``bytearray`` upper-triangle adjacency indexed by
+    ``u * n + v``, so the swap loop does only int arithmetic and byte lookups.
+    The random draws, the accept/reject rule and the slot each swap writes are
+    those of the tuple-and-set loop kept as ``random_reference_loop`` in
+    ``tests/oracles.py``, and the output is identical to it.
     """
     m = edge_count(b)
     if m < 2:
         raise ValidationError(f"rewiring needs at least 2 edges, got {m}")
     if swaps_per_edge < 0:
         raise ValueError("swaps_per_edge must be nonnegative")
-    rows, cols = np.nonzero(np.triu(b.edges, 1))
-    edges = [(int(u), int(v)) for u, v in zip(rows, cols)]
-    present = set(edges)
+    n = b.n
+    upper = np.triu(b.edges, 1)
+    rows, cols = np.nonzero(upper)
+    us = rows.tolist()
+    vs = cols.tolist()
+    adj = bytearray(upper.tobytes())
     rng = np.random.default_rng(seed)
     attempts = swaps_per_edge * m
-    pair_idx = rng.integers(0, m, size=(attempts, 2))
-    flips = rng.integers(0, 2, size=attempts)
-    for (i, j), flip in zip(pair_idx, flips):
+    slots_i, slots_j = rng.integers(0, m, size=(attempts, 2)).T.tolist()
+    flips = rng.integers(0, 2, size=attempts).tolist()
+    for i, j, flip in zip(slots_i, slots_j, flips):
         if i == j:
             continue
-        a, b_ = edges[i]
-        c, d = edges[j]
+        a = us[i]
+        b_ = vs[i]
         if flip:
-            c, d = d, c
-        first = (min(a, d), max(a, d))
-        second = (min(c, b_), max(c, b_))
+            c = vs[j]
+            d = us[j]
+        else:
+            c = us[j]
+            d = vs[j]
         if a == d or c == b_:
             continue
-        if first == second or first in present or second in present:
+        # Distinct list edges make the two new edges distinct, so checking
+        # both against the adjacency rules out every duplicate.
+        first = a * n + d if a < d else d * n + a
+        second = c * n + b_ if c < b_ else b_ * n + c
+        if adj[first] or adj[second]:
             continue
-        present.discard(edges[i])
-        present.discard(edges[j])
-        present.add(first)
-        present.add(second)
-        edges[i] = first
-        edges[j] = second
-    out = np.zeros((b.n, b.n), dtype=bool)
-    for u, v in edges:
-        out[u, v] = True
+        adj[a * n + b_] = 0
+        adj[us[j] * n + vs[j]] = 0
+        adj[first] = 1
+        adj[second] = 1
+        us[i], vs[i] = divmod(first, n)
+        us[j], vs[j] = divmod(second, n)
+    out = np.frombuffer(adj, dtype=np.uint8).reshape(n, n).astype(bool)
     out |= out.T
     return BinaryNetwork(out, b.labels)
 

@@ -4,12 +4,21 @@ Everything here deliberately avoids the code paths of the package under test:
 clustering counts neighbor pairs directly, path lengths come from
 Floyd-Warshall, the network code is folded with Fraction arithmetic, and
 statistics are evaluated in exact rationals or with mpmath.
+
+``random_reference_loop`` and ``cpl_bfs_loop`` are the earlier
+implementations of ``random_reference`` and ``characteristic_path_length``
+(a tuple-and-set swap loop and a per-source BFS), kept as references that
+the rewritten functions must match bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+
+import numpy as np
+
+from ubnin import BinaryNetwork, UndefinedMetricError, ValidationError, edge_count
 
 
 def clustering_brute(edges) -> list[float]:
@@ -58,6 +67,72 @@ def cpl_floyd(edges) -> tuple[float, float]:
     if reachable == 0:
         raise ZeroDivisionError("no reachable pairs")
     return total / reachable, reachable / (n * (n - 1))
+
+
+def cpl_bfs_loop(b) -> tuple[float, float]:
+    """Characteristic path length by breadth-first search from each source."""
+    e = b.edges
+    n = b.n
+    total = 0
+    reachable = 0
+    for src in range(n):
+        visited = np.zeros(n, dtype=bool)
+        visited[src] = True
+        frontier = visited.copy()
+        dist = 0
+        while True:
+            nxt = e[frontier].any(axis=0) & ~visited
+            if not nxt.any():
+                break
+            dist += 1
+            cnt = int(nxt.sum())
+            total += dist * cnt
+            reachable += cnt
+            visited |= nxt
+            frontier = nxt
+    if reachable == 0:
+        raise UndefinedMetricError("no reachable node pairs; path length is undefined")
+    return total / reachable, reachable / (n * (n - 1))
+
+
+def random_reference_loop(b, seed, swaps_per_edge: int = 10):
+    """Double-edge swaps over a list of edge tuples and a set of present edges."""
+    m = edge_count(b)
+    if m < 2:
+        raise ValidationError(f"rewiring needs at least 2 edges, got {m}")
+    if swaps_per_edge < 0:
+        raise ValueError("swaps_per_edge must be nonnegative")
+    rows, cols = np.nonzero(np.triu(b.edges, 1))
+    edges = [(int(u), int(v)) for u, v in zip(rows, cols)]
+    present = set(edges)
+    rng = np.random.default_rng(seed)
+    attempts = swaps_per_edge * m
+    pair_idx = rng.integers(0, m, size=(attempts, 2))
+    flips = rng.integers(0, 2, size=attempts)
+    for (i, j), flip in zip(pair_idx, flips):
+        if i == j:
+            continue
+        a, b_ = edges[i]
+        c, d = edges[j]
+        if flip:
+            c, d = d, c
+        first = (min(a, d), max(a, d))
+        second = (min(c, b_), max(c, b_))
+        if a == d or c == b_:
+            continue
+        if first == second or first in present or second in present:
+            continue
+        present.discard(edges[i])
+        present.discard(edges[j])
+        present.add(first)
+        present.add(second)
+        edges[i] = first
+        edges[j] = second
+    out = np.zeros((b.n, b.n), dtype=bool)
+    for u, v in edges:
+        out[u, v] = True
+    out |= out.T
+    return BinaryNetwork(out, b.labels)
 
 
 def column_codes(edges) -> tuple[int, ...]:

@@ -118,6 +118,17 @@ class TestDecodeCommand:
         code, _, err = run(capsys, "decode", "--input", K10_DECIMAL, "--nodes", "9")
         assert code == 1 and "out of range" in err
 
+    @pytest.mark.parametrize("literal", ["\u00b2", "\u0663", "3.\u0665"])
+    def test_non_ascii_digits_rejected_as_malformed(self, capsys, literal):
+        code, out, err = run(capsys, "decode", "--input", literal, "--nodes", "5")
+        assert code == 1 and out == ""
+        assert "not a nonnegative decimal number" in err
+
+    def test_non_ascii_record_numerator_rejected_as_malformed(self, capsys):
+        record = '{"n": 5, "numerator": "\u00b2", "scale": 0}'
+        code, _, err = run(capsys, "decode", "--input", record)
+        assert code == 1 and "digit string" in err
+
     def test_nodes_via_environment_variable(self, capsys, monkeypatch):
         monkeypatch.setenv("UBNIN_DECODE_NODES", "5")
         code, out, _ = run(capsys, "decode", "--input", "8.578125")

@@ -221,6 +221,13 @@ class TestDecimalStrings:
         with pytest.raises(MalformedCodeError):
             parse_decimal_string(text, 5)
 
+    # Superscript two, Arabic-Indic three and five, fullwidth seven: str.isdigit
+    # accepts all of them, and int() reads the last three as 3, 5 and 7.
+    @pytest.mark.parametrize("text", ["\u00b2", "\u0663", "3.\u0665", "\u0663.5", "\uff17"])
+    def test_non_ascii_digits_rejected(self, text):
+        with pytest.raises(MalformedCodeError, match="not a nonnegative decimal number"):
+            parse_decimal_string(text, 5)
+
 
 class TestRecords:
     def test_round_trip(self):
@@ -245,6 +252,13 @@ class TestRecords:
     def test_missing_field_rejected(self):
         with pytest.raises(MalformedCodeError):
             from_record({"n": 5, "numerator": "549"})
+
+    # The Arabic-Indic forms of 549 would otherwise decode as the path graph.
+    @pytest.mark.parametrize("num, scale", [("\u00b2", 0), ("\u0665\u0664\u0669", 6),
+                                            ("5\u0664\u0669", 6)])
+    def test_non_ascii_digits_rejected(self, num, scale):
+        with pytest.raises(MalformedCodeError, match="digit string"):
+            from_record({"n": 5, "numerator": num, "scale": scale})
 
     def test_non_canonical_rejected(self):
         with pytest.raises(MalformedCodeError):

@@ -4,6 +4,7 @@ import pytest
 from ubnin import (
     BinaryNetwork,
     NotEstimableError,
+    SmallWorldResult,
     UndefinedMetricError,
     ValidationError,
     characteristic_path_length,
@@ -14,16 +15,25 @@ from ubnin import (
     nodal_clustering,
     random_reference,
     small_world_index,
+    sparsity_threshold,
 )
-from oracles import clustering_brute, cpl_floyd
+from oracles import clustering_brute, cpl_bfs_loop, cpl_floyd, random_reference_loop
 from synth import (
     complete_graph,
     empty_graph,
     path_graph,
     random_binary,
+    random_weighted,
+    region_labels,
     ring_lattice,
     star_graph,
 )
+
+# The grid over which the rewritten functions must equal the old loops kept in
+# tests/oracles.py. n=90 at density 0.6 and 0.9 is the benchmark's shape.
+ORACLE_SIZES = [3, 4, 5, 7, 12, 20, 33, 55, 90]
+ORACLE_DENSITIES = [0.05, 0.2, 0.4, 0.6, 0.75, 0.9, 0.95]
+SWAPS_PER_EDGE = [0, 1, 3, 10]
 
 
 def k4_minus_edge():
@@ -96,16 +106,47 @@ class TestPathLength:
             characteristic_path_length(empty_graph(4))
 
     def test_matches_floyd_warshall_on_random_graphs(self):
+        # Both sides divide Python ints, so the floats agree exactly. Paths and
+        # rings, and sparse graphs up to 30 nodes, have diameters beyond 2.
         rng = np.random.default_rng(13)
+        graphs = [path_graph(k) for k in range(3, 21)] + [ring_lattice(k, 2) for k in range(5, 21)]
         for _ in range(60):
-            n = int(rng.integers(2, 13))
-            b = random_binary(n, float(rng.uniform(0.15, 0.9)), rng)
+            n = int(rng.integers(2, 31))
+            graphs.append(random_binary(n, float(rng.uniform(0.05, 0.9)), rng))
+        for b in graphs:
             if edge_count(b) == 0:
                 continue
-            length, frac = characteristic_path_length(b)
-            exp_length, exp_frac = cpl_floyd(b.edges)
-            assert length == pytest.approx(exp_length, abs=1e-12)
-            assert frac == pytest.approx(exp_frac, abs=1e-15)
+            assert characteristic_path_length(b) == cpl_floyd(b.edges)
+
+
+def _path_length_or_undefined(fn, b):
+    try:
+        return fn(b)
+    except UndefinedMetricError:
+        return "undefined"
+
+
+class TestPathLengthMatchesOracle:
+    @pytest.mark.parametrize("n", [2] + ORACLE_SIZES)
+    def test_identical_to_per_source_bfs(self, n):
+        rng = np.random.default_rng(100 + n)
+        for density in [0.0, 0.02] + ORACLE_DENSITIES + [1.0]:
+            for _ in range(3):
+                b = random_binary(n, density, rng)
+                assert (_path_length_or_undefined(characteristic_path_length, b)
+                        == _path_length_or_undefined(cpl_bfs_loop, b))
+
+    @pytest.mark.parametrize("n", [4, 9, 30, 90])
+    def test_identical_on_disconnected_graphs(self, n):
+        rng = np.random.default_rng(200 + n)
+        for density in ORACLE_DENSITIES:
+            k = int(rng.integers(2, n - 1))
+            e = np.zeros((n, n), dtype=bool)
+            e[:k, :k] = random_binary(k, density, rng).edges
+            e[k:, k:] = random_binary(n - k, density, rng).edges
+            b = BinaryNetwork(e)
+            assert (_path_length_or_undefined(characteristic_path_length, b)
+                    == _path_length_or_undefined(cpl_bfs_loop, b))
 
 
 class TestRandomReference:
@@ -141,6 +182,34 @@ class TestRandomReference:
             random_reference(path_graph(2), seed=0)
 
 
+class TestRewiringMatchesOracle:
+    @pytest.mark.parametrize("n", ORACLE_SIZES)
+    def test_identical_to_tuple_and_set_loop(self, n):
+        rng = np.random.default_rng(n)
+        for density in ORACLE_DENSITIES:
+            b = random_binary(n, density, rng)
+            if edge_count(b) < 2:
+                continue
+            for seed in (0, 7, [n, 3]):
+                for swaps in SWAPS_PER_EDGE:
+                    assert random_reference(b, seed, swaps) == random_reference_loop(b, seed, swaps)
+
+    @pytest.mark.parametrize("keep", [0.6, 0.9])
+    def test_identical_on_thresholded_atlas_networks(self, keep):
+        rng = np.random.default_rng(16)
+        for _ in range(2):
+            b = sparsity_threshold(random_weighted(90, rng, labels=region_labels(90)), keep)
+            for idx in range(2):
+                assert random_reference(b, [5, idx]) == random_reference_loop(b, [5, idx])
+
+    @pytest.mark.parametrize("b", [star_graph(6), complete_graph(8), path_graph(10),
+                                   ring_lattice(20, 4), ring_lattice(31, 6)])
+    def test_identical_on_structured_graphs(self, b):
+        for seed in (1, [2, 0]):
+            for swaps in SWAPS_PER_EDGE:
+                assert random_reference(b, seed, swaps) == random_reference_loop(b, seed, swaps)
+
+
 class TestSmallWorld:
     def test_ring_lattice_clustering_is_point_six(self):
         assert mean_clustering(ring_lattice(56, 6)) == pytest.approx(0.6, abs=1e-12)
@@ -163,6 +232,30 @@ class TestSmallWorld:
     def test_deterministic_given_seed(self):
         b = ring_lattice(24, 4)
         assert small_world_index(b, n_rand=8, seed=3) == small_world_index(b, n_rand=8, seed=3)
+
+
+def small_world_oracle(b, n_rand, seed, swaps_per_edge):
+    """small_world_index composed from the old rewiring and path-length loops."""
+    l_obs, _ = cpl_bfs_loop(b)
+    c_rand = np.empty(n_rand)
+    l_rand = np.empty(n_rand)
+    for idx in range(n_rand):
+        ref = random_reference_loop(b, [seed, idx], swaps_per_edge)
+        l_rand[idx], _ = cpl_bfs_loop(ref)
+        c_rand[idx] = mean_clustering(ref)
+    gamma = mean_clustering(b) / float(c_rand.mean())
+    lam = l_obs / float(l_rand.mean())
+    return SmallWorldResult(sigma=gamma / lam, gamma=gamma, lam=lam)
+
+
+class TestSmallWorldMatchesOracle:
+    @pytest.mark.parametrize("n, density, seed, swaps", [
+        (12, 0.5, 0, 10), (24, 0.3, 4, 3), (40, 0.6, 9, 1), (90, 0.6, 201, 10), (90, 0.9, 201, 10),
+    ])
+    def test_identical_sigma_gamma_lambda(self, n, density, seed, swaps):
+        b = random_binary(n, density, np.random.default_rng(n))
+        assert small_world_index(b, n_rand=3, seed=seed, swaps_per_edge=swaps) == \
+            small_world_oracle(b, 3, seed, swaps)
 
 
 class TestMetricsReport:
