@@ -31,7 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .graphs import format_binary_matrix, load_binary_matrix
-from .pipeline import RunConfig, parse_threshold_spec, run_cohort, run_fingerprint
+from .pipeline import MIN_COHORT_SIZE, RunConfig, parse_threshold_spec, run_cohort, run_fingerprint
 
 EXIT_VALIDATION = 1
 EXIT_DEGENERATE = 2
@@ -134,10 +134,8 @@ def cmd_fingerprint(input_path, demographics, residualize, seed, out_dir, thresh
               help="Random references per small-world estimate (0 disables).")
 @click.option("--swaps-per-edge", type=int, default=10, show_default=True,
               help="Rewiring attempts per edge for random references.")
-@click.option("--workers", type=int, default=1, show_default=True,
-              help="Worker threads for permutation iterations.")
 def cmd_cohort(input_path, demographics, residualize, seed, out_dir, sweep, bins,
-               iterations, anova_fields, n_rand, swaps_per_edge, workers):
+               iterations, anova_fields, n_rand, swaps_per_edge):
     """Age-binned metric sweep, permutation tests, and clinical ANOVA."""
     try:
         start, stop, step = (float(x) for x in sweep.split(":"))
@@ -155,14 +153,12 @@ def cmd_cohort(input_path, demographics, residualize, seed, out_dir, sweep, bins
         residualize=residualize, seed=seed,
         sweep_start=start, sweep_stop=stop, sweep_step=step,
         bin_edges=edges, iterations=iterations, anova_fields=fields,
-        n_rand=n_rand, swaps_per_edge=swaps_per_edge, workers=workers,
+        n_rand=n_rand, swaps_per_edge=swaps_per_edge,
     )
     doc = run_cohort(config)
     for warning in doc["warnings"]:
         click.echo(f"warning: {warning}", err=True)
-    analyzed = sum(1 for c in doc["cohorts"] if not any(
-        w.startswith(f"{c['group']}/{c['cohort']}: skipped") for w in doc["warnings"]
-    ))
+    analyzed = sum(1 for c in doc["cohorts"] if c["n_subjects"] >= MIN_COHORT_SIZE)
     click.echo(
         f"analyzed {analyzed}/{len(doc['cohorts'])} cohorts over "
         f"{len(doc['sweep'])} sparsity levels -> {doc['out_dir']}"

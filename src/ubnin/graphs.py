@@ -164,14 +164,11 @@ def target_edge_count(keep: float, total_edges: int) -> int:
     return int(math.floor(Fraction(keep) * total_edges + Fraction(1, 2)))
 
 
-def _ranked_upper_triangle(values: np.ndarray, rows: np.ndarray, cols: np.ndarray,
-                           secondary: np.ndarray | None = None) -> np.ndarray:
-    """Indices sorting edge values descending, ties by (row, col) ascending."""
-    keys = [cols, rows]
-    if secondary is not None:
-        keys.append(-secondary)
-    keys.append(-values)
-    return np.lexsort(tuple(keys))
+def _adjacency(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Symmetric n x n boolean adjacency with the edges (rows[i], cols[i])."""
+    e = np.zeros((n, n), dtype=bool)
+    e[rows, cols] = True
+    return e | e.T
 
 
 def sparsity_threshold(w: WeightedNetwork, keep: float) -> BinaryNetwork:
@@ -184,12 +181,10 @@ def sparsity_threshold(w: WeightedNetwork, keep: float) -> BinaryNetwork:
     rows, cols = np.triu_indices(w.n, 1)
     vals = w.weights[rows, cols]
     k = target_edge_count(keep, vals.size)
-    order = _ranked_upper_triangle(vals, rows, cols)
-    sel = order[:k]
-    e = np.zeros((w.n, w.n), dtype=bool)
-    e[rows[sel], cols[sel]] = True
-    e |= e.T
-    return BinaryNetwork(e, w.labels)
+    # triu_indices lists edges in ascending (row, col) order, which a stable
+    # sort keeps among equal weights.
+    sel = np.argsort(-vals, kind="stable")[:k]
+    return BinaryNetwork(_adjacency(w.n, rows[sel], cols[sel]), w.labels)
 
 
 def consistency_threshold(stack: Sequence[WeightedNetwork], keep: float,
@@ -223,11 +218,8 @@ def consistency_threshold(stack: Sequence[WeightedNetwork], keep: float,
     std = vals.std(axis=0)
     score = np.where(std == 0, np.inf, mean / np.where(std == 0, 1.0, std))
     k = target_edge_count(keep, mean.size)
-    order = _ranked_upper_triangle(score, rows, cols, secondary=mean)
-    sel = order[:k]
-    e = np.zeros((n, n), dtype=bool)
-    e[rows[sel], cols[sel]] = True
-    e |= e.T
+    sel = np.lexsort((-mean, -score))[:k]  # lexsort is stable, like the argsort above
+    e = _adjacency(n, rows[sel], cols[sel])
     return [BinaryNetwork(e, first.labels) for _ in stack]
 
 

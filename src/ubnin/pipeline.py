@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import __version__
 from .codec import encode, to_decimal_string, to_record
-from .errors import NotEstimableError, UndefinedMetricError, ValidationError
+from .errors import NotEstimableError, UbninError, UndefinedMetricError, ValidationError
 from .graphs import consistency_threshold, sparsity_threshold
 from .metrics import metrics_report
 from .stats import one_way_anova, permutation_test
@@ -55,7 +55,6 @@ class RunConfig:
     residualize: str | None = None
     n_rand: int = 100
     swaps_per_edge: int = 10
-    workers: int = 1
     anova_fields: tuple[str, ...] | None = None
 
     def __post_init__(self):
@@ -74,8 +73,6 @@ class RunConfig:
             raise ValidationError("seed must be nonnegative")
         if self.n_rand < 0 or self.swaps_per_edge < 0:
             raise ValidationError("n_rand and swaps_per_edge must be nonnegative")
-        if self.workers < 1:
-            raise ValidationError("workers must be >= 1")
         bad = [f for f in (self.anova_fields or ()) if f not in CLINICAL_FIELDS]
         if bad:
             raise ValidationError(
@@ -207,9 +204,9 @@ def run_fingerprint(config: RunConfig) -> dict:
 def run_cohort(config: RunConfig) -> dict:
     """Age-binned metric sweep, pairwise permutation tests, and clinical ANOVA.
 
-    Cohorts smaller than MIN_COHORT_SIZE are skipped with a warning; degenerate
-    statistics within one cohort, pair, or field are reported as warnings
-    rather than aborting the rest of the run.
+    Cohorts smaller than MIN_COHORT_SIZE are skipped with a warning; a package
+    error (``UbninError``) within one cohort, pair, or field is reported as a
+    warning rather than aborting the rest of the run. Other exceptions propagate.
     """
     table = _load_table(config)
     sweep = sweep_values(config.sweep_start, config.sweep_stop, config.sweep_step)
@@ -242,7 +239,7 @@ def run_cohort(config: RunConfig) -> dict:
         for cohort in analyzed:
             try:
                 association = group_association_matrix(cohort)
-            except Exception as exc:
+            except UbninError as exc:
                 warnings.append(f"{group}/{cohort.cohort_id}: {exc}")
                 continue
             for s in sweep:
@@ -266,10 +263,9 @@ def run_cohort(config: RunConfig) -> dict:
         for cohort_a, cohort_b in combinations(analyzed, 2):
             try:
                 result = permutation_test(
-                    cohort_a, cohort_b, sweep, iterations=config.iterations,
-                    seed=config.seed, workers=config.workers,
+                    cohort_a, cohort_b, sweep, iterations=config.iterations, seed=config.seed
                 )
-            except Exception as exc:
+            except UbninError as exc:
                 warnings.append(
                     f"{group}/{cohort_a.cohort_id} vs {cohort_b.cohort_id}: {exc}"
                 )
@@ -308,7 +304,7 @@ def run_cohort(config: RunConfig) -> dict:
                 continue
             try:
                 result = one_way_anova(value_groups)
-            except Exception as exc:
+            except UbninError as exc:
                 warnings.append(f"{group}: ANOVA on {fname!r} failed: {exc}")
                 continue
             anova_rows.append(

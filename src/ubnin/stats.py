@@ -3,14 +3,12 @@
 The permutation test relabels subjects into pseudo-groups of the original
 sizes and recomputes the full correlation-threshold-metric pipeline each
 iteration, which is the only resampling scheme that yields a valid null
-distribution for group-level covariance networks. Iteration t draws from the
-stream (seed, t), so results are bit-identical no matter how many workers
-evaluate the iterations.
+distribution for group-level covariance networks. The iterations run in one
+serial loop, and iteration t draws its relabeling from the stream (seed, t).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,7 +58,7 @@ class PermutationResult:
 
 
 def permutation_test(group_a: CohortTable, group_b: CohortTable, sparsities,
-                     iterations: int = 1000, seed: int = 0, workers: int = 1,
+                     iterations: int = 1000, seed: int = 0,
                      metric=None) -> PermutationResult:
     """Nonparametric permutation test of a group metric difference.
 
@@ -70,6 +68,9 @@ def permutation_test(group_a: CohortTable, group_b: CohortTable, sparsities,
     random to pseudo-groups of the original sizes and recomputes the whole
     statistic. The two-tailed p-value uses add-one smoothing:
     (1 + #{|perm| >= |observed|}) / (1 + iterations).
+
+    Iteration t relabels the subjects with ``np.random.default_rng([seed, t])``,
+    so equal inputs, iterations and seed give an equal result.
     """
     metric_fn = metric if metric is not None else mean_clustering
     metric_name = getattr(metric_fn, "__name__", "custom")
@@ -99,18 +100,8 @@ def permutation_test(group_a: CohortTable, group_b: CohortTable, sparsities,
 
     observed = stat(np.arange(n_a), np.arange(n_a, n_total))
 
-    def one_iteration(t):
-        rng = np.random.default_rng([seed, t])
-        perm = rng.permutation(n_total)
-        return stat(perm[:n_a], perm[n_a:])
-
-    if workers <= 1:
-        draws = [one_iteration(t) for t in range(iterations)]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool_exec:
-            draws = list(pool_exec.map(one_iteration, range(iterations)))
-
-    perm_stats = np.asarray(draws)
+    perms = (np.random.default_rng([seed, t]).permutation(n_total) for t in range(iterations))
+    perm_stats = np.asarray([stat(perm[:n_a], perm[n_a:]) for perm in perms])
     obs = np.asarray(observed)
     exceed = (np.abs(perm_stats) >= np.abs(obs)).sum(axis=0)
     p = (1.0 + exceed) / (1.0 + iterations)

@@ -7,8 +7,10 @@ statistics are evaluated in exact rationals or with mpmath.
 
 ``random_reference_loop`` and ``cpl_bfs_loop`` are the earlier
 implementations of ``random_reference`` and ``characteristic_path_length``
-(a tuple-and-set swap loop and a per-source BFS), kept as references that
-the rewritten functions must match bit for bit.
+(a tuple-and-set swap loop and a per-source BFS), and
+``ranked_upper_triangle_lexsort`` the earlier edge ranking of the thresholds
+(a lexsort with row and column as explicit keys), kept as references that the
+rewritten functions must match exactly.
 """
 
 from __future__ import annotations
@@ -133,6 +135,15 @@ def random_reference_loop(b, seed, swaps_per_edge: int = 10):
         out[u, v] = True
     out |= out.T
     return BinaryNetwork(out, b.labels)
+
+
+def ranked_upper_triangle_lexsort(values, rows, cols, secondary=None):
+    """Indices sorting edge values descending, ties by (row, col) ascending."""
+    keys = [cols, rows]
+    if secondary is not None:
+        keys.append(-secondary)
+    keys.append(-values)
+    return np.lexsort(tuple(keys))
 
 
 def column_codes(edges) -> tuple[int, ...]:

@@ -15,6 +15,7 @@ from ubnin import (
     sweep_values,
 )
 from ubnin.cli import main
+from ubnin import pipeline
 from ubnin.pipeline import parse_threshold_spec
 from synth import complete_graph, path_graph, random_binary, subjects_csv_text
 
@@ -394,6 +395,34 @@ class TestCohortCommand:
                 for name in ("metrics.csv", "significance.csv", "anova.csv", "results.json")
             })
         assert snapshots[0] == snapshots[1]
+
+
+class TestRunCohortErrors:
+    def config(self, tmp_path, data):
+        return pipeline.RunConfig(input=str(data), out_dir=str(tmp_path / "out"), sweep_start=0.8,
+                                  sweep_stop=0.8, iterations=5, n_rand=0)
+
+    def test_constant_region_is_a_warning(self, tmp_path):
+        data = cohort_csv(tmp_path, [30, 31, 32, 40, 41, 42])
+        lines = data.read_text().splitlines()
+        for i in (1, 2, 3):  # region r1 is constant across cohort A
+            cells = lines[i].split(",")
+            lines[i] = ",".join(cells[:4] + ["600.00000"] + cells[5:])
+        data.write_text("\n".join(lines) + "\n")
+        doc = pipeline.run_cohort(self.config(tmp_path, data))
+        assert "G/A: zero-variance regions: r1" in doc["warnings"]
+        assert "G/A vs B: zero-variance regions: r1" in doc["warnings"]
+        assert [row["cohort"] for row in doc["metrics"]] == ["B"]
+        assert (tmp_path / "out" / "results.json").is_file()
+
+    def test_programming_error_propagates(self, tmp_path, monkeypatch):
+        def broken(*args, **kwargs):
+            raise TypeError("broken permutation test")
+
+        monkeypatch.setattr(pipeline, "permutation_test", broken)
+        data = cohort_csv(tmp_path, [30, 31, 32, 40, 41, 42])
+        with pytest.raises(TypeError, match="broken permutation test"):
+            pipeline.run_cohort(self.config(tmp_path, data))
 
 
 class TestTopLevel:

@@ -17,7 +17,7 @@ from ubnin import (
     sparsity_threshold,
     target_edge_count,
 )
-from oracles import kept_edges_oracle
+from oracles import kept_edges_oracle, ranked_upper_triangle_lexsort
 from synth import complete_graph, empty_graph, path_graph, random_weighted
 
 
@@ -143,6 +143,94 @@ class TestConsistencyThreshold:
             )
         with pytest.raises(ValidationError):
             consistency_threshold([random_weighted(4, rng)], 0.5)
+
+
+TIE_VALUES = (-1.0, -0.5, -0.0, 0.0, 0.5, 1.0)
+ORACLE_SIZES = (2, 3, 4, 5, 8, 13, 30, 90)
+ORACLE_KEEPS = (0.01, 0.1, 1 / 3, 0.5, 0.77, 1.0)  # 0.01 keeps no edge below 10 nodes
+
+
+def upper_weights(n, upper):
+    w = np.zeros((n, n))
+    rows, cols = np.triu_indices(n, 1)
+    w[rows, cols] = upper
+    w[cols, rows] = upper
+    return WeightedNetwork(w)
+
+
+def tie_heavy(n, rng, values=TIE_VALUES):
+    return upper_weights(n, rng.choice(values, size=n * (n - 1) // 2))
+
+
+def group_mask_keys(stack):
+    """Per upper-triangle edge: mean / stddev across the stack (inf at stddev 0), and mean."""
+    n = stack[0].n
+    vals = np.stack([w.weights[np.triu_indices(n, 1)] for w in stack])
+    mean, std = vals.mean(axis=0), vals.std(axis=0)
+    return np.where(std == 0, np.inf, mean / np.where(std == 0, 1.0, std)), mean
+
+
+def lexsort_edge_set(values, n, keep, secondary=None):
+    """The first k edges of the earlier three-key lexsort ranking."""
+    rows, cols = np.triu_indices(n, 1)
+    order = ranked_upper_triangle_lexsort(values, rows, cols, secondary)
+    sel = order[:kept_edges_oracle(keep, rows.size)]
+    return {(int(r), int(c)) for r, c in zip(rows[sel], cols[sel])}
+
+
+class TestRankingMatchesLexsortOracle:
+    @pytest.mark.parametrize("n", ORACLE_SIZES)
+    def test_sparsity_and_per_subject(self, n):
+        rng = np.random.default_rng(n)
+        m = n * (n - 1) // 2
+        stack = [
+            tie_heavy(n, rng),
+            tie_heavy(n, rng, (-0.0, 0.0)),
+            upper_weights(n, np.full(m, 0.5)),
+            upper_weights(n, np.full(m, -0.0)),
+            random_weighted(n, rng),
+        ]
+        rows, cols = np.triu_indices(n, 1)
+        for keep in ORACLE_KEEPS:
+            per_subject = consistency_threshold(stack, keep, "per-subject")
+            for w, b in zip(stack, per_subject):
+                expected = lexsort_edge_set(w.weights[rows, cols], n, keep)
+                assert edge_set(sparsity_threshold(w, keep)) == expected
+                assert edge_set(b) == expected
+
+    @pytest.mark.parametrize("n", ORACLE_SIZES)
+    def test_group_mask(self, n):
+        rng = np.random.default_rng(100 + n)
+        values = (-1.0, 0.0, 1.0, 2.0, 3.0)
+        base = tie_heavy(n, rng, values)
+        stacks = [
+            [tie_heavy(n, rng, values) for _ in range(2)],
+            [tie_heavy(n, rng, values) for _ in range(3)],
+            [base, base],  # every edge has stddev 0
+            [base, tie_heavy(n, rng, values), base],
+            [tie_heavy(n, rng) for _ in range(2)],
+            [random_weighted(n, rng) for _ in range(3)],
+        ]
+        for stack in stacks:
+            score, mean = group_mask_keys(stack)
+            for keep in ORACLE_KEEPS:
+                expected = lexsort_edge_set(score, n, keep, secondary=mean)
+                for b in consistency_threshold(stack, keep, "group-mask"):
+                    assert edge_set(b) == expected
+
+    def test_group_mask_tie_breaks(self):
+        # the mean breaks score ties against row-major order; equal means keep it
+        stack = [upper_weights(4, [0.0, 0.0, 1.0, 1.0, 2.0, 2.0]),
+                 upper_weights(4, [1.0, 2.0, 1.0, 1.0, 2.0, 4.0])]
+        score, mean = group_mask_keys(stack)
+        assert score.tolist() == [1.0, 1.0, np.inf, np.inf, np.inf, 3.0]
+        assert mean.tolist() == [0.5, 1.0, 1.0, 1.0, 2.0, 3.0]
+        expected = {1 / 3: {(1, 3), (0, 3)},
+                    0.5: {(1, 3), (0, 3), (1, 2)},
+                    0.77: {(1, 3), (0, 3), (1, 2), (2, 3), (0, 2)}}
+        for keep, edges in expected.items():
+            assert lexsort_edge_set(score, 4, keep, secondary=mean) == edges
+            assert edge_set(consistency_threshold(stack, keep, "group-mask")[0]) == edges
 
 
 class TestDegreeAndEdgeCount:

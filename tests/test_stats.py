@@ -100,14 +100,6 @@ class TestPermutationTest:
         r2 = permutation_test(a, b, [0.7], iterations=25, seed=5)
         assert r1.perm_mean_diff != r2.perm_mean_diff
 
-    def test_workers_do_not_change_results(self):
-        a, b = make_null_pair(4, n_subjects=6, n_regions=14)
-        results = [
-            permutation_test(a, b, [0.6, 0.8], iterations=30, seed=6, workers=w)
-            for w in (1, 2, 8)
-        ]
-        assert results[0] == results[1] == results[2]
-
     def test_subject_order_within_cohort_is_immaterial(self):
         a, b = make_null_pair(5, n_subjects=6, n_regions=10)
         a_shuffled = a.replace_subjects(tuple(reversed(a.subjects)))
