@@ -2,17 +2,17 @@
 
 Networks are labeled, symmetric, and loop-free. ``WeightedNetwork`` holds
 real-valued association or similarity weights, ``BinaryNetwork`` a boolean
-adjacency matrix. Both are immutable after construction so instances can be
-shared freely between threads.
+adjacency matrix. Both are immutable after construction.
 """
 
 from __future__ import annotations
 
 import csv
+import functools
 import io
 import math
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Sequence
 
@@ -156,18 +156,32 @@ def target_edge_count(keep: float, total_edges: int) -> int:
     """Edges retained when keeping a fraction of ``total_edges``.
 
     Rounds half away from zero, so ``keep * total_edges = 2.5`` keeps 3 edges.
-    The product is evaluated in exact rational arithmetic; a float product
-    can cross the half boundary and misround (e.g. keep 0.06 of 325 edges).
+    The product is evaluated in exact integer arithmetic on the fraction's
+    ratio p/q; a float product can cross the half boundary and misround
+    (e.g. keep 0.06 of 325 edges).
     """
     if not 0 < keep <= 1:
         raise ValueError(f"keep fraction must be in (0, 1], got {keep}")
-    return int(math.floor(Fraction(keep) * total_edges + Fraction(1, 2)))
+    p, q = keep.as_integer_ratio()
+    # a Python int, so a numpy integer count cannot wrap around in the product
+    total_edges = operator.index(total_edges)
+    return (2 * p * total_edges + q) // (2 * q)
 
 
-def _adjacency(n: int, rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Symmetric n x n boolean adjacency with the edges (rows[i], cols[i])."""
-    e = np.zeros((n, n), dtype=bool)
-    e[rows, cols] = True
+@functools.lru_cache(maxsize=8)
+def _upper_flat(n: int) -> np.ndarray:
+    """Read-only flat indices ``row * n + col`` of the upper triangle, row-major."""
+    rows, cols = np.triu_indices(n, 1)
+    flat = rows * n + cols
+    flat.setflags(write=False)
+    return flat
+
+
+def _adjacency(n: int, flat_idx: np.ndarray) -> np.ndarray:
+    """Symmetric n x n boolean adjacency with the upper-triangle cells ``flat_idx``."""
+    e = np.zeros(n * n, dtype=bool)
+    e[flat_idx] = True
+    e = e.reshape(n, n)
     return e | e.T
 
 
@@ -178,13 +192,19 @@ def sparsity_threshold(w: WeightedNetwork, keep: float) -> BinaryNetwork:
     largest weights. Equal weights are resolved deterministically in ascending
     (row, col) order, so the result is reproducible for any weight multiset.
     """
-    rows, cols = np.triu_indices(w.n, 1)
-    vals = w.weights[rows, cols]
-    k = target_edge_count(keep, vals.size)
-    # triu_indices lists edges in ascending (row, col) order, which a stable
-    # sort keeps among equal weights.
-    sel = np.argsort(-vals, kind="stable")[:k]
-    return BinaryNetwork(_adjacency(w.n, rows[sel], cols[sel]), w.labels)
+    n = w.n
+    flat = _upper_flat(n)
+    vals = w.weights.take(flat)
+    m = vals.size
+    k = target_edge_count(keep, m)
+    if k == 0:
+        return BinaryNetwork(np.zeros((n, n), dtype=bool), w.labels)
+    # t is the k-th largest weight: fewer than k weights exceed it and the
+    # rest of the k are the first weights equal to it in (row, col) order.
+    t = np.partition(vals, m - k)[m - k]
+    chosen = vals > t
+    chosen[np.flatnonzero(vals == t)[:k - np.count_nonzero(chosen)]] = True
+    return BinaryNetwork(_adjacency(n, flat[chosen]), w.labels)
 
 
 def consistency_threshold(stack: Sequence[WeightedNetwork], keep: float,
@@ -212,14 +232,14 @@ def consistency_threshold(stack: Sequence[WeightedNetwork], keep: float,
         raise ValueError(f"unknown strategy {strategy!r}; use 'per-subject' or 'group-mask'")
 
     n = first.n
-    rows, cols = np.triu_indices(n, 1)
-    vals = np.stack([w.weights[rows, cols] for w in stack])
+    flat = _upper_flat(n)
+    vals = np.stack([w.weights.take(flat) for w in stack])
     mean = vals.mean(axis=0)
     std = vals.std(axis=0)
     score = np.where(std == 0, np.inf, mean / np.where(std == 0, 1.0, std))
     k = target_edge_count(keep, mean.size)
-    sel = np.lexsort((-mean, -score))[:k]  # lexsort is stable, like the argsort above
-    e = _adjacency(n, rows[sel], cols[sel])
+    sel = np.lexsort((-mean, -score))[:k]  # stable: ties stay in (row, col) order
+    e = _adjacency(n, flat[sel])
     return [BinaryNetwork(e, first.labels) for _ in stack]
 
 

@@ -10,7 +10,10 @@ implementations of ``random_reference`` and ``characteristic_path_length``
 (a tuple-and-set swap loop and a per-source BFS), and
 ``ranked_upper_triangle_lexsort`` the earlier edge ranking of the thresholds
 (a lexsort with row and column as explicit keys), kept as references that the
-rewritten functions must match exactly.
+rewritten functions must match exactly. Likewise ``sparsity_threshold_argsort``
+is the earlier ``sparsity_threshold`` (a stable sort of every weight) and
+``target_edge_count_fraction`` the earlier ``target_edge_count`` (a
+``Fraction`` product).
 """
 
 from __future__ import annotations
@@ -144,6 +147,36 @@ def ranked_upper_triangle_lexsort(values, rows, cols, secondary=None):
         keys.append(-secondary)
     keys.append(-values)
     return np.lexsort(tuple(keys))
+
+
+def target_edge_count_fraction(keep: float, total_edges: int) -> int:
+    """Edges retained when keeping a fraction of ``total_edges``.
+
+    Rounds half away from zero, so ``keep * total_edges = 2.5`` keeps 3 edges.
+    The product is evaluated in exact rational arithmetic; a float product
+    can cross the half boundary and misround (e.g. keep 0.06 of 325 edges).
+    """
+    if not 0 < keep <= 1:
+        raise ValueError(f"keep fraction must be in (0, 1], got {keep}")
+    return int(math.floor(Fraction(keep) * total_edges + Fraction(1, 2)))
+
+
+def sparsity_threshold_argsort(w, keep: float) -> BinaryNetwork:
+    """Binarize a weighted network by retaining the strongest edges.
+
+    Keeps exactly ``round(keep * n(n-1)/2)`` upper-triangle edges with the
+    largest weights. Equal weights are resolved deterministically in ascending
+    (row, col) order, so the result is reproducible for any weight multiset.
+    """
+    rows, cols = np.triu_indices(w.n, 1)
+    vals = w.weights[rows, cols]
+    k = target_edge_count_fraction(keep, vals.size)
+    # triu_indices lists edges in ascending (row, col) order, which a stable
+    # sort keeps among equal weights.
+    sel = np.argsort(-vals, kind="stable")[:k]
+    e = np.zeros((w.n, w.n), dtype=bool)
+    e[rows[sel], cols[sel]] = True
+    return BinaryNetwork(e | e.T, w.labels)
 
 
 def column_codes(edges) -> tuple[int, ...]:

@@ -17,7 +17,13 @@ from ubnin import (
     sparsity_threshold,
     target_edge_count,
 )
-from oracles import kept_edges_oracle, ranked_upper_triangle_lexsort
+from ubnin.graphs import _upper_flat
+from oracles import (
+    kept_edges_oracle,
+    ranked_upper_triangle_lexsort,
+    sparsity_threshold_argsort,
+    target_edge_count_fraction,
+)
 from synth import complete_graph, empty_graph, path_graph, random_weighted
 
 
@@ -61,6 +67,9 @@ class TestSparsityThreshold:
     def test_half_boundary_rounding_is_exact(self):
         # float(0.06) * 325 rounds up to 19.5 although the exact product is below it
         assert target_edge_count(0.06, 325) == 19
+        # a numpy count must not wrap around in the exact integer product
+        assert target_edge_count(0.06, np.int64(325)) == 19
+        assert target_edge_count(0.06, np.int64(10**7)) == 600_000
         b = sparsity_threshold(random_weighted(26, np.random.default_rng(2)), 0.06)
         assert edge_count(b) == 19
 
@@ -150,6 +159,12 @@ ORACLE_SIZES = (2, 3, 4, 5, 8, 13, 30, 90)
 ORACLE_KEEPS = (0.01, 0.1, 1 / 3, 0.5, 0.77, 1.0)  # 0.01 keeps no edge below 10 nodes
 
 
+def oracle_keeps(n):
+    """ORACLE_KEEPS plus the fractions that keep exactly 0 and exactly 1 of n nodes' edges."""
+    m = n * (n - 1) // 2
+    return ORACLE_KEEPS + (0.25 / m, 1 / m)
+
+
 def upper_weights(n, upper):
     w = np.zeros((n, n))
     rows, cols = np.triu_indices(n, 1)
@@ -170,6 +185,18 @@ def group_mask_keys(stack):
     return np.where(std == 0, np.inf, mean / np.where(std == 0, 1.0, std)), mean
 
 
+def weight_sets(n, rng):
+    """Tie-heavy, signed-zero-only, all-0.5, all-(-0.0) and distinct upper-triangle weights."""
+    m = n * (n - 1) // 2
+    return [
+        tie_heavy(n, rng),
+        tie_heavy(n, rng, (-0.0, 0.0)),
+        upper_weights(n, np.full(m, 0.5)),
+        upper_weights(n, np.full(m, -0.0)),
+        random_weighted(n, rng),
+    ]
+
+
 def lexsort_edge_set(values, n, keep, secondary=None):
     """The first k edges of the earlier three-key lexsort ranking."""
     rows, cols = np.triu_indices(n, 1)
@@ -181,17 +208,9 @@ def lexsort_edge_set(values, n, keep, secondary=None):
 class TestRankingMatchesLexsortOracle:
     @pytest.mark.parametrize("n", ORACLE_SIZES)
     def test_sparsity_and_per_subject(self, n):
-        rng = np.random.default_rng(n)
-        m = n * (n - 1) // 2
-        stack = [
-            tie_heavy(n, rng),
-            tie_heavy(n, rng, (-0.0, 0.0)),
-            upper_weights(n, np.full(m, 0.5)),
-            upper_weights(n, np.full(m, -0.0)),
-            random_weighted(n, rng),
-        ]
+        stack = weight_sets(n, np.random.default_rng(n))
         rows, cols = np.triu_indices(n, 1)
-        for keep in ORACLE_KEEPS:
+        for keep in oracle_keeps(n):
             per_subject = consistency_threshold(stack, keep, "per-subject")
             for w, b in zip(stack, per_subject):
                 expected = lexsort_edge_set(w.weights[rows, cols], n, keep)
@@ -213,7 +232,7 @@ class TestRankingMatchesLexsortOracle:
         ]
         for stack in stacks:
             score, mean = group_mask_keys(stack)
-            for keep in ORACLE_KEEPS:
+            for keep in oracle_keeps(n):
                 expected = lexsort_edge_set(score, n, keep, secondary=mean)
                 for b in consistency_threshold(stack, keep, "group-mask"):
                     assert edge_set(b) == expected
@@ -231,6 +250,55 @@ class TestRankingMatchesLexsortOracle:
         for keep, edges in expected.items():
             assert lexsort_edge_set(score, 4, keep, secondary=mean) == edges
             assert edge_set(consistency_threshold(stack, keep, "group-mask")[0]) == edges
+
+
+class TestSelectionMatchesArgsortOracle:
+    def test_every_size_and_edge_count(self):
+        rng = np.random.default_rng(12)
+        for n in range(2, 91):
+            m = n * (n - 1) // 2
+            for w in weight_sets(n, rng):
+                for keep in oracle_keeps(n):
+                    assert target_edge_count(keep, m) == target_edge_count_fraction(keep, m)
+                    assert sparsity_threshold(w, keep) == sparsity_threshold_argsort(w, keep)
+            assert target_edge_count(0.25 / m, m) == 0
+            assert target_edge_count(1 / m, m) == 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=2, max_value=12),
+        st.data(),
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+    )
+    def test_first_k_of_lexsort_ranking(self, n, data, keep):
+        m = n * (n - 1) // 2
+        upper = data.draw(st.lists(st.sampled_from(TIE_VALUES), min_size=m, max_size=m))
+        w = upper_weights(n, upper)
+        expected = lexsort_edge_set(w.weights[np.triu_indices(n, 1)], n, keep)
+        assert edge_set(sparsity_threshold(w, keep)) == expected
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True),
+        st.integers(min_value=0, max_value=10**7),
+    )
+    def test_edge_count_matches_fraction(self, keep, total):
+        assert target_edge_count(keep, total) == target_edge_count_fraction(keep, total)
+
+    def test_cached_indices_are_read_only_and_not_shared(self):
+        rng = np.random.default_rng(11)
+        for n in (5, 9, 5, 30, 2, 9, 90, 30):
+            w = tie_heavy(n, rng)
+            flat = _upper_flat(n)
+            with pytest.raises(ValueError):
+                flat[0] = 1
+            for keep in oracle_keeps(n):
+                b = sparsity_threshold(w, keep)
+                assert b == sparsity_threshold_argsort(w, keep)
+                assert not np.shares_memory(b.edges, flat)
+            for b in consistency_threshold([w, tie_heavy(n, rng)], 0.5, "group-mask"):
+                assert not np.shares_memory(b.edges, flat)
+            assert np.array_equal(flat, np.flatnonzero(np.triu(np.ones((n, n)), 1)))
 
 
 class TestDegreeAndEdgeCount:
