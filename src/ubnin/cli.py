@@ -102,7 +102,9 @@ def _config_options(fn):
 @cli.command("fingerprint")
 @_config_options
 @click.option("--threshold", default="consistency:0.3:per-subject", show_default=True,
-              help="Binarization: sparsity:<f> or consistency:<f>:<strategy>.")
+              help="Binarization: sparsity:<f> or consistency:<f>:<strategy>, where "
+                   "strategy is per-subject or group-mask; group-mask applies one shared "
+                   "mask, so every subject gets the same network and code.")
 def cmd_fingerprint(input_path, demographics, residualize, seed, out_dir, threshold):
     """Encode each subject's similarity network; write the code registry."""
     mode, fraction, strategy = parse_threshold_spec(threshold)

@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import MalformedCodeError
-from .graphs import BinaryNetwork
+from .graphs import BinaryNetwork, _built, _check_labels, default_labels
 
 __all__ = [
     "UbninCode",
@@ -133,7 +133,9 @@ def decode(code: UbninCode, labels=None) -> BinaryNetwork:
 
     Shifts the numerator back to scale ``max_scale(n)`` and unpacks its bits
     into the lower triangle. Inverse of :func:`encode` for every valid network;
-    the bounds :class:`UbninCode` enforces make every code decodable.
+    the bounds :class:`UbninCode` enforces make every code decodable, and the
+    unpacked matrix is a valid adjacency by construction, so only the labels
+    are checked.
     """
     n = code.n
     pairs = n * (n - 1) // 2
@@ -142,7 +144,7 @@ def decode(code: UbninCode, labels=None) -> BinaryNetwork:
     e = np.zeros((n, n), dtype=bool)
     e[np.tril_indices(n, -1)] = np.unpackbits(raw, count=pairs, bitorder="little")
     e |= e.T
-    return BinaryNetwork(e, labels)
+    return _built(BinaryNetwork, e, _check_labels(labels or default_labels(n), n))
 
 
 # CPython refuses int/str conversions beyond sys.get_int_max_str_digits()

@@ -2,7 +2,9 @@
 
 Networks are labeled, symmetric, and loop-free. ``WeightedNetwork`` holds
 real-valued association or similarity weights, ``BinaryNetwork`` a boolean
-adjacency matrix. Both are immutable after construction.
+adjacency matrix. Both are immutable after construction. Their constructors
+check every input; the library's own operators, whose output is valid by
+construction, wrap it with ``_built`` instead.
 """
 
 from __future__ import annotations
@@ -129,6 +131,21 @@ class BinaryNetwork:
         return f"BinaryNetwork(n={self.n}, edges={edge_count(self)})"
 
 
+def _built(cls, array: np.ndarray, labels: tuple[str, ...]):
+    """A ``cls`` network over an array that is valid by construction.
+
+    Skips the constructor's checks and its copy: the caller passes a fresh
+    square array of the field's dtype (bool edges, float64 weights) with at
+    least 2 rows, symmetric, with a zero diagonal and finite entries, and
+    labels that ``_check_labels`` has accepted. The array becomes read-only.
+    """
+    net = object.__new__(cls)
+    array.setflags(write=False)
+    object.__setattr__(net, "edges" if cls is BinaryNetwork else "weights", array)
+    object.__setattr__(net, "labels", labels)
+    return net
+
+
 def _first_asymmetric_cell(m: np.ndarray) -> tuple[int, int]:
     """First (row, col) with row < col, in row-major order, where m differs from m.T."""
     i, j = np.argwhere(np.triu(m != m.T, 1))[0]
@@ -198,13 +215,13 @@ def sparsity_threshold(w: WeightedNetwork, keep: float) -> BinaryNetwork:
     m = vals.size
     k = target_edge_count(keep, m)
     if k == 0:
-        return BinaryNetwork(np.zeros((n, n), dtype=bool), w.labels)
+        return _built(BinaryNetwork, np.zeros((n, n), dtype=bool), w.labels)
     # t is the k-th largest weight: fewer than k weights exceed it and the
     # rest of the k are the first weights equal to it in (row, col) order.
     t = np.partition(vals, m - k)[m - k]
     chosen = vals > t
     chosen[np.flatnonzero(vals == t)[:k - np.count_nonzero(chosen)]] = True
-    return BinaryNetwork(_adjacency(n, flat[chosen]), w.labels)
+    return _built(BinaryNetwork, _adjacency(n, flat[chosen]), w.labels)
 
 
 def consistency_threshold(stack: Sequence[WeightedNetwork], keep: float,
@@ -216,7 +233,8 @@ def consistency_threshold(stack: Sequence[WeightedNetwork], keep: float,
     ``group-mask`` scores every edge by mean/stddev of its weight across the
     stack (stddev 0 scores +inf; ties resolved by mean descending, then by
     (row, col) ascending), keeps the top fraction as a single mask, and applies
-    that mask to every network.
+    that mask to every network, so every subject gets the same network: the
+    returned list holds one shared network ``len(stack)`` times.
     """
     if len(stack) < 2:
         raise ValidationError("consistency thresholding needs at least 2 networks")
@@ -239,8 +257,7 @@ def consistency_threshold(stack: Sequence[WeightedNetwork], keep: float,
     score = np.where(std == 0, np.inf, mean / np.where(std == 0, 1.0, std))
     k = target_edge_count(keep, mean.size)
     sel = np.lexsort((-mean, -score))[:k]  # stable: ties stay in (row, col) order
-    e = _adjacency(n, flat[sel])
-    return [BinaryNetwork(e, first.labels) for _ in stack]
+    return [_built(BinaryNetwork, _adjacency(n, flat[sel]), first.labels)] * len(stack)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NotEstimableError, UndefinedMetricError, ValidationError
-from .graphs import BinaryNetwork, edge_count
+from .graphs import BinaryNetwork, _built, edge_count
 
 __all__ = [
     "nodal_clustering",
@@ -42,13 +42,19 @@ def nodal_clustering(b: BinaryNetwork) -> np.ndarray:
         Per-node coefficients 2*t / (k*(k-1)), where k is the node's degree
         and t the number of edges among its neighbors. Nodes of degree < 2
         get 0. Values lie in [0, 1].
+
+    The 2-walk counts ``a @ a`` run in float32: each is an integer of at most
+    n-2, exact in float32 for any n below 2^24. Degrees and the closed
+    3-walks ``2*t`` are summed in float64, and the division runs in float64,
+    so the coefficients are the same floats as a float64 count gives.
     """
-    a = b.edges.astype(np.float64)
-    deg = a.sum(axis=1)
-    triangles = ((a @ a) * a).sum(axis=1) / 2.0
+    a = b.edges.astype(np.float32)
+    deg = a.sum(axis=1, dtype=np.float64)
+    closed = ((a @ a) * a).sum(axis=1, dtype=np.float64)
     c = np.zeros(b.n)
     connected = deg >= 2
-    c[connected] = 2.0 * triangles[connected] / (deg[connected] * (deg[connected] - 1.0))
+    k = deg[connected]
+    c[connected] = closed[connected] / (k * (k - 1.0))
     return c
 
 
@@ -160,7 +166,7 @@ def random_reference(b: BinaryNetwork, seed, swaps_per_edge: int = 10) -> Binary
         us[j], vs[j] = divmod(second, n)
     out = np.frombuffer(adj, dtype=np.uint8).reshape(n, n).astype(bool)
     out |= out.T
-    return BinaryNetwork(out, b.labels)
+    return _built(BinaryNetwork, out, b.labels)
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,7 @@ serial loop, and iteration t draws its relabeling from the stream (seed, t).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 from scipy import special
@@ -33,7 +34,7 @@ class PermutationResult:
     iterations: int
     seed: int
     tail: str = "two-tailed"
-    metric_name: str = "mean_clustering"
+    metric_name: ClassVar[str] = "mean_clustering"
 
     def __post_init__(self):
         n = len(self.sparsities)
@@ -58,22 +59,19 @@ class PermutationResult:
 
 
 def permutation_test(group_a: CohortTable, group_b: CohortTable, sparsities,
-                     iterations: int = 1000, seed: int = 0,
-                     metric=None) -> PermutationResult:
-    """Nonparametric permutation test of a group metric difference.
+                     iterations: int = 1000, seed: int = 0) -> PermutationResult:
+    """Nonparametric permutation test of a group mean-clustering difference.
 
-    The observed statistic, per sparsity level, is metric(binarized group
-    association matrix of A) minus the same for B (mean clustering by
-    default). Each iteration reassigns the pooled subjects uniformly at
-    random to pseudo-groups of the original sizes and recomputes the whole
-    statistic. The two-tailed p-value uses add-one smoothing:
+    The observed statistic, per sparsity level, is the mean clustering of the
+    binarized group association matrix of A minus the same for B. Each
+    iteration reassigns the pooled subjects uniformly at random to
+    pseudo-groups of the original sizes and recomputes the whole statistic.
+    The two-tailed p-value uses add-one smoothing:
     (1 + #{|perm| >= |observed|}) / (1 + iterations).
 
     Iteration t relabels the subjects with ``np.random.default_rng([seed, t])``,
     so equal inputs, iterations and seed give an equal result.
     """
-    metric_fn = metric if metric is not None else mean_clustering
-    metric_name = getattr(metric_fn, "__name__", "custom")
     if group_a.region_labels != group_b.region_labels:
         raise ValidationError("cohorts must share identical region labels")
     if len(group_a) < 3 or len(group_b) < 3:
@@ -94,7 +92,8 @@ def permutation_test(group_a: CohortTable, group_b: CohortTable, sparsities,
         net_a = _pearson_network(pool[rows_a], labels)
         net_b = _pearson_network(pool[rows_b], labels)
         return [
-            metric_fn(sparsity_threshold(net_a, s)) - metric_fn(sparsity_threshold(net_b, s))
+            mean_clustering(sparsity_threshold(net_a, s))
+            - mean_clustering(sparsity_threshold(net_b, s))
             for s in sparsities
         ]
 
@@ -112,7 +111,6 @@ def permutation_test(group_a: CohortTable, group_b: CohortTable, sparsities,
         p_value=tuple(float(x) for x in p),
         iterations=iterations,
         seed=seed,
-        metric_name=metric_name,
     )
 
 

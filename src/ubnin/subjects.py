@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DegenerateDesignError, ValidationError
-from .graphs import WeightedNetwork, default_labels
+from .graphs import WeightedNetwork, _built, _check_labels, default_labels
 
 CLINICAL_FIELDS = ("updrs_off", "updrs_on", "hy_stage", "age_at_onset")
 REQUIRED_COLUMNS = ("id", "age", "gender", "group")
@@ -60,7 +60,11 @@ class SubjectRecord:
 
 @dataclass(frozen=True, eq=False)
 class CohortTable:
-    """A set of subjects sharing one region-label list."""
+    """A set of subjects sharing one region-label list.
+
+    The labels are at least 2 non-empty, unique strings, so they pass
+    ``_check_labels`` for networks over the cohort's regions.
+    """
 
     cohort_id: str
     region_labels: tuple[str, ...]
@@ -72,6 +76,8 @@ class CohortTable:
             raise ValidationError("a cohort needs at least 2 region labels")
         if len(set(labels)) != len(labels):
             raise ValidationError("region labels must be unique")
+        if not all(labels):
+            raise ValidationError("region labels must be non-empty")
         subjects = tuple(self.subjects)
         for s in subjects:
             if s.volumes.shape[0] != len(labels):
@@ -143,8 +149,9 @@ def residualize_covariate(table: CohortTable, covariate: str) -> CohortTable:
 def individual_network(subject, region_labels=None) -> WeightedNetwork:
     """Similarity network of one subject's regional volumes.
 
-    weight(i, j) = 1 / ((v_i - v_j)^2 + 1), a value in (0, 1] that is 1
-    exactly when the two volumes are equal.
+    weight(i, j) = 1 / ((v_i - v_j)^2 + 1), a value in [0, 1] that is 1
+    exactly when the two volumes are equal. Finite volumes give finite,
+    exactly symmetric weights, so only the labels are checked.
     """
     volumes = subject.volumes if isinstance(subject, SubjectRecord) else np.asarray(subject, float)
     if volumes.ndim != 1 or volumes.shape[0] < 2:
@@ -154,11 +161,19 @@ def individual_network(subject, region_labels=None) -> WeightedNetwork:
     diff = volumes[:, None] - volumes[None, :]
     w = 1.0 / (diff * diff + 1.0)
     np.fill_diagonal(w, 0.0)
-    labels = tuple(region_labels) if region_labels is not None else default_labels(len(volumes))
-    return WeightedNetwork(w, labels)
+    n = len(volumes)
+    labels = tuple(region_labels) if region_labels is not None else ()
+    return _built(WeightedNetwork, w, _check_labels(labels or default_labels(n), n))
 
 
 def _pearson_network(volume_matrix: np.ndarray, labels) -> WeightedNetwork:
+    """Correlation network of a subjects-by-regions matrix.
+
+    ``labels`` are a cohort's region labels, which ``CohortTable`` has
+    checked. A finite correlation matrix is valid by construction; one with
+    non-finite entries, from volumes that overflow or underflow, goes through
+    the checking constructor so that it is rejected.
+    """
     if volume_matrix.shape[0] < 3:
         raise DegenerateDesignError(
             f"association matrix needs >= 3 subjects, got {volume_matrix.shape[0]}"
@@ -171,7 +186,9 @@ def _pearson_network(volume_matrix: np.ndarray, labels) -> WeightedNetwork:
     corr = np.corrcoef(volume_matrix, rowvar=False)
     corr = (corr + corr.T) / 2.0
     np.fill_diagonal(corr, 0.0)
-    return WeightedNetwork(corr, labels)
+    if not np.isfinite(corr).all():
+        return WeightedNetwork(corr, labels)
+    return _built(WeightedNetwork, corr, labels)
 
 
 def group_association_matrix(table: CohortTable) -> WeightedNetwork:

@@ -11,9 +11,10 @@ implementations of ``random_reference`` and ``characteristic_path_length``
 ``ranked_upper_triangle_lexsort`` the earlier edge ranking of the thresholds
 (a lexsort with row and column as explicit keys), kept as references that the
 rewritten functions must match exactly. Likewise ``sparsity_threshold_argsort``
-is the earlier ``sparsity_threshold`` (a stable sort of every weight) and
+is the earlier ``sparsity_threshold`` (a stable sort of every weight),
 ``target_edge_count_fraction`` the earlier ``target_edge_count`` (a
-``Fraction`` product).
+``Fraction`` product) and ``nodal_clustering_float64`` the earlier
+``nodal_clustering`` (triangle counts in float64).
 """
 
 from __future__ import annotations
@@ -44,6 +45,17 @@ def clustering_brute(edges) -> list[float]:
         )
         out.append(float(Fraction(2 * linked, k * (k - 1))))
     return out
+
+
+def nodal_clustering_float64(b) -> np.ndarray:
+    """Per-node clustering 2*t / (k*(k-1)) with degrees and triangles in float64."""
+    a = b.edges.astype(np.float64)
+    deg = a.sum(axis=1)
+    triangles = ((a @ a) * a).sum(axis=1) / 2.0
+    c = np.zeros(b.n)
+    connected = deg >= 2
+    c[connected] = 2.0 * triangles[connected] / (deg[connected] * (deg[connected] - 1.0))
+    return c
 
 
 def cpl_floyd(edges) -> tuple[float, float]:

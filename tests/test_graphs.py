@@ -386,6 +386,21 @@ class TestMatrixCsv:
         with pytest.raises(ValidationError, match="not symmetric"):
             load_weighted_matrix(path)
 
+    @pytest.mark.parametrize("body,message", [
+        ("0,x\n0.5,0", r"invalid number 'x' at \(1,2\)"),
+        ("0,0.5\n,0", r"invalid number '' at \(2,1\)"),
+        ("0,nan\n0.5,0", r"non-finite weight at \(1,2\)"),
+        ("0,0.5\n-inf,0", r"non-finite weight at \(2,1\)"),
+        ("0,0.5\n1e500,0", r"non-finite weight at \(2,1\)"),
+        ("0,inf\nx,0", r"non-finite weight at \(1,2\)"),  # the first bad cell wins
+        ("0,x\ninf,0", r"invalid number 'x' at \(1,2\)"),
+    ])
+    def test_weighted_cell_errors_name_the_first_bad_cell(self, tmp_path, body, message):
+        path = tmp_path / "w.csv"
+        path.write_text(f"a,b\n{body}\n")
+        with pytest.raises(ValidationError, match=message):
+            load_weighted_matrix(path)
+
     def test_wrong_row_count_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n0,1,0\n1,0,0\n")

@@ -17,7 +17,13 @@ from ubnin import (
     small_world_index,
     sparsity_threshold,
 )
-from oracles import clustering_brute, cpl_bfs_loop, cpl_floyd, random_reference_loop
+from oracles import (
+    clustering_brute,
+    cpl_bfs_loop,
+    cpl_floyd,
+    nodal_clustering_float64,
+    random_reference_loop,
+)
 from synth import (
     complete_graph,
     empty_graph,
@@ -85,6 +91,33 @@ class TestClustering:
         perm = rng.permutation(9)
         relabeled = BinaryNetwork(b.edges[np.ix_(perm, perm)])
         assert np.allclose(nodal_clustering(relabeled), nodal_clustering(b)[perm], atol=1e-15)
+
+
+class TestClusteringMatchesFloat64Oracle:
+    """float32 counting gives the same floats as the earlier float64 count."""
+
+    @pytest.mark.parametrize("n", range(2, 91))
+    def test_identical_at_every_density(self, n):
+        rng = np.random.default_rng([13, n])
+        graphs = [empty_graph(n), complete_graph(n), path_graph(n), star_graph(n - 1)]
+        graphs += [random_binary(n, p, rng) for p in (0.05, 0.2, 0.5, 0.75, 0.95)]
+        for b in graphs:
+            expected = nodal_clustering_float64(b)
+            c = nodal_clustering(b)
+            assert c.dtype == np.float64
+            assert c.tobytes() == expected.tobytes()
+            assert mean_clustering(b) == float(expected.mean())
+
+    def test_identical_with_isolated_and_degree_one_nodes(self):
+        rng = np.random.default_rng(14)
+        for n in (5, 17, 90):
+            for _ in range(10):
+                e = random_binary(n, float(rng.uniform(0.2, 1.0)), rng).edges.copy()
+                cut = rng.choice(n, size=max(2, n // 3), replace=False)
+                e[cut] = e[:, cut] = False  # isolated nodes
+                e[cut[0], cut[1]] = e[cut[1], cut[0]] = True  # two of degree 1
+                b = BinaryNetwork(e)
+                assert nodal_clustering(b).tobytes() == nodal_clustering_float64(b).tobytes()
 
 
 class TestPathLength:

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,10 @@ from ubnin import (
     DegenerateDesignError,
     PermutationResult,
     ValidationError,
-    edge_count,
+    metrics,
     one_way_anova,
     permutation_test,
+    stats,
 )
 from oracles import f_statistic_fraction, f_tail_mpmath
 from synth import make_cohort, make_null_pair
@@ -115,17 +118,33 @@ class TestPermutationTest:
         r2 = permutation_test(a, b_shuffled, [0.8], iterations=5, seed=8)
         assert r1.observed_diff[0] == pytest.approx(r2.observed_diff[0], abs=1e-10)
 
-    def test_injectable_metric(self):
+    def test_reports_mean_clustering(self):
         a, b = make_null_pair(7, n_subjects=5, n_regions=8)
+        result = permutation_test(a, b, [0.5], iterations=3, seed=9)
+        assert result.metric_name == "mean_clustering"
+        assert result.to_dict()["metric"] == "mean_clustering"
 
-        def edge_total(net):
-            return float(edge_count(net))
+    def test_calls_the_names_the_benchmark_tracer_wraps(self, monkeypatch):
+        # perfbench/tracing.py times thresholding, association and clustering
+        # by replacing these module attributes, so the statistic must keep
+        # calling through them, this many times.
+        calls = Counter()
+        for module, name in ((stats, "_pearson_network"), (stats, "sparsity_threshold"),
+                             (metrics, "nodal_clustering")):
+            def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
 
-        result = permutation_test(a, b, [0.5], iterations=10, seed=9, metric=edge_total)
-        # both groups binarize to the same edge count at equal sparsity
-        assert result.observed_diff == (0.0,)
-        assert result.p_value == (1.0,)
-        assert result.metric_name == "edge_total"
+            monkeypatch.setattr(module, name, counted)
+        a, b = make_null_pair(11, n_subjects=5, n_regions=9)
+        levels, iterations = [0.6, 0.75, 0.9], 7
+        permutation_test(a, b, levels, iterations=iterations, seed=0)
+        statistics = iterations + 1  # the observed pair, then one per iteration
+        assert calls == {
+            "_pearson_network": 2 * statistics,
+            "sparsity_threshold": 2 * len(levels) * statistics,
+            "nodal_clustering": 2 * len(levels) * statistics,
+        }
 
     def test_too_small_cohort_rejected(self):
         a, b = make_null_pair(8, n_subjects=3, n_regions=8)

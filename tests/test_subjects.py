@@ -300,6 +300,22 @@ class TestRecordValidation:
         with pytest.raises(ValidationError):
             CohortTable("t", region_labels(3), (subject("a", [1.0, 2.0]),))
 
+    @pytest.mark.parametrize("labels,message", [
+        (("a",), "a cohort needs at least 2 region labels"),
+        (("a", "b", "a"), "region labels must be unique"),
+        (("a", ""), "region labels must be non-empty"),
+        (("", "b", "c"), "region labels must be non-empty"),
+    ])
+    def test_region_labels_checked(self, labels, message):
+        with pytest.raises(ValidationError, match=message):
+            CohortTable("A", labels, ())
+
+    def test_empty_region_column_rejected_at_load(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("id,age,gender,group,r1,,r3\np1,40,M,PD,1.0,2.0,3.0\n")
+        with pytest.raises(ValidationError, match="region labels must be non-empty"):
+            load_subjects_csv(path)
+
     def test_age_must_be_positive(self):
         with pytest.raises(ValidationError):
             subject("a", [1.0, 2.0], age=-4.0)
