@@ -31,7 +31,14 @@ def default_labels(n: int) -> tuple[str, ...]:
 
 
 def _check_labels(labels, n) -> tuple[str, ...]:
-    labels = tuple(str(x) for x in labels)
+    """Checked labels as strings, or ``default_labels(n)`` for None or no labels.
+
+    Converts to a tuple before testing for emptiness: a numpy array of
+    labels has no truth value of its own.
+    """
+    labels = () if labels is None else tuple(str(x) for x in labels)
+    if not labels:
+        return default_labels(n)
     if len(labels) != n:
         raise ValidationError(f"expected {n} node labels, got {len(labels)}")
     if len(set(labels)) != n:
@@ -67,7 +74,7 @@ class WeightedNetwork:
         if np.any(np.diagonal(w) != 0):
             i = int(np.flatnonzero(np.diagonal(w) != 0)[0])
             raise ValidationError(f"diagonal must be zero, found {w[i, i]!r} at node {i + 1}")
-        labels = _check_labels(self.labels or default_labels(n), n)
+        labels = _check_labels(self.labels, n)
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "labels", labels)
@@ -104,7 +111,7 @@ class BinaryNetwork:
         n = e.shape[0]
         if n < 2:
             raise ValidationError("a network needs at least 2 nodes")
-        labels = _check_labels(self.labels or default_labels(n), n)
+        labels = _check_labels(self.labels, n)
         if not np.array_equal(e, e.T):
             i, j = _first_asymmetric_cell(e)
             raise ValidationError(
@@ -195,7 +202,7 @@ def _upper_flat(n: int) -> np.ndarray:
 
 
 def _adjacency(n: int, flat_idx: np.ndarray) -> np.ndarray:
-    """Symmetric n x n boolean adjacency with the upper-triangle cells ``flat_idx``."""
+    """Symmetric n x n boolean adjacency with the cells ``flat_idx`` of one triangle."""
     e = np.zeros(n * n, dtype=bool)
     e[flat_idx] = True
     e = e.reshape(n, n)

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import DegenerateDesignError, ValidationError
-from .graphs import WeightedNetwork, _built, _check_labels, default_labels
+from .graphs import WeightedNetwork, _built, _check_labels
 
 CLINICAL_FIELDS = ("updrs_off", "updrs_on", "hy_stage", "age_at_onset")
 REQUIRED_COLUMNS = ("id", "age", "gender", "group")
@@ -162,8 +162,7 @@ def individual_network(subject, region_labels=None) -> WeightedNetwork:
     w = 1.0 / (diff * diff + 1.0)
     np.fill_diagonal(w, 0.0)
     n = len(volumes)
-    labels = tuple(region_labels) if region_labels is not None else ()
-    return _built(WeightedNetwork, w, _check_labels(labels or default_labels(n), n))
+    return _built(WeightedNetwork, w, _check_labels(region_labels, n))
 
 
 def _pearson_network(volume_matrix: np.ndarray, labels) -> WeightedNetwork:

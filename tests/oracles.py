@@ -14,7 +14,11 @@ rewritten functions must match exactly. Likewise ``sparsity_threshold_argsort``
 is the earlier ``sparsity_threshold`` (a stable sort of every weight),
 ``target_edge_count_fraction`` the earlier ``target_edge_count`` (a
 ``Fraction`` product) and ``nodal_clustering_float64`` the earlier
-``nodal_clustering`` (triangle counts in float64).
+``nodal_clustering`` (triangle counts in float64). ``encode_tril`` and
+``decode_tril`` are the earlier ``encode`` and ``decode`` (a 2-D
+``tril_indices`` lookup), and ``to_decimal_string_int`` and
+``parse_decimal_string_int`` the earlier value form (int multiplication and
+division by 5^scale).
 """
 
 from __future__ import annotations
@@ -24,7 +28,15 @@ from fractions import Fraction
 
 import numpy as np
 
-from ubnin import BinaryNetwork, UndefinedMetricError, ValidationError, edge_count
+from ubnin import (
+    BinaryNetwork,
+    MalformedCodeError,
+    UbninCode,
+    UndefinedMetricError,
+    ValidationError,
+    edge_count,
+)
+from ubnin.codec import _digits_to_int, _int_to_digits, _is_digits, max_scale
 
 
 def clustering_brute(edges) -> list[float]:
@@ -211,6 +223,50 @@ def encode_fraction(edges) -> Fraction:
     for i, d in enumerate(decs[1:], start=2):
         u = u / 2 ** (i - 1) + d
     return u
+
+
+def encode_tril(b) -> UbninCode:
+    """The lower triangle, read through ``tril_indices``, packed as the numerator."""
+    bits = np.packbits(b.edges[np.tril_indices(b.n, -1)], bitorder="little")
+    num = int.from_bytes(bits.tobytes(), "little")
+    return UbninCode.canonical(b.n, num, max_scale(b.n))
+
+
+def decode_tril(code, labels=None) -> BinaryNetwork:
+    """The numerator at scale ``max_scale(n)`` unpacked into the lower triangle."""
+    n = code.n
+    pairs = n * (n - 1) // 2
+    num = code.numerator << (max_scale(n) - code.scale)
+    raw = np.frombuffer(num.to_bytes((pairs + 7) // 8, "little"), dtype=np.uint8)
+    e = np.zeros((n, n), dtype=bool)
+    e[np.tril_indices(n, -1)] = np.unpackbits(raw, count=pairs, bitorder="little")
+    e |= e.T
+    return BinaryNetwork(e, () if labels is None else labels)
+
+
+def to_decimal_string_int(code) -> str:
+    """Digits of numerator * 5^scale with the point ``scale`` digits from the right."""
+    if code.scale == 0:
+        return _int_to_digits(code.numerator)
+    digits = _int_to_digits(code.numerator * 5 ** code.scale).zfill(code.scale + 1)
+    return f"{digits[:-code.scale]}.{digits[-code.scale:]}"
+
+
+def parse_decimal_string_int(text: str, n: int) -> UbninCode:
+    """Digits divided by 5^k in int arithmetic, k the fraction digits."""
+    text = text.strip()
+    int_part, sep, frac_part = text.partition(".")
+    if not _is_digits(int_part) or (sep and not _is_digits(frac_part)):
+        raise MalformedCodeError(f"not a nonnegative decimal number: {text!r}")
+    frac_part = frac_part.rstrip("0")
+    k = len(frac_part)
+    if len(int_part.lstrip("0")) > n - 1 or k > max_scale(n):
+        raise MalformedCodeError(f"{text!r} is out of range for {n} nodes")
+    m = _digits_to_int(int_part + frac_part)
+    m, rest = divmod(m, 5 ** k)
+    if rest:
+        raise MalformedCodeError(f"{text!r} is not a dyadic rational; it cannot be a network code")
+    return UbninCode.canonical(n, m, k)
 
 
 def pearson_brute(x, y) -> float:

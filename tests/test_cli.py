@@ -5,6 +5,7 @@ import pytest
 
 from ubnin import (
     decode,
+    encode,
     from_record,
     individual_network,
     load_binary_matrix,
@@ -13,8 +14,10 @@ from ubnin import (
     save_binary_matrix,
     sparsity_threshold,
     sweep_values,
+    to_record,
 )
 from ubnin.cli import main
+from ubnin.graphs import format_binary_matrix
 from ubnin import pipeline
 from ubnin.pipeline import parse_threshold_spec
 from synth import complete_graph, path_graph, random_binary, subjects_csv_text
@@ -171,6 +174,15 @@ class TestFileLevelRoundTrips:
         code, _, err = run(capsys, "decode", *args, "--out", str(dst))
         assert code == 0, err
         assert load_binary_matrix(dst).edges.tolist() == load_binary_matrix(src).edges.tolist()
+
+    def test_record_with_bare_integer_numerator_beyond_the_digit_limit(self, capsys):
+        b = random_binary(200, 0.5, np.random.default_rng(200))
+        rec = to_record(encode(b))
+        assert len(rec["numerator"]) > 4300
+        bare = '{"n": 200, "numerator": %s, "scale": %d}' % (rec["numerator"], rec["scale"])
+        code, out, err = run(capsys, "decode", "--input", bare)
+        assert code == 0, err
+        assert out == format_binary_matrix(b)
 
 
 class TestFingerprintCommand:

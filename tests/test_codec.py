@@ -22,8 +22,15 @@ from ubnin import (
     to_float64,
     to_record,
 )
-from ubnin.codec import max_scale
-from oracles import column_codes, encode_fraction
+from ubnin.codec import _lower_flat, max_scale
+from oracles import (
+    column_codes,
+    decode_tril,
+    encode_fraction,
+    encode_tril,
+    parse_decimal_string_int,
+    to_decimal_string_int,
+)
 from synth import (
     complete_graph,
     empty_graph,
@@ -186,6 +193,15 @@ class TestDecimalStrings:
         assert text == decimal_reference(code)
         assert parse_decimal_string(text, n) == code
 
+    def test_k1025_round_trip(self):
+        # the largest complete graph the binary64 recurrence cannot represent
+        code = complete_graph_code(1025)
+        text = to_decimal_string(code)
+        int_part, frac_part = text.split(".")
+        assert (len(text), len(frac_part)) == (524_086, max_scale(1025))
+        assert int_part == str(2**1024 - 1)
+        assert parse_decimal_string(text, 1025) == code
+
     @pytest.mark.parametrize("text", ["1" * 10**6, "0." + "1" * 10**6, "1." + "5" * 10**6])
     def test_oversized_literal_rejected_before_conversion(self, text):
         with pytest.raises(MalformedCodeError, match="out of range"):
@@ -248,6 +264,17 @@ class TestRecords:
     def test_oversized_numerator_rejected_before_conversion(self):
         with pytest.raises(MalformedCodeError, match="out of range"):
             from_record({"n": 5, "numerator": "1" * 10**6, "scale": 0})
+
+    def test_bare_integer_numerator_beyond_the_int_str_digit_limit(self):
+        code = encode(random_binary(200, 0.5, np.random.default_rng(200)))
+        rec = to_record(code)
+        assert len(rec["numerator"]) > 4300
+        bare = '{"n": 200, "numerator": %s, "scale": %d}' % (rec["numerator"], rec["scale"])
+        assert from_record(bare) == from_record(json.dumps(rec)) == code
+        with pytest.raises(MalformedCodeError, match="digit string"):
+            from_record(bare.replace('"numerator": ', '"numerator": -'))
+        with pytest.raises(MalformedCodeError, match="out of range"):
+            from_record('{"n": 5, "numerator": %s, "scale": 0}' % ("1" * 10**6))
 
     def test_missing_field_rejected(self):
         with pytest.raises(MalformedCodeError):
@@ -370,6 +397,55 @@ def _sig39(x: int) -> str:
             digits = digits[:39]
             exp += 1
     return f"{digits[0]}.{digits[1:]}e{exp}"
+
+
+def random_code(n, rng):
+    """A uniformly drawn scale, then a uniformly drawn value at that scale."""
+    scale = int(rng.integers(0, max_scale(n) + 1))
+    bits = n - 1 + scale
+    numerator = int.from_bytes(rng.bytes(bits // 8 + 1), "little") >> (8 - bits % 8)
+    return UbninCode.canonical(n, numerator, scale)
+
+
+def literal_variants(text, n):
+    """Well-formed, malformed, out-of-range and non-dyadic neighbours of a value."""
+    point = text if "." in text else text + "."
+    last = "7" if text[-1] == "3" else "3"
+    return [
+        text, f" {text}\n", point + "000", "0" + text, text[:-1] + last, point + "1",
+        point + "5", "1" + text, "9" * n, "-" + text, text + "e0", text.replace(".", ".."),
+        "0." + "0" * max_scale(n) + "1", "1" + "0" * (n - 2), "1" + "0" * (n - 1),
+    ]
+
+
+def outcome(fn, *args):
+    """The result of a call, or the type and message of what it raised."""
+    try:
+        return fn(*args)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+class TestMatchesIntArithmeticOracles:
+    def test_random_codes(self):
+        rng = np.random.default_rng(8)
+        for n in [2, 3, 4, 400, *rng.integers(2, 401, size=50)]:
+            n = int(n)
+            code = random_code(n, rng)
+            b = decode(code)
+            assert b.edges.tolist() == decode_tril(code).edges.tolist()
+            assert encode(b) == encode_tril(b) == code
+            text = to_decimal_string(code)
+            assert text == to_decimal_string_int(code)
+            for literal in literal_variants(text, n):
+                expected = outcome(parse_decimal_string_int, literal, n)
+                assert outcome(parse_decimal_string, literal, n) == expected, literal[:60]
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 90])
+    def test_lower_flat_is_read_only_tril_indices(self, n):
+        flat = _lower_flat(n)
+        assert flat.tolist() == np.ravel_multi_index(np.tril_indices(n, -1), (n, n)).tolist()
+        assert not flat.flags.writeable
 
 
 @st.composite

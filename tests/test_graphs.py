@@ -7,7 +7,9 @@ from ubnin import (
     BinaryNetwork,
     ValidationError,
     WeightedNetwork,
+    UbninCode,
     consistency_threshold,
+    decode,
     degree,
     edge_count,
     load_binary_matrix,
@@ -344,6 +346,20 @@ class TestNetworkValidation:
     def test_label_count_must_match(self):
         with pytest.raises(ValidationError):
             WeightedNetwork(np.zeros((3, 3)), ("a", "b"))
+
+    # A numpy array of labels has no single truth value; only an empty one
+    # falls back to v1..vn.
+    @pytest.mark.parametrize("build", [
+        lambda labels: BinaryNetwork(np.zeros((3, 3), bool), labels),
+        lambda labels: WeightedNetwork(np.zeros((3, 3)), labels),
+        lambda labels: decode(UbninCode(3, 3, 1), labels),
+    ], ids=["binary", "weighted", "decode"])
+    def test_array_labels(self, build):
+        assert build(np.array(["a", "b", "c"])).labels == ("a", "b", "c")
+        assert build(np.array([], dtype=str)).labels == ("v1", "v2", "v3")
+        assert build(None).labels == ("v1", "v2", "v3")
+        with pytest.raises(ValidationError, match="unique"):
+            build(np.array(["a", "a", "c"]))
 
     def test_arrays_are_frozen(self):
         b = complete_graph(3)
