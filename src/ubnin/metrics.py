@@ -262,16 +262,16 @@ class MetricsReport:
 
 
 def metrics_report(b: BinaryNetwork, n_rand: int = 100, seed: int = 0,
-                   swaps_per_edge: int = 10, small_world: bool = True) -> MetricsReport:
+                   swaps_per_edge: int = 10) -> MetricsReport:
     """Compute the full metric record for one network.
 
-    With ``small_world`` false (or n_rand 0) the sigma/gamma/lam fields stay
-    empty; otherwise NotEstimableError propagates when references fail.
+    With n_rand 0 the sigma/gamma/lam fields stay empty; otherwise
+    NotEstimableError propagates when references fail.
     """
     nodal = nodal_clustering(b)
     length, reach = characteristic_path_length(b)
     sw = None
-    if small_world and n_rand > 0:
+    if n_rand > 0:
         sw = small_world_index(b, n_rand=n_rand, seed=seed, swaps_per_edge=swaps_per_edge)
     return MetricsReport(
         mean_clustering=float(nodal.mean()),

@@ -250,11 +250,10 @@ def run_cohort(config: RunConfig) -> dict:
                     report = metrics_report(
                         binarized, n_rand=config.n_rand, seed=config.seed,
                         swaps_per_edge=config.swaps_per_edge,
-                        small_world=config.n_rand > 0,
                     )
                 except NotEstimableError as exc:
                     warnings.append(f"{group}/{cohort.cohort_id} sparsity {s}: {exc}")
-                    report = metrics_report(binarized, small_world=False)
+                    report = metrics_report(binarized, n_rand=0)
                 except UndefinedMetricError as exc:
                     warnings.append(f"{group}/{cohort.cohort_id} sparsity {s}: {exc}")
                     continue

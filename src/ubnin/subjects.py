@@ -169,9 +169,9 @@ def _pearson_network(volume_matrix: np.ndarray, labels) -> WeightedNetwork:
     """Correlation network of a subjects-by-regions matrix.
 
     ``labels`` are a cohort's region labels, which ``CohortTable`` has
-    checked. A finite correlation matrix is valid by construction; one with
-    non-finite entries, from volumes that overflow or underflow, goes through
-    the checking constructor so that it is rejected.
+    checked. A finite correlation matrix is valid by construction. Volumes on
+    a huge or tiny scale make the correlation overflow or underflow float64;
+    that is rejected with the first region pair it reaches.
     """
     if volume_matrix.shape[0] < 3:
         raise DegenerateDesignError(
@@ -186,7 +186,11 @@ def _pearson_network(volume_matrix: np.ndarray, labels) -> WeightedNetwork:
     corr = (corr + corr.T) / 2.0
     np.fill_diagonal(corr, 0.0)
     if not np.isfinite(corr).all():
-        return WeightedNetwork(corr, labels)
+        i, j = np.argwhere(~np.isfinite(corr))[0]
+        raise ValidationError(
+            f"non-finite weight between regions {labels[i]} and {labels[j]}: "
+            "the correlation of their volumes overflows or underflows float64"
+        )
     return _built(WeightedNetwork, corr, labels)
 
 
@@ -219,7 +223,8 @@ def age_binning(table: CohortTable, edges: Sequence[float] = DEFAULT_BIN_EDGES) 
 # ---------------------------------------------------------------------------
 # Subjects CSV: header id,age,gender,group[,<clinical...>],<region labels...>
 # with one row per subject. A separate demographics CSV (id plus demographic
-# and clinical columns) can be joined onto a volumes-only file (id,<regions>).
+# and clinical columns) can supply the demographics of a volumes-only file
+# (id,<regions>), looked up by id row by row.
 # ---------------------------------------------------------------------------
 
 def _read_csv_rows(path) -> tuple[list[str], list[list[str]]]:
@@ -229,6 +234,13 @@ def _read_csv_rows(path) -> tuple[list[str], list[list[str]]]:
         raise ValidationError(f"{path}: empty file")
     header = [cell.strip() for cell in rows[0]]
     return header, rows[1:]
+
+
+def _check_regions(path, regions) -> None:
+    if len(regions) < 2:
+        raise ValidationError(f"{path}: need at least 2 region columns, got {len(regions)}")
+    if len(set(regions)) != len(regions):
+        raise ValidationError(f"{path}: duplicate region column")
 
 
 def _split_header(path, header) -> tuple[list[str], list[str]]:
@@ -251,8 +263,7 @@ def _split_header(path, header) -> tuple[list[str], list[str]]:
             f"{path}: column {stray[0]!r} appears after region columns began; "
             "clinical and demographic columns must precede regions"
         )
-    if len(regions) < 2:
-        raise ValidationError(f"{path}: need at least 2 region columns, got {len(regions)}")
+    _check_regions(path, regions)
     return clinical, regions
 
 
@@ -268,26 +279,48 @@ def _parse_float(cell: str, what: str, errors: list, row_id: str) -> float | Non
     return v
 
 
+def _parse_demographics(age, gender, group, clinical_cells, errors: list,
+                        row_id: str) -> tuple | None:
+    """Return (age, gender, group, clinical) parsed from one row's cells.
+
+    ``clinical_cells`` are (column, cell) pairs; an empty cell leaves its
+    column out. Returns None once an error is recorded in ``errors``.
+    """
+    age = _parse_float(age, "age", errors, row_id)
+    if age is None:
+        return None
+    clinical = {}
+    for column, cell in clinical_cells:
+        if cell.strip() == "":
+            continue
+        v = _parse_float(cell, column, errors, row_id)
+        if v is None:
+            return None
+        clinical[column] = v
+    return age, gender.strip(), group.strip(), clinical
+
+
 def load_subjects_csv(path, demographics_path=None) -> CohortTable:
-    """Load subjects from CSV, optionally joining a separate demographics file.
+    """Load subjects from CSV, optionally with a separate demographics file.
 
     Every malformed row is reported; the load fails as a whole if any row is
     invalid, so a successfully loaded table is always complete.
     """
     header, body = _read_csv_rows(path)
     if demographics_path is None:
-        return _load_combined(path, header, body)
-    if header[:1] != ["id"] or any(c in CLINICAL_FIELDS + REQUIRED_COLUMNS for c in header[1:]):
-        raise ValidationError(
-            f"{path}: with a demographics file, the input must contain only "
-            "an id column followed by region columns"
-        )
-    regions = header[1:]
-    if len(regions) < 2:
-        raise ValidationError(f"{path}: need at least 2 region columns")
-    if len(set(regions)) != len(regions):
-        raise ValidationError(f"{path}: duplicate region column")
-    demo = _load_demographics(demographics_path)
+        clinical_cols, regions = _split_header(path, header)
+        first_volume = 4 + len(clinical_cols)
+        demographics = None
+    else:
+        if header[:1] != ["id"] or any(c in CLINICAL_FIELDS + REQUIRED_COLUMNS for c in header[1:]):
+            raise ValidationError(
+                f"{path}: with a demographics file, the input must contain only "
+                "an id column followed by region columns"
+            )
+        regions = header[1:]
+        _check_regions(path, regions)
+        first_volume = 1
+        demographics = _load_demographics(demographics_path)
     errors: list[str] = []
     subjects = []
     for r, row in enumerate(body, start=2):
@@ -299,57 +332,22 @@ def load_subjects_csv(path, demographics_path=None) -> CohortTable:
         if not sid:
             errors.append(f"{row_id}: empty subject id")
             continue
-        if sid not in demo:
+        where = f"{row_id} ({sid})"
+        if demographics is None:
+            fields = _parse_demographics(
+                row[1], row[2], row[3], zip(clinical_cols, row[4:first_volume]), errors, where
+            )
+        elif sid in demographics:
+            fields = demographics[sid]
+        else:
             errors.append(f"{row_id}: subject {sid!r} missing from demographics file")
             continue
-        age, gender, group, clinical = demo[sid]
-        volumes = [_parse_float(c, "volume", errors, f"{row_id} ({sid})") for c in row[1:]]
+        if fields is None:
+            continue
+        volumes = [_parse_float(c, "volume", errors, where) for c in row[first_volume:]]
         if any(v is None for v in volumes):
             continue
-        try:
-            subjects.append(SubjectRecord(sid, age, gender, group, np.array(volumes), clinical))
-        except ValidationError as exc:
-            errors.append(f"{row_id}: {exc}")
-    if errors:
-        raise ValidationError("invalid subject rows:\n  " + "\n  ".join(errors))
-    return CohortTable("all", tuple(regions), tuple(subjects))
-
-
-def _load_combined(path, header, body) -> CohortTable:
-    clinical_cols, regions = _split_header(path, header)
-    errors: list[str] = []
-    subjects = []
-    for r, row in enumerate(body, start=2):
-        row_id = f"{path}: row {r}"
-        if len(row) != len(header):
-            errors.append(f"{row_id}: expected {len(header)} cells, got {len(row)}")
-            continue
-        sid = row[0].strip()
-        if not sid:
-            errors.append(f"{row_id}: empty subject id")
-            continue
-        age = _parse_float(row[1], "age", errors, f"{row_id} ({sid})")
-        if age is None:
-            continue
-        gender, group = row[2].strip(), row[3].strip()
-        clinical = {}
-        bad = False
-        for k, cell in zip(clinical_cols, row[4:4 + len(clinical_cols)]):
-            if cell.strip() == "":
-                continue
-            v = _parse_float(cell, k, errors, f"{row_id} ({sid})")
-            if v is None:
-                bad = True
-                break
-            clinical[k] = v
-        if bad:
-            continue
-        volumes = [
-            _parse_float(c, "volume", errors, f"{row_id} ({sid})")
-            for c in row[4 + len(clinical_cols):]
-        ]
-        if any(v is None for v in volumes):
-            continue
+        age, gender, group, clinical = fields
         try:
             subjects.append(SubjectRecord(sid, age, gender, group, np.array(volumes), clinical))
         except ValidationError as exc:
@@ -360,6 +358,7 @@ def _load_combined(path, header, body) -> CohortTable:
 
 
 def _load_demographics(path) -> dict:
+    """Map each subject id of a demographics CSV to its parsed fields."""
     header, body = _read_csv_rows(path)
     if header[:1] != ["id"]:
         raise ValidationError(f"{path}: demographics header must start with 'id'")
@@ -371,6 +370,7 @@ def _load_demographics(path) -> dict:
         if col not in header:
             raise ValidationError(f"{path}: demographics file must contain {col!r}")
     idx = {c: header.index(c) for c in header}
+    clinical_idx = [(k, idx[k]) for k in CLINICAL_FIELDS if k in idx]
     errors: list[str] = []
     out: dict[str, tuple] = {}
     for r, row in enumerate(body, start=2):
@@ -378,28 +378,19 @@ def _load_demographics(path) -> dict:
         if len(row) != len(header):
             errors.append(f"{row_id}: expected {len(header)} cells, got {len(row)}")
             continue
-        sid = row[idx["id"]].strip()
+        sid = row[0].strip()
         if not sid:
             errors.append(f"{row_id}: empty subject id")
             continue
         if sid in out:
             errors.append(f"{row_id}: duplicate subject id {sid!r}")
             continue
-        age = _parse_float(row[idx["age"]], "age", errors, f"{row_id} ({sid})")
-        if age is None:
-            continue
-        clinical = {}
-        bad = False
-        for k in CLINICAL_FIELDS:
-            if k in idx and row[idx[k]].strip() != "":
-                v = _parse_float(row[idx[k]], k, errors, f"{row_id} ({sid})")
-                if v is None:
-                    bad = True
-                    break
-                clinical[k] = v
-        if bad:
-            continue
-        out[sid] = (age, row[idx["gender"]].strip(), row[idx["group"]].strip(), clinical)
+        fields = _parse_demographics(
+            row[idx["age"]], row[idx["gender"]], row[idx["group"]],
+            [(k, row[i]) for k, i in clinical_idx], errors, f"{row_id} ({sid})",
+        )
+        if fields is not None:
+            out[sid] = fields
     if errors:
         raise ValidationError("invalid demographics rows:\n  " + "\n  ".join(errors))
     return out

@@ -18,11 +18,15 @@ is the earlier ``sparsity_threshold`` (a stable sort of every weight),
 ``decode_tril`` are the earlier ``encode`` and ``decode`` (a 2-D
 ``tril_indices`` lookup), and ``to_decimal_string_int`` and
 ``parse_decimal_string_int`` the earlier value form (int multiplication and
-division by 5^scale).
+division by 5^scale). ``load_subjects_csv_two_loops`` is the earlier
+``load_subjects_csv``, with its ``_load_combined`` and ``_load_demographics``
+(a subject-row loop per CSV layout, and a clinical-cell loop in each of
+``_load_combined`` and ``_load_demographics``).
 """
 
 from __future__ import annotations
 
+import csv
 import math
 from fractions import Fraction
 
@@ -30,13 +34,16 @@ import numpy as np
 
 from ubnin import (
     BinaryNetwork,
+    CohortTable,
     MalformedCodeError,
+    SubjectRecord,
     UbninCode,
     UndefinedMetricError,
     ValidationError,
     edge_count,
 )
 from ubnin.codec import _digits_to_int, _int_to_digits, _is_digits, max_scale
+from ubnin.subjects import CLINICAL_FIELDS, REQUIRED_COLUMNS
 
 
 def clustering_brute(edges) -> list[float]:
@@ -310,3 +317,189 @@ def f_tail_mpmath(f_value, df_between, df_within, dps=50):
         return mp.betainc(
             mp.mpf(df_within) / 2, mp.mpf(df_between) / 2, 0, x, regularized=True
         )
+
+
+# The earlier subjects loader, copied unchanged apart from the entry point's
+# name, with the header and cell helpers it calls.
+
+def _read_csv_rows(path) -> tuple[list[str], list[list[str]]]:
+    with open(path, newline="") as fh:
+        rows = [row for row in csv.reader(fh) if row]
+    if not rows:
+        raise ValidationError(f"{path}: empty file")
+    header = [cell.strip() for cell in rows[0]]
+    return header, rows[1:]
+
+
+def _split_header(path, header) -> tuple[list[str], list[str]]:
+    """Return (clinical columns, region columns) of a combined subjects header."""
+    if tuple(header[:4]) != REQUIRED_COLUMNS:
+        raise ValidationError(
+            f"{path}: header must start with {','.join(REQUIRED_COLUMNS)}, "
+            f"got {','.join(header[:4])}"
+        )
+    rest = header[4:]
+    n_clinical = 0
+    while n_clinical < len(rest) and rest[n_clinical] in CLINICAL_FIELDS:
+        n_clinical += 1
+    clinical, regions = rest[:n_clinical], rest[n_clinical:]
+    if len(set(clinical)) != len(clinical):
+        raise ValidationError(f"{path}: duplicate clinical column")
+    stray = [c for c in regions if c in CLINICAL_FIELDS + REQUIRED_COLUMNS]
+    if stray:
+        raise ValidationError(
+            f"{path}: column {stray[0]!r} appears after region columns began; "
+            "clinical and demographic columns must precede regions"
+        )
+    if len(regions) < 2:
+        raise ValidationError(f"{path}: need at least 2 region columns, got {len(regions)}")
+    return clinical, regions
+
+
+def _parse_float(cell: str, what: str, errors: list, row_id: str) -> float | None:
+    try:
+        v = float(cell)
+    except ValueError:
+        errors.append(f"{row_id}: invalid {what} {cell!r}")
+        return None
+    if not math.isfinite(v):
+        errors.append(f"{row_id}: non-finite {what}")
+        return None
+    return v
+
+
+def load_subjects_csv_two_loops(path, demographics_path=None) -> CohortTable:
+    """Load subjects from CSV, optionally joining a separate demographics file.
+
+    Every malformed row is reported; the load fails as a whole if any row is
+    invalid, so a successfully loaded table is always complete.
+    """
+    header, body = _read_csv_rows(path)
+    if demographics_path is None:
+        return _load_combined(path, header, body)
+    if header[:1] != ["id"] or any(c in CLINICAL_FIELDS + REQUIRED_COLUMNS for c in header[1:]):
+        raise ValidationError(
+            f"{path}: with a demographics file, the input must contain only "
+            "an id column followed by region columns"
+        )
+    regions = header[1:]
+    if len(regions) < 2:
+        raise ValidationError(f"{path}: need at least 2 region columns")
+    if len(set(regions)) != len(regions):
+        raise ValidationError(f"{path}: duplicate region column")
+    demo = _load_demographics(demographics_path)
+    errors: list[str] = []
+    subjects = []
+    for r, row in enumerate(body, start=2):
+        row_id = f"{path}: row {r}"
+        if len(row) != len(header):
+            errors.append(f"{row_id}: expected {len(header)} cells, got {len(row)}")
+            continue
+        sid = row[0].strip()
+        if not sid:
+            errors.append(f"{row_id}: empty subject id")
+            continue
+        if sid not in demo:
+            errors.append(f"{row_id}: subject {sid!r} missing from demographics file")
+            continue
+        age, gender, group, clinical = demo[sid]
+        volumes = [_parse_float(c, "volume", errors, f"{row_id} ({sid})") for c in row[1:]]
+        if any(v is None for v in volumes):
+            continue
+        try:
+            subjects.append(SubjectRecord(sid, age, gender, group, np.array(volumes), clinical))
+        except ValidationError as exc:
+            errors.append(f"{row_id}: {exc}")
+    if errors:
+        raise ValidationError("invalid subject rows:\n  " + "\n  ".join(errors))
+    return CohortTable("all", tuple(regions), tuple(subjects))
+
+
+def _load_combined(path, header, body) -> CohortTable:
+    clinical_cols, regions = _split_header(path, header)
+    errors: list[str] = []
+    subjects = []
+    for r, row in enumerate(body, start=2):
+        row_id = f"{path}: row {r}"
+        if len(row) != len(header):
+            errors.append(f"{row_id}: expected {len(header)} cells, got {len(row)}")
+            continue
+        sid = row[0].strip()
+        if not sid:
+            errors.append(f"{row_id}: empty subject id")
+            continue
+        age = _parse_float(row[1], "age", errors, f"{row_id} ({sid})")
+        if age is None:
+            continue
+        gender, group = row[2].strip(), row[3].strip()
+        clinical = {}
+        bad = False
+        for k, cell in zip(clinical_cols, row[4:4 + len(clinical_cols)]):
+            if cell.strip() == "":
+                continue
+            v = _parse_float(cell, k, errors, f"{row_id} ({sid})")
+            if v is None:
+                bad = True
+                break
+            clinical[k] = v
+        if bad:
+            continue
+        volumes = [
+            _parse_float(c, "volume", errors, f"{row_id} ({sid})")
+            for c in row[4 + len(clinical_cols):]
+        ]
+        if any(v is None for v in volumes):
+            continue
+        try:
+            subjects.append(SubjectRecord(sid, age, gender, group, np.array(volumes), clinical))
+        except ValidationError as exc:
+            errors.append(f"{row_id}: {exc}")
+    if errors:
+        raise ValidationError("invalid subject rows:\n  " + "\n  ".join(errors))
+    return CohortTable("all", tuple(regions), tuple(subjects))
+
+
+def _load_demographics(path) -> dict:
+    header, body = _read_csv_rows(path)
+    if header[:1] != ["id"]:
+        raise ValidationError(f"{path}: demographics header must start with 'id'")
+    known = ("age", "gender", "group") + CLINICAL_FIELDS
+    unknown = [c for c in header[1:] if c not in known]
+    if unknown:
+        raise ValidationError(f"{path}: unknown demographics column {unknown[0]!r}")
+    for col in ("age", "gender", "group"):
+        if col not in header:
+            raise ValidationError(f"{path}: demographics file must contain {col!r}")
+    idx = {c: header.index(c) for c in header}
+    errors: list[str] = []
+    out: dict[str, tuple] = {}
+    for r, row in enumerate(body, start=2):
+        row_id = f"{path}: row {r}"
+        if len(row) != len(header):
+            errors.append(f"{row_id}: expected {len(header)} cells, got {len(row)}")
+            continue
+        sid = row[idx["id"]].strip()
+        if not sid:
+            errors.append(f"{row_id}: empty subject id")
+            continue
+        if sid in out:
+            errors.append(f"{row_id}: duplicate subject id {sid!r}")
+            continue
+        age = _parse_float(row[idx["age"]], "age", errors, f"{row_id} ({sid})")
+        if age is None:
+            continue
+        clinical = {}
+        bad = False
+        for k in CLINICAL_FIELDS:
+            if k in idx and row[idx[k]].strip() != "":
+                v = _parse_float(row[idx[k]], k, errors, f"{row_id} ({sid})")
+                if v is None:
+                    bad = True
+                    break
+                clinical[k] = v
+        if bad:
+            continue
+        out[sid] = (age, row[idx["gender"]].strip(), row[idx["group"]].strip(), clinical)
+    if errors:
+        raise ValidationError("invalid demographics rows:\n  " + "\n  ".join(errors))
+    return out

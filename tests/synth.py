@@ -8,6 +8,7 @@ import io
 import numpy as np
 
 from ubnin import BinaryNetwork, CohortTable, SubjectRecord, WeightedNetwork
+from ubnin.subjects import CLINICAL_FIELDS, REQUIRED_COLUMNS
 
 
 def complete_graph(n) -> BinaryNetwork:
@@ -136,3 +137,34 @@ def subjects_csv_text(n_subjects, n_regions, seed, groups=("PD", "HC"), clinical
         row += [f"{v:.6f}" for v in rng.normal(600.0, 40.0, n_regions)]
         writer.writerow(row)
     return buf.getvalue()
+
+
+def csv_text(rows) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def split_subject_rows(rows) -> tuple[list, list]:
+    """Split combined-format rows into volumes-only rows and demographics rows.
+
+    The demographics rows come in reverse subject order, so a loader must
+    look them up by id.
+    """
+    header = rows[0]
+    n_demo = 1
+    while n_demo < len(header) and header[n_demo] in REQUIRED_COLUMNS + CLINICAL_FIELDS:
+        n_demo += 1
+    volumes = [[row[0]] + row[n_demo:] for row in rows]
+    demographics = [header[:n_demo]] + [row[:n_demo] for row in reversed(rows[1:])]
+    return volumes, demographics
+
+
+def table_fields(table):
+    """Everything a loaded table holds, in a form that compares with ==."""
+    return (
+        table.cohort_id,
+        table.region_labels,
+        [(s.id, s.age, s.gender, s.group, list(s.clinical.items()), s.volumes.tobytes())
+         for s in table.subjects],
+    )

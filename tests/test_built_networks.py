@@ -151,5 +151,7 @@ def test_pearson_network(n):
 @pytest.mark.parametrize("scale", [1e200, 1e-170])
 def test_pearson_network_rejects_non_finite_correlations(scale):
     volumes = np.random.default_rng(5).normal(size=(10, 5)) * scale
-    with np.errstate(all="ignore"), pytest.raises(ValidationError, match="non-finite weight"):
+    with np.errstate(all="ignore"), pytest.raises(ValidationError, match="non-finite weight") as err:
         _pearson_network(volumes, region_labels(5))
+    assert "between regions r1 and r2" in str(err.value)
+    assert "overflows or underflows float64" in str(err.value)

@@ -20,7 +20,15 @@ from ubnin.cli import main
 from ubnin.graphs import format_binary_matrix
 from ubnin import pipeline
 from ubnin.pipeline import parse_threshold_spec
-from synth import complete_graph, path_graph, random_binary, subjects_csv_text
+from synth import (
+    complete_graph,
+    csv_text,
+    path_graph,
+    random_binary,
+    split_subject_rows,
+    subjects_csv_text,
+    table_fields,
+)
 
 K10_DECIMAL = "511.999999999985448084771633148193359375"
 
@@ -407,6 +415,44 @@ class TestCohortCommand:
                 for name in ("metrics.csv", "significance.csv", "anova.csv", "results.json")
             })
         assert snapshots[0] == snapshots[1]
+
+
+class TestLayoutEquivalence:
+    """One cohort as a one-file CSV and as volumes plus demographics."""
+
+    def test_both_layouts_give_the_same_table_and_outputs(self, tmp_path, monkeypatch, capsys):
+        text = subjects_csv_text(40, 12, seed=31)
+        volumes, demographics = split_subject_rows([r.split(",") for r in text.splitlines()])
+        one, two = tmp_path / "one", tmp_path / "two"
+        one.mkdir()
+        two.mkdir()
+        (one / "subjects.csv").write_text(text)
+        (two / "subjects.csv").write_text(csv_text(volumes))
+        (two / "demo.csv").write_text(csv_text(demographics))
+        assert table_fields(load_subjects_csv(one / "subjects.csv")) == \
+            table_fields(load_subjects_csv(two / "subjects.csv", two / "demo.csv"))
+
+        commands = [
+            ["fingerprint", "--out-dir", "fp"],
+            ["cohort", "--out-dir", "co", "--sweep", "0.6:0.9:0.15", "--iterations", "3",
+             "--n-rand", "1"],
+        ]
+        results = []
+        for where, extra in ((one, []), (two, ["--demographics", "demo.csv"])):
+            monkeypatch.chdir(where)
+            streams = [run(capsys, *cmd, "--input", "subjects.csv", *extra) for cmd in commands]
+            assert [code for code, _, _ in streams] == [0, 0]
+            files = {
+                p.relative_to(where).as_posix(): p.read_bytes().replace(
+                    b'"demographics": "demo.csv"', b'"demographics": null')
+                for p in sorted(where.glob("*/*"))
+            }
+            results.append((streams, files))
+        assert sorted(results[0][1]) == [
+            "co/anova.csv", "co/metrics.csv", "co/results.json", "co/significance.csv",
+            "fp/fingerprints.json",
+        ]
+        assert results[0] == results[1]
 
 
 class TestRunCohortErrors:

@@ -293,7 +293,7 @@ class TestSmallWorldMatchesOracle:
 
 class TestMetricsReport:
     def test_mean_is_mean_of_nodal(self):
-        report = metrics_report(k4_minus_edge(), small_world=False)
+        report = metrics_report(k4_minus_edge(), n_rand=0)
         assert report.mean_clustering == pytest.approx(5 / 6, abs=1e-15)
         assert report.mean_clustering == np.mean(report.nodal_clustering)
         assert report.small_world_sigma is None
@@ -328,6 +328,6 @@ class TestMetricsReport:
             )
 
     def test_to_row_is_flat(self):
-        row = metrics_report(ring_lattice(12, 4), small_world=False).to_row()
+        row = metrics_report(ring_lattice(12, 4), n_rand=0).to_row()
         assert row["sigma"] is None
         assert row["mean_clustering"] == pytest.approx(0.5, abs=1e-12)

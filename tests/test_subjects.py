@@ -14,8 +14,15 @@ from ubnin import (
     load_subjects_csv,
     residualize_covariate,
 )
-from oracles import pearson_brute
-from synth import make_cohort, region_labels
+from oracles import load_subjects_csv_two_loops, pearson_brute
+from synth import (
+    csv_text,
+    make_cohort,
+    region_labels,
+    split_subject_rows,
+    subjects_csv_text,
+    table_fields,
+)
 
 
 def subject(sid, volumes, age=50.0, gender="F", group="HC", clinical=None):
@@ -293,6 +300,226 @@ class TestSubjectsCsv:
         demo.write_text("id,age,gender,group,shoe_size\np1,40,M,PD,43\n")
         with pytest.raises(ValidationError, match="shoe_size"):
             load_subjects_csv(vols, demo)
+
+
+    def test_empty_subject_id_rejected(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("id,age,gender,group,r1,r2\np1,40,M,PD,1,2\n ,41,F,HC,1,2\n")
+        with pytest.raises(ValidationError, match=r"s\.csv: row 3: empty subject id"):
+            load_subjects_csv(path)
+
+    def test_demographics_missing_subject_names_file_and_row(self, tmp_path):
+        vols = tmp_path / "v.csv"
+        demo = tmp_path / "d.csv"
+        vols.write_text("id,r1,r2\np9,1.0,2.0\np1,1.0,2.0\n")
+        demo.write_text("id,age,gender,group\np9,50,F,HC\n")
+        with pytest.raises(ValidationError) as err:
+            load_subjects_csv(vols, demo)
+        assert f"{vols}: row 3: subject 'p1' missing from demographics file" in str(err.value)
+
+    def test_duplicate_demographics_id_rejected(self, tmp_path):
+        vols = tmp_path / "v.csv"
+        demo = tmp_path / "d.csv"
+        vols.write_text("id,r1,r2\np1,1.0,2.0\n")
+        demo.write_text("id,age,gender,group\np1,50,F,HC\np1,51,F,HC\n")
+        with pytest.raises(ValidationError) as err:
+            load_subjects_csv(vols, demo)
+        assert f"{demo}: row 3: duplicate subject id 'p1'" in str(err.value)
+
+    @pytest.mark.parametrize("column", ["age", "gender", "group"])
+    def test_demographics_column_required(self, tmp_path, column):
+        vols = tmp_path / "v.csv"
+        demo = tmp_path / "d.csv"
+        vols.write_text("id,r1,r2\np1,1.0,2.0\n")
+        header = [c for c in ("id", "age", "gender", "group") if c != column]
+        demo.write_text(",".join(header) + "\n" + ",".join(["p1", "50", "F"]) + "\n")
+        with pytest.raises(ValidationError) as err:
+            load_subjects_csv(vols, demo)
+        assert str(err.value) == f"{demo}: demographics file must contain {column!r}"
+
+    def test_duplicate_region_column_names_file(self, tmp_path):
+        path = tmp_path / "s.csv"
+        path.write_text("id,age,gender,group,r1,r2,r1\np1,40,M,PD,1,2,3\n")
+        with pytest.raises(ValidationError) as err:
+            load_subjects_csv(path)
+        assert str(err.value) == f"{path}: duplicate region column"
+
+    @pytest.mark.parametrize("header", ["id,r1", "id"])
+    def test_volumes_only_region_count_reported(self, tmp_path, header):
+        vols = tmp_path / "v.csv"
+        demo = tmp_path / "d.csv"
+        vols.write_text(header + "\n")
+        demo.write_text("id,age,gender,group\np1,40,M,PD\n")
+        with pytest.raises(ValidationError) as err:
+            load_subjects_csv(vols, demo)
+        got = header.count(",")
+        assert str(err.value) == f"{vols}: need at least 2 region columns, got {got}"
+
+
+def load_outcome(loader, tmp_path, subjects_text, demographics_text):
+    """The table fields a loader returns, or the type and message it raises."""
+    path = tmp_path / "subjects.csv"
+    path.write_text(subjects_text)
+    demo = None
+    if demographics_text is not None:
+        demo = tmp_path / "demographics.csv"
+        demo.write_text(demographics_text)
+    try:
+        return table_fields(loader(path, demo))
+    except Exception as exc:  # the exception itself is the outcome compared
+        return type(exc), str(exc)
+
+
+COMBINED = "id,age,gender,group,updrs_off,updrs_on,hy_stage,age_at_onset,r1,r2,r3\n"
+VOLUMES = "id,r1,r2,r3\n"
+DEMOGRAPHICS = "id,age,gender,group,updrs_off,updrs_on,hy_stage,age_at_onset\n"
+
+# (subjects file, demographics file or None) for both layouts.
+LOADER_CORPUS = {
+    "one-file": (COMBINED + "p1,54.5,M,PD,33.0,17.5,2,48.0,600.1,550.2,610.3\n"
+                 "p2,61.0,F,HC,,,,,590.0,560.0,600.0\n", None),
+    "one-file no clinical": ("id,age,gender,group,r1,r2\np1,40,M,PD,1.5,2.5\n", None),
+    "one-file clinical reordered": ("id,age,gender,group,hy_stage,age_at_onset,updrs_off,r1,r2\n"
+                                    "p1,40,M,PD,2,31,12.5,1,2\np2,50,F,HC,, 33 ,,3,4\n", None),
+    "one-file padded cells": (" id , age ,gender, group ,r1, r2 \n p1 , 40 , M , PD , 1 , 2 \n",
+                              None),
+    "one-file header only": ("id,age,gender,group,r1,r2\n", None),
+    "one-file duplicate rows": ("id,age,gender,group,r1,r2\np1,40,M,PD,1,2\np1,40,M,PD,1,2\n",
+                                None),
+    "one-file bad ages": ("id,age,gender,group,r1,r2\np1,forty,M,PD,1,2\np2,nan,F,HC,1,2\n"
+                          "p3,inf,F,HC,1,2\np4,-3,F,HC,1,2\np5,0,F,HC,1,2\np6,,F,HC,1,2\n",
+                          None),
+    "one-file bad clinical": (COMBINED + "p1,40,M,PD,x,inf,2,30,1,2,3\n"
+                              "p2,40,M,PD,1,-inf,2,30,1,2,3\np3,40,M,PD,1,2,3,1e400,1,2,3\n",
+                              None),
+    "one-file bad volumes": ("id,age,gender,group,r1,r2,r3\np1,40,M,PD,abc,nan,3\n"
+                             "p2,40,M,PD,1,-inf,\np3,forty,M,PD,x,2,3\n", None),
+    "one-file cell counts": ("id,age,gender,group,r1,r2\np1,40,M,PD,1\np2,40,M,PD,1,2,3\n"
+                             "p3,40,M,PD,1,2\n", None),
+    "one-file empty ids": ("id,age,gender,group,r1,r2\n,40,M,PD,1,2\n  ,41,F,HC,1,2\n", None),
+    "one-file empty file": ("", None),
+    "one-file blank lines": ("\n\n", None),
+    "one-file wrong start": ("subject,age,gender,group,r1,r2\np1,40,M,PD,1,2\n", None),
+    "one-file short header": ("id,age\n", None),
+    "one-file reserved after regions": ("id,age,gender,group,r1,r2,age\np1,40,M,PD,1,2,3\n",
+                                        None),
+    "one-file clinical after regions": ("id,age,gender,group,r1,updrs_on,r2\np1,40,M,PD,1,2,3\n",
+                                        None),
+    "one-file duplicate clinical": ("id,age,gender,group,hy_stage,hy_stage,r1,r2\n", None),
+    "one-file one region": ("id,age,gender,group,updrs_off,r1\np1,40,M,PD,1,2\n", None),
+    "one-file no regions": ("id,age,gender,group\np1,40,M,PD\n", None),
+    "one-file empty region label": ("id,age,gender,group,r1,,r3\np1,40,M,PD,1,2,3\n", None),
+    "one-file duplicate region": ("id,age,gender,group,r1,r2,r1\np1,40,M,PD,1,2,3\n", None),
+    "two-file": ("id,r1,r2\np1,1.0,2.0\np2,3.0,4.0\n",
+                 "id,age,gender,group,updrs_off\np2,50,F,HC,\np1,40,M,PD,31.5\n"),
+    "two-file clinical in any order": (
+        VOLUMES + "p1,1,2,3\np2,4,5,6\n",
+        "id,age_at_onset,group,updrs_on,gender,hy_stage,age,updrs_off\n"
+        "p2,45,HC,12,F,1,50,30\np1,,PD,9,M,2,40,\n"),
+    "two-file extra and duplicate rows": (VOLUMES + "p1,1,2,3\np1,1,2,3\n",
+                                          DEMOGRAPHICS + "p9,60,F,HC,,,,\np1,40,M,PD,1,2,3,30\n"),
+    "two-file missing ids": (VOLUMES + "p1,1,2,3\np2,1,2,3\np3,1,2,3\n",
+                             DEMOGRAPHICS + "p2,60,F,HC,,,,\n"),
+    "two-file duplicate demographics ids": (VOLUMES + "p1,1,2,3\n",
+                                            DEMOGRAPHICS + "p1,60,F,HC,,,,\np1,60,F,HC,,,,\n"
+                                            "p2,61,F,HC,,,,\np2,x,F,HC,,,,\n"),
+    "two-file bad demographics cells": (VOLUMES + "p1,1,2,3\n",
+                                        DEMOGRAPHICS + "p1,forty,M,PD,,,,\np2,inf,M,PD,,,,\n"
+                                        "p3,40,M,PD,x,nan,,\np4,40,M,PD,1,2,3\n,40,M,PD,,,,\n"
+                                        "p5,40,M,PD,1,nan,,\n"),
+    "two-file negative ages": (VOLUMES + "p1,1,2,3\np2,1,2,3\np1,1,2,3\n",
+                               DEMOGRAPHICS + "p1,-3,M,PD,,,,\np2,0,F,HC,,,,\np3,-1,F,HC,,,,\n"),
+    "two-file unused negative age": (VOLUMES + "p1,1,2,3\n",
+                                     DEMOGRAPHICS + "p1,30,M,PD,,,,\np3,-1,F,HC,,,,\n"),
+    "two-file bad subject rows": (VOLUMES + "p1,1,2\n,1,2,3\np2,1,x,nan\np3,1,2,3,4\n",
+                                  DEMOGRAPHICS + "p1,30,M,PD,,,,\np2,30,M,PD,,,,\n"),
+    "two-file empty volumes file": ("", DEMOGRAPHICS),
+    "two-file combined input": ("id,age,gender,group,r1,r2\np1,40,M,PD,1,2\n",
+                                "id,age,gender,group\np1,40,M,PD\n"),
+    "two-file reserved volume column": ("id,r1,updrs_off,r2\n", DEMOGRAPHICS),
+    "two-file volumes not starting with id": ("subject,r1,r2\n", DEMOGRAPHICS),
+    "two-file duplicate region": ("id,r1,r2,r1\np1,1,2,3\n", DEMOGRAPHICS + "p1,30,M,PD,,,,\n"),
+    "two-file one region": ("id,r1\np1,1\n", DEMOGRAPHICS),
+    "two-file no regions": ("id\np1\n", DEMOGRAPHICS),
+    "two-file empty demographics": (VOLUMES, ""),
+    "two-file demographics without id": (VOLUMES, "age,id,gender,group\n"),
+    "two-file unknown demographics column": (VOLUMES, "id,age,gender,group,shoe_size\n"),
+    "two-file demographics without age": (VOLUMES, "id,gender,group\n"),
+    "two-file demographics without group": (VOLUMES, "id,age,gender\n"),
+    "two-file repeated demographics column": (VOLUMES + "p1,1,2,3\n",
+                                              "id,age,gender,group,age\np1,30,M,PD,x\n"),
+}
+
+# The region-column check names the file in both layouts and gives the count
+# in both; these messages differ from the earlier loader's on purpose.
+CHANGED_MESSAGES = {
+    "one-file duplicate region": "{path}: duplicate region column",
+    "two-file one region": "{path}: need at least 2 region columns, got 1",
+    "two-file no regions": "{path}: need at least 2 region columns, got 0",
+}
+
+
+class TestLoaderMatchesOracle:
+    """The one-loop loader against the earlier two-loop loader in oracles.py."""
+
+    @pytest.mark.parametrize("case", sorted(LOADER_CORPUS))
+    def test_corpus_case(self, tmp_path, case):
+        subjects_text, demographics_text = LOADER_CORPUS[case]
+        got = load_outcome(load_subjects_csv, tmp_path, subjects_text, demographics_text)
+        want = load_outcome(load_subjects_csv_two_loops, tmp_path, subjects_text,
+                            demographics_text)
+        if case in CHANGED_MESSAGES:
+            assert want[0] is ValidationError and want != got
+            message = CHANGED_MESSAGES[case].format(path=tmp_path / "subjects.csv")
+            assert got == (ValidationError, message)
+        else:
+            assert got == want
+
+    def test_corpus_cases_that_load(self, tmp_path):
+        loaded = {case for case in LOADER_CORPUS
+                  if load_outcome(load_subjects_csv, tmp_path, *LOADER_CORPUS[case])[0] == "all"}
+        assert loaded == {
+            "one-file", "one-file no clinical", "one-file clinical reordered",
+            "one-file padded cells", "one-file header only", "one-file duplicate rows",
+            "two-file", "two-file clinical in any order", "two-file extra and duplicate rows",
+            "two-file unused negative age", "two-file repeated demographics column",
+        }
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_mutated_synth_tables(self, tmp_path, seed):
+        rng = np.random.default_rng([77, seed])
+        rows = [r.split(",") for r in subjects_csv_text(
+            5, 3, seed=seed, clinical=bool(seed % 2)).splitlines()]
+        if seed % 4 < 2:
+            files = [rows]
+        else:
+            files = list(split_subject_rows(rows))
+        for _ in range(int(rng.integers(0, 4))):
+            mutate(files[int(rng.integers(len(files)))], rng)
+        texts = [csv_text(f) for f in files] + [None]
+        got = load_outcome(load_subjects_csv, tmp_path, texts[0], texts[1])
+        want = load_outcome(load_subjects_csv_two_loops, tmp_path, texts[0], texts[1])
+        assert got == want
+
+
+MUTANT_CELLS = ("", " ", "x", "nan", "inf", "-1", "0", "1e400", " 7 ")
+
+
+def mutate(rows, rng):
+    """Apply one random edit to the body of a CSV held as a list of rows."""
+    r = 1 + int(rng.integers(len(rows) - 1))
+    row = rows[r]
+    kind = int(rng.integers(8))
+    if kind < 4:
+        row[int(rng.integers(len(row)))] = MUTANT_CELLS[int(rng.integers(len(MUTANT_CELLS)))]
+    elif kind == 4:
+        row.pop()
+    elif kind == 5:
+        row.append("1")
+    elif kind == 6:
+        rows.insert(r, list(row))
+    else:
+        row[0] = rows[1 + int(rng.integers(len(rows) - 1))][0]
 
 
 class TestRecordValidation:
