@@ -57,24 +57,7 @@ class WeightedNetwork:
 
     def __post_init__(self):
         w = np.array(self.weights, dtype=np.float64, copy=True)
-        if w.ndim != 2 or w.shape[0] != w.shape[1]:
-            raise ValidationError(f"weight matrix must be square, got shape {w.shape}")
-        n = w.shape[0]
-        if n < 2:
-            raise ValidationError("a network needs at least 2 nodes")
-        if not np.all(np.isfinite(w)):
-            i, j = np.argwhere(~np.isfinite(w))[0]
-            raise ValidationError(f"non-finite weight at ({i + 1},{j + 1}): {w[i, j]}")
-        if not np.array_equal(w, w.T):
-            i, j = _first_asymmetric_cell(w)
-            raise ValidationError(
-                f"weight matrix is not symmetric at ({i + 1},{j + 1}): "
-                f"{w[i, j]!r} vs {w[j, i]!r}"
-            )
-        if np.any(np.diagonal(w) != 0):
-            i = int(np.flatnonzero(np.diagonal(w) != 0)[0])
-            raise ValidationError(f"diagonal must be zero, found {w[i, i]!r} at node {i + 1}")
-        labels = _check_labels(self.labels, n)
+        labels = _check_matrix(w, self.labels, "weight")
         w.setflags(write=False)
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "labels", labels)
@@ -106,21 +89,7 @@ class BinaryNetwork:
             if not np.all(np.isin(vals, (0, 1))):
                 raise ValidationError("adjacency entries must be 0 or 1")
             e = e.astype(bool)
-        if e.ndim != 2 or e.shape[0] != e.shape[1]:
-            raise ValidationError(f"adjacency matrix must be square, got shape {e.shape}")
-        n = e.shape[0]
-        if n < 2:
-            raise ValidationError("a network needs at least 2 nodes")
-        labels = _check_labels(self.labels, n)
-        if not np.array_equal(e, e.T):
-            i, j = _first_asymmetric_cell(e)
-            raise ValidationError(
-                f"adjacency matrix is not symmetric at ({labels[i]},{labels[j]}): "
-                f"{int(e[i, j])} vs {int(e[j, i])}"
-            )
-        if np.any(np.diagonal(e)):
-            i = int(np.flatnonzero(np.diagonal(e))[0])
-            raise ValidationError(f"self-loop at {labels[i]}; diagonal must be zero")
+        labels = _check_matrix(e.view(np.uint8), self.labels, "adjacency")
         e.setflags(write=False)
         object.__setattr__(self, "edges", e)
         object.__setattr__(self, "labels", labels)
@@ -153,10 +122,34 @@ def _built(cls, array: np.ndarray, labels: tuple[str, ...]):
     return net
 
 
-def _first_asymmetric_cell(m: np.ndarray) -> tuple[int, int]:
-    """First (row, col) with row < col, in row-major order, where m differs from m.T."""
-    i, j = np.argwhere(np.triu(m != m.T, 1))[0]
-    return int(i), int(j)
+def _check_matrix(m: np.ndarray, labels, what: str) -> tuple[str, ...]:
+    """Check a network's ``what`` matrix ``m`` and return its checked labels.
+
+    Checks, in order: a square shape, at least 2 nodes, the labels, finite
+    entries, symmetry and a zero diagonal. Messages name cells by label and
+    format entries with ``str``, which prints numpy scalars as plain numbers;
+    pass a boolean matrix as uint8 so that its entries print as 1 and 0.
+    """
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValidationError(f"{what} matrix must be square, got shape {m.shape}")
+    n = m.shape[0]
+    if n < 2:
+        raise ValidationError("a network needs at least 2 nodes")
+    labels = _check_labels(labels, n)
+    if not np.isfinite(m).all():
+        i, j = np.argwhere(~np.isfinite(m))[0]
+        raise ValidationError(f"non-finite {what} at ({labels[i]},{labels[j]}): {m[i, j]}")
+    if not np.array_equal(m, m.T):
+        i, j = np.argwhere(np.triu(m != m.T, 1))[0]
+        raise ValidationError(
+            f"{what} matrix is not symmetric at ({labels[i]},{labels[j]}): "
+            f"{m[i, j]} vs {m[j, i]}"
+        )
+    diag = np.diagonal(m)
+    if diag.any():
+        i = int(np.flatnonzero(diag)[0])
+        raise ValidationError(f"self-loop at {labels[i]}; diagonal must be zero, found {diag[i]}")
+    return labels
 
 
 def degree(b: BinaryNetwork, i: int) -> int:
@@ -309,7 +302,7 @@ def load_weighted_matrix(path) -> WeightedNetwork:
         i, j = np.argwhere(diff > SYMMETRY_ATOL)[0]
         raise ValidationError(
             f"{path}: matrix is not symmetric at ({labels[i]},{labels[j]}): "
-            f"{w[i, j]!r} vs {w[j, i]!r}"
+            f"{w[i, j]} vs {w[j, i]}"
         )
     w = (w + w.T) / 2.0
     np.fill_diagonal(w, 0.0)

@@ -191,28 +191,16 @@ def small_world_index(b: BinaryNetwork, n_rand: int = 100, seed: int = 0,
         If any reference has undefined path length or zero clustering, the
         regime reached when the network is too sparse for the comparison.
     """
+    _check_references(n_rand, seed)
+    report = metrics_report(b, n_rand=n_rand, seed=seed, swaps_per_edge=swaps_per_edge)
+    return SmallWorldResult(sigma=report.small_world_sigma, gamma=report.gamma, lam=report.lam)
+
+
+def _check_references(n_rand, seed) -> None:
     if n_rand < 1:
         raise ValueError("n_rand must be >= 1")
     if seed < 0:
         raise ValueError("seed must be nonnegative")
-    c_obs = mean_clustering(b)
-    l_obs, _ = characteristic_path_length(b)
-    c_rand = np.empty(n_rand)
-    l_rand = np.empty(n_rand)
-    for idx in range(n_rand):
-        ref = random_reference(b, seed=[seed, idx], swaps_per_edge=swaps_per_edge)
-        try:
-            l_rand[idx], _ = characteristic_path_length(ref)
-        except UndefinedMetricError:
-            raise NotEstimableError(
-                f"random reference {idx} has undefined path length"
-            ) from None
-        c_rand[idx] = mean_clustering(ref)
-        if c_rand[idx] == 0:
-            raise NotEstimableError(f"random reference {idx} has zero clustering")
-    gamma = c_obs / float(c_rand.mean())
-    lam = l_obs / float(l_rand.mean())
-    return SmallWorldResult(sigma=gamma / lam, gamma=gamma, lam=lam)
 
 
 @dataclass(frozen=True)
@@ -265,24 +253,39 @@ def metrics_report(b: BinaryNetwork, n_rand: int = 100, seed: int = 0,
                    swaps_per_edge: int = 10) -> MetricsReport:
     """Compute the full metric record for one network.
 
-    With n_rand 0 the sigma/gamma/lam fields stay empty; otherwise
+    The network's clustering and path length are measured once and serve both
+    the record and the small-world ratios (see ``small_world_index``). With
+    n_rand 0 the sigma/gamma/lam fields stay empty; otherwise
     NotEstimableError propagates when references fail.
     """
     nodal = nodal_clustering(b)
     length, reach = characteristic_path_length(b)
-    sw = None
+    c_obs = float(nodal.mean())
+    small_world = {}
     if n_rand > 0:
-        sw = small_world_index(b, n_rand=n_rand, seed=seed, swaps_per_edge=swaps_per_edge)
+        _check_references(n_rand, seed)
+        c_rand = np.empty(n_rand)
+        l_rand = np.empty(n_rand)
+        for idx in range(n_rand):
+            ref = random_reference(b, seed=[seed, idx], swaps_per_edge=swaps_per_edge)
+            try:
+                l_rand[idx], _ = characteristic_path_length(ref)
+            except UndefinedMetricError:
+                raise NotEstimableError(
+                    f"random reference {idx} has undefined path length"
+                ) from None
+            c_rand[idx] = mean_clustering(ref)
+            if c_rand[idx] == 0:
+                raise NotEstimableError(f"random reference {idx} has zero clustering")
+        gamma = c_obs / float(c_rand.mean())
+        lam = length / float(l_rand.mean())
+        small_world = dict(small_world_sigma=gamma / lam, gamma=gamma, lam=lam,
+                           n_rand=n_rand, swaps_per_edge=swaps_per_edge, seed=seed)
     return MetricsReport(
-        mean_clustering=float(nodal.mean()),
-        nodal_clustering=tuple(float(x) for x in nodal),
+        mean_clustering=c_obs,
+        nodal_clustering=tuple(nodal.tolist()),
         char_path_length=length,
         reachable_pair_fraction=reach,
         mean_degree=2.0 * edge_count(b) / b.n,
-        small_world_sigma=None if sw is None else sw.sigma,
-        gamma=None if sw is None else sw.gamma,
-        lam=None if sw is None else sw.lam,
-        n_rand=n_rand if sw is not None else None,
-        swaps_per_edge=swaps_per_edge if sw is not None else None,
-        seed=seed if sw is not None else None,
+        **small_world,
     )

@@ -168,14 +168,12 @@ def run_fingerprint(config: RunConfig) -> dict:
     if not table.subjects:
         raise ValidationError("no subjects to fingerprint")
     networks = [individual_network(s, table.region_labels) for s in table.subjects]
-    if config.threshold_mode == "sparsity":
-        binarized = [sparsity_threshold(w, config.threshold_fraction) for w in networks]
-    elif len(networks) == 1:
-        binarized = [sparsity_threshold(networks[0], config.threshold_fraction)]
+    # Per-subject consistency is each network's sparsity threshold; a mask needs 2+ networks.
+    mask = (config.threshold_mode, config.threshold_strategy) == ("consistency", "group-mask")
+    if mask and len(networks) > 1:
+        binarized = consistency_threshold(networks, config.threshold_fraction, "group-mask")
     else:
-        binarized = consistency_threshold(
-            networks, config.threshold_fraction, config.threshold_strategy
-        )
+        binarized = [sparsity_threshold(w, config.threshold_fraction) for w in networks]
     records = []
     by_code: dict = {}
     for subject, net in zip(table.subjects, binarized):
@@ -307,16 +305,8 @@ def run_cohort(config: RunConfig) -> dict:
                 warnings.append(f"{group}: ANOVA on {fname!r} failed: {exc}")
                 continue
             anova_rows.append(
-                {
-                    "group": group,
-                    "field": fname,
-                    "F": result.F,
-                    "df_between": result.df_between,
-                    "df_within": result.df_within,
-                    "p": result.p,
-                    "n_groups": len(value_groups),
-                    "n_values": sum(len(v) for v in value_groups),
-                }
+                {"group": group, "field": fname} | result.to_dict()
+                | {"n_groups": len(value_groups), "n_values": sum(len(v) for v in value_groups)}
             )
 
     out_dir = Path(config.out_dir)

@@ -171,7 +171,9 @@ def _pearson_network(volume_matrix: np.ndarray, labels) -> WeightedNetwork:
     ``labels`` are a cohort's region labels, which ``CohortTable`` has
     checked. A finite correlation matrix is valid by construction. Volumes on
     a huge or tiny scale make the correlation overflow or underflow float64;
-    that is rejected with the first region pair it reaches.
+    that is rejected with the first region pair it reaches. The diagonal is
+    checked before it is zeroed: one region on such a scale can leave its NaN
+    on the diagonal alone, with wrong but finite correlations elsewhere.
     """
     if volume_matrix.shape[0] < 3:
         raise DegenerateDesignError(
@@ -184,13 +186,16 @@ def _pearson_network(volume_matrix: np.ndarray, labels) -> WeightedNetwork:
         raise DegenerateDesignError(f"zero-variance regions: {names}")
     corr = np.corrcoef(volume_matrix, rowvar=False)
     corr = (corr + corr.T) / 2.0
-    np.fill_diagonal(corr, 0.0)
     if not np.isfinite(corr).all():
-        i, j = np.argwhere(~np.isfinite(corr))[0]
+        cells = np.argwhere(~np.isfinite(corr))
+        i, j = cells[np.argmax(cells[:, 0] != cells[:, 1])]  # a region pair before a region
+        pair = (f"regions {labels[i]} and {labels[j]}" if i != j
+                else f"region {labels[i]} and itself")
         raise ValidationError(
-            f"non-finite weight between regions {labels[i]} and {labels[j]}: "
+            f"non-finite weight between {pair}: "
             "the correlation of their volumes overflows or underflows float64"
         )
+    np.fill_diagonal(corr, 0.0)
     return _built(WeightedNetwork, corr, labels)
 
 
@@ -241,6 +246,8 @@ def _check_regions(path, regions) -> None:
         raise ValidationError(f"{path}: need at least 2 region columns, got {len(regions)}")
     if len(set(regions)) != len(regions):
         raise ValidationError(f"{path}: duplicate region column")
+    if not all(regions):
+        raise ValidationError(f"{path}: empty region column label")
 
 
 def _split_header(path, header) -> tuple[list[str], list[str]]:

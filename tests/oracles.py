@@ -21,7 +21,10 @@ is the earlier ``sparsity_threshold`` (a stable sort of every weight),
 division by 5^scale). ``load_subjects_csv_two_loops`` is the earlier
 ``load_subjects_csv``, with its ``_load_combined`` and ``_load_demographics``
 (a subject-row loop per CSV layout, and a clinical-cell loop in each of
-``_load_combined`` and ``_load_demographics``).
+``_load_combined`` and ``_load_demographics``). ``metrics_report_separate``
+and ``small_world_index_separate`` are the earlier ``metrics_report`` and
+``small_world_index``, in which the small-world index measured the network's
+clustering and path length a second time and ran the reference loop itself.
 """
 
 from __future__ import annotations
@@ -36,11 +39,18 @@ from ubnin import (
     BinaryNetwork,
     CohortTable,
     MalformedCodeError,
+    MetricsReport,
+    NotEstimableError,
+    SmallWorldResult,
     SubjectRecord,
     UbninCode,
     UndefinedMetricError,
     ValidationError,
+    characteristic_path_length,
     edge_count,
+    mean_clustering,
+    nodal_clustering,
+    random_reference,
 )
 from ubnin.codec import _digits_to_int, _int_to_digits, _is_digits, max_scale
 from ubnin.subjects import CLINICAL_FIELDS, REQUIRED_COLUMNS
@@ -169,6 +179,55 @@ def random_reference_loop(b, seed, swaps_per_edge: int = 10):
         out[u, v] = True
     out |= out.T
     return BinaryNetwork(out, b.labels)
+
+
+def small_world_index_separate(b, n_rand: int = 100, seed: int = 0,
+                               swaps_per_edge: int = 10) -> SmallWorldResult:
+    if n_rand < 1:
+        raise ValueError("n_rand must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
+    c_obs = mean_clustering(b)
+    l_obs, _ = characteristic_path_length(b)
+    c_rand = np.empty(n_rand)
+    l_rand = np.empty(n_rand)
+    for idx in range(n_rand):
+        ref = random_reference(b, seed=[seed, idx], swaps_per_edge=swaps_per_edge)
+        try:
+            l_rand[idx], _ = characteristic_path_length(ref)
+        except UndefinedMetricError:
+            raise NotEstimableError(
+                f"random reference {idx} has undefined path length"
+            ) from None
+        c_rand[idx] = mean_clustering(ref)
+        if c_rand[idx] == 0:
+            raise NotEstimableError(f"random reference {idx} has zero clustering")
+    gamma = c_obs / float(c_rand.mean())
+    lam = l_obs / float(l_rand.mean())
+    return SmallWorldResult(sigma=gamma / lam, gamma=gamma, lam=lam)
+
+
+def metrics_report_separate(b, n_rand: int = 100, seed: int = 0,
+                            swaps_per_edge: int = 10) -> MetricsReport:
+    nodal = nodal_clustering(b)
+    length, reach = characteristic_path_length(b)
+    sw = None
+    if n_rand > 0:
+        sw = small_world_index_separate(b, n_rand=n_rand, seed=seed,
+                                        swaps_per_edge=swaps_per_edge)
+    return MetricsReport(
+        mean_clustering=float(nodal.mean()),
+        nodal_clustering=tuple(float(x) for x in nodal),
+        char_path_length=length,
+        reachable_pair_fraction=reach,
+        mean_degree=2.0 * edge_count(b) / b.n,
+        small_world_sigma=None if sw is None else sw.sigma,
+        gamma=None if sw is None else sw.gamma,
+        lam=None if sw is None else sw.lam,
+        n_rand=n_rand if sw is not None else None,
+        swaps_per_edge=swaps_per_edge if sw is not None else None,
+        seed=seed if sw is not None else None,
+    )
 
 
 def ranked_upper_triangle_lexsort(values, rows, cols, secondary=None):

@@ -155,3 +155,18 @@ def test_pearson_network_rejects_non_finite_correlations(scale):
         _pearson_network(volumes, region_labels(5))
     assert "between regions r1 and r2" in str(err.value)
     assert "overflows or underflows float64" in str(err.value)
+
+
+# One region on a huge or tiny scale leaves its NaN on the diagonal alone, with
+# finite but wrong correlations (0 or +-1) to every other region.
+@pytest.mark.parametrize("scale", [1e200, 1e-170])
+@pytest.mark.parametrize("region", [0, 3])
+def test_pearson_network_rejects_one_region_on_a_non_finite_scale(scale, region):
+    volumes = np.random.default_rng(5).normal(size=(10, 4))
+    volumes[:, region] *= scale
+    with np.errstate(all="ignore"), pytest.raises(ValidationError) as err:
+        _pearson_network(volumes, region_labels(4))
+    assert str(err.value) == (
+        f"non-finite weight between region r{region + 1} and itself: "
+        "the correlation of their volumes overflows or underflows float64"
+    )

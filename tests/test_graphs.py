@@ -347,6 +347,62 @@ class TestNetworkValidation:
         with pytest.raises(ValidationError):
             WeightedNetwork(np.zeros((3, 3)), ("a", "b"))
 
+    # Both constructors share one check: cells are named by label and entries
+    # print as plain numbers, not as numpy scalar reprs.
+    @pytest.mark.parametrize("cells,labels,message", [
+        ({(0, 1): 0.5, (1, 0): 0.4}, None,
+         "weight matrix is not symmetric at (v1,v2): 0.5 vs 0.4"),
+        ({(1, 2): 0.1 + 0.2, (2, 1): 0.3}, ("a", "b", "c"),
+         "weight matrix is not symmetric at (b,c): 0.30000000000000004 vs 0.3"),
+        ({(1, 1): 1.0}, None, "self-loop at v2; diagonal must be zero, found 1.0"),
+        ({(2, 2): -0.5}, ("a", "b", "c"), "self-loop at c; diagonal must be zero, found -0.5"),
+        ({(0, 2): np.inf, (2, 0): np.inf}, ("a", "b", "c"), "non-finite weight at (a,c): inf"),
+        ({(1, 0): np.nan}, None, "non-finite weight at (v2,v1): nan"),
+        ({(0, 1): 0.5, (1, 0): 0.4, (2, 2): np.nan}, None, "non-finite weight at (v3,v3): nan"),
+        ({(0, 1): 0.5, (1, 1): 1.0}, None,
+         "weight matrix is not symmetric at (v1,v2): 0.5 vs 0.0"),
+    ])
+    def test_weighted_messages(self, cells, labels, message):
+        w = np.zeros((3, 3))
+        for cell, v in cells.items():
+            w[cell] = v
+        with pytest.raises(ValidationError) as err:
+            WeightedNetwork(w, labels)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("cells,labels,message", [
+        ({(0, 1)}, None, "adjacency matrix is not symmetric at (v1,v2): 1 vs 0"),
+        ({(2, 1)}, ("a", "b", "c"), "adjacency matrix is not symmetric at (b,c): 0 vs 1"),
+        ({(1, 1)}, None, "self-loop at v2; diagonal must be zero, found 1"),
+        ({(0, 0), (0, 1)}, ("x", "y", "z"), "adjacency matrix is not symmetric at (x,y): 1 vs 0"),
+    ])
+    @pytest.mark.parametrize("dtype", [bool, np.int64, np.float64])
+    def test_binary_messages(self, cells, labels, message, dtype):
+        e = np.zeros((3, 3), dtype=dtype)
+        for cell in cells:
+            e[cell] = 1
+        with pytest.raises(ValidationError) as err:
+            BinaryNetwork(e, labels)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("build,shape,message", [
+        (WeightedNetwork, (2, 3), "weight matrix must be square, got shape (2, 3)"),
+        (BinaryNetwork, (3,), "adjacency matrix must be square, got shape (3,)"),
+        (WeightedNetwork, (1, 1), "a network needs at least 2 nodes"),
+        (BinaryNetwork, (1, 1), "a network needs at least 2 nodes"),
+    ])
+    def test_shape_messages(self, build, shape, message):
+        with pytest.raises(ValidationError) as err:
+            build(np.zeros(shape))
+        assert str(err.value) == message
+
+    def test_labels_are_checked_before_entries(self):
+        w = np.zeros((3, 3))
+        w[0, 1] = np.nan
+        with pytest.raises(ValidationError) as err:
+            WeightedNetwork(w, ("a", "a", "b"))
+        assert str(err.value) == "node labels must be unique"
+
     # A numpy array of labels has no single truth value; only an empty one
     # falls back to v1..vn.
     @pytest.mark.parametrize("build", [
@@ -401,6 +457,13 @@ class TestMatrixCsv:
         path.write_text("a,b\n0,0.5001\n0.5,0\n")
         with pytest.raises(ValidationError, match="not symmetric"):
             load_weighted_matrix(path)
+
+    def test_weighted_asymmetry_message_prints_plain_numbers(self, tmp_path):
+        path = tmp_path / "w.csv"
+        path.write_text("a,b,c\n0,0,1e-3\n0,0,0\n0.0011,0,0\n")
+        with pytest.raises(ValidationError) as err:
+            load_weighted_matrix(path)
+        assert str(err.value) == f"{path}: matrix is not symmetric at (a,c): 0.001 vs 0.0011"
 
     @pytest.mark.parametrize("body,message", [
         ("0,x\n0.5,0", r"invalid number 'x' at \(1,2\)"),

@@ -1,6 +1,9 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
+from ubnin import metrics
 from ubnin import (
     BinaryNetwork,
     NotEstimableError,
@@ -21,8 +24,10 @@ from oracles import (
     clustering_brute,
     cpl_bfs_loop,
     cpl_floyd,
+    metrics_report_separate,
     nodal_clustering_float64,
     random_reference_loop,
+    small_world_index_separate,
 )
 from synth import (
     complete_graph,
@@ -331,3 +336,102 @@ class TestMetricsReport:
         row = metrics_report(ring_lattice(12, 4), n_rand=0).to_row()
         assert row["sigma"] is None
         assert row["mean_clustering"] == pytest.approx(0.5, abs=1e-12)
+
+
+def outcome(fn, *args, **kwargs):
+    """What a call returns, or the type and message of what it raises."""
+    try:
+        return fn(*args, **kwargs)
+    except Exception as exc:  # the exception itself is the outcome compared
+        return type(exc), str(exc)
+
+
+def assert_same_as_separate(b, n_rand, seed, swaps):
+    want = outcome(metrics_report_separate, b, n_rand, seed, swaps)
+    assert outcome(metrics_report, b, n_rand=n_rand, seed=seed, swaps_per_edge=swaps) == want
+    assert outcome(small_world_index, b, n_rand=n_rand, seed=seed, swaps_per_edge=swaps) == \
+        outcome(small_world_index_separate, b, n_rand, seed, swaps)
+    return want
+
+
+def one_edge():
+    e = np.zeros((4, 4), dtype=bool)
+    e[0, 1] = e[1, 0] = True
+    return BinaryNetwork(e)
+
+
+class TestReportMatchesSeparateLoops:
+    """metrics_report and small_world_index against the earlier pair in oracles.py."""
+
+    @pytest.mark.parametrize("n", [4, 5, 7, 12, 20, 33, 55, 90])
+    def test_identical_over_sizes_densities_and_references(self, n):
+        rng = np.random.default_rng(700 + n)
+        n_rands = range(6) if n <= 20 else (0, 2, 5)
+        outcomes = Counter()
+        for density in (0.1, 0.3, 0.6, 0.9):
+            b = random_binary(n, density, rng)
+            for n_rand in n_rands:
+                for seed in (0, 201):
+                    for swaps in (0, 10):
+                        want = assert_same_as_separate(b, n_rand, seed, swaps)
+                        outcomes[want[0] if isinstance(want, tuple) else "report"] += 1
+        assert outcomes["report"] > 0
+
+    @pytest.mark.parametrize("b", [empty_graph(2), empty_graph(6), one_edge(),
+                                   two_disjoint_edges(), star_graph(5), path_graph(5),
+                                   complete_graph(4), k4_minus_edge()],
+                             ids=["edgeless-2", "edgeless-6", "one-edge", "two-edges",
+                                  "star", "path", "complete", "k4-minus-edge"])
+    def test_identical_on_edge_cases(self, b):
+        for n_rand in (-1, 0, 0.5, 1, 3):
+            for seed in (-1, 0, 5):
+                for swaps in (-1, 0, 10):
+                    assert_same_as_separate(b, n_rand, seed, swaps)
+
+    def test_edge_cases_reach_every_outcome(self):
+        cases = [
+            (empty_graph(6), 5, -1, 10, (UndefinedMetricError,
+             "no reachable node pairs; path length is undefined")),
+            (one_edge(), 2, 0, 10, (ValidationError, "rewiring needs at least 2 edges, got 1")),
+            (two_disjoint_edges(), 3, 0, 10, (NotEstimableError,
+             "random reference 0 has zero clustering")),
+            (path_graph(5), 2, -1, 10, (ValueError, "seed must be nonnegative")),
+            (path_graph(5), 0.5, 0, 10, (ValueError, "n_rand must be >= 1")),
+            (path_graph(5), 2, 0, -1, (ValueError, "swaps_per_edge must be nonnegative")),
+        ]
+        for b, n_rand, seed, swaps, raised in cases:
+            assert assert_same_as_separate(b, n_rand, seed, swaps) == raised
+
+    def test_small_world_checks_run_before_any_metric(self):
+        edgeless = empty_graph(5)
+        assert outcome(metrics_report, edgeless, n_rand=5, seed=-1) == \
+            (UndefinedMetricError, "no reachable node pairs; path length is undefined")
+        assert outcome(small_world_index, edgeless, seed=-1) == \
+            (ValueError, "seed must be nonnegative")
+        assert outcome(small_world_index, edgeless, n_rand=0) == \
+            (ValueError, "n_rand must be >= 1")
+
+    @pytest.mark.parametrize("n_rand", [0, 1, 2, 4])
+    def test_measures_the_network_once(self, monkeypatch, n_rand):
+        # perfbench/tracing.py times clustering, path length and rewiring by
+        # replacing these module attributes, so the reference loop must keep
+        # calling through them: once for the network, once per reference.
+        calls = Counter()
+        for name in ("nodal_clustering", "characteristic_path_length", "random_reference"):
+            def counted(*args, _name=name, _original=getattr(metrics, name), **kwargs):
+                calls[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(metrics, name, counted)
+        b = ring_lattice(20, 4)
+        report = metrics_report(b, n_rand=n_rand, seed=3)
+        expected = Counter(nodal_clustering=1 + n_rand, characteristic_path_length=1 + n_rand,
+                           random_reference=n_rand)
+        assert calls == expected
+        assert report == metrics_report_separate(b, n_rand, 3)
+        if n_rand:
+            calls.clear()
+            result = small_world_index(b, n_rand=n_rand, seed=3)
+            assert (result.sigma, result.gamma, result.lam) == \
+                (report.small_world_sigma, report.gamma, report.lam)
+            assert calls == expected

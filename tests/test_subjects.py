@@ -450,10 +450,12 @@ LOADER_CORPUS = {
                                               "id,age,gender,group,age\np1,30,M,PD,x\n"),
 }
 
-# The region-column check names the file in both layouts and gives the count
-# in both; these messages differ from the earlier loader's on purpose.
+# The region-column check names the file in both layouts, gives the count in
+# both and rejects an empty label at the header; these messages differ from the
+# earlier loader's on purpose.
 CHANGED_MESSAGES = {
     "one-file duplicate region": "{path}: duplicate region column",
+    "one-file empty region label": "{path}: empty region column label",
     "two-file one region": "{path}: need at least 2 region columns, got 1",
     "two-file no regions": "{path}: need at least 2 region columns, got 0",
 }
@@ -540,8 +542,19 @@ class TestRecordValidation:
     def test_empty_region_column_rejected_at_load(self, tmp_path):
         path = tmp_path / "s.csv"
         path.write_text("id,age,gender,group,r1,,r3\np1,40,M,PD,1.0,2.0,3.0\n")
-        with pytest.raises(ValidationError, match="region labels must be non-empty"):
+        with pytest.raises(ValidationError) as err:
             load_subjects_csv(path)
+        assert str(err.value) == f"{path}: empty region column label"
+
+    @pytest.mark.parametrize("header", ["id,r1, ,r3", "id,,r2", "id,r1,"])
+    def test_volumes_only_empty_region_column_names_file(self, tmp_path, header):
+        vols = tmp_path / "v.csv"
+        demo = tmp_path / "d.csv"
+        vols.write_text(header + "\np1,1,2,3\nbad row\n")
+        demo.write_text("id,age,gender,group\np1,40,M,PD\n")
+        with pytest.raises(ValidationError) as err:
+            load_subjects_csv(vols, demo)
+        assert str(err.value) == f"{vols}: empty region column label"
 
     def test_age_must_be_positive(self):
         with pytest.raises(ValidationError):
