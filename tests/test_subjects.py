@@ -14,6 +14,7 @@ from ubnin import (
     load_subjects_csv,
     residualize_covariate,
 )
+from ubnin.subjects import _pearson_network, _pearson_stack
 from oracles import load_subjects_csv_two_loops, pearson_brute
 from synth import (
     csv_text,
@@ -157,6 +158,24 @@ class TestGroupAssociation:
         for i in range(6):
             for j in range(i + 1, 6):
                 assert w[i, j] == pytest.approx(pearson_brute(m[:, i], m[:, j]), abs=1e-12)
+
+    def test_same_floats_as_corrcoef(self):
+        # The stack replays np.corrcoef's operations, so every matrix of it,
+        # and the network, hold the bytes the earlier np.corrcoef path gave.
+        rng = np.random.default_rng(6)
+        shapes = ((3, 2, 1), (4, 90, 3), (25, 90, 4), (69, 56, 2), (9, 7, 5))
+        for subjects, regions, count in shapes:
+            volumes = rng.normal(600.0, 40.0, (count, subjects, regions))
+            volumes[0] = np.round(volumes[0])  # ties between regions
+            stack, var = _pearson_stack(volumes)
+            for v, c, d in zip(volumes, stack, var):
+                corr = np.corrcoef(v, rowvar=False)
+                assert c.tobytes() == corr.tobytes()
+                np.testing.assert_allclose(d, np.var(v, axis=0, ddof=1), rtol=1e-12)
+                corr = (corr + corr.T) / 2.0
+                np.fill_diagonal(corr, 0.0)
+                network = _pearson_network(v, region_labels(regions))
+                assert network.weights.tobytes() == corr.tobytes()
 
     def test_values_bounded_and_diagonal_zero(self):
         rng = np.random.default_rng(4)
