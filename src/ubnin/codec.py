@@ -90,7 +90,7 @@ class UbninCode:
             raise MalformedCodeError("scale must be nonnegative")
         if e > 0 and num % 2 == 0:
             raise MalformedCodeError("non-canonical code: even numerator with nonzero scale")
-        if num >= (1 << (n - 1 + e)):
+        if num.bit_length() > n - 1 + e:  # num >= 2^(n-1+e), without building the power
             raise MalformedCodeError(f"value >= 2^{n - 1}, out of range for {n} nodes")
         if e > max_scale(n):
             raise MalformedCodeError(

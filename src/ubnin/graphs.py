@@ -202,6 +202,35 @@ def _adjacency(n: int, flat_idx: np.ndarray) -> np.ndarray:
     return e | e.T
 
 
+def _keep_strongest(weights: np.ndarray, upper: np.ndarray, k: int,
+                    out: np.ndarray) -> np.ndarray:
+    """The k strongest edges of each network of a stack, as adjacency ``out``.
+
+    ``weights`` is a (g, n, n) stack of symmetric matrices and ``upper`` a
+    (g, m) array of their upper triangles, which the partition reorders.
+    ``out`` is a (g, n, n) array of any dtype; it receives 1 for a kept edge,
+    in both triangles, and 0 elsewhere, the diagonal included. Ties at the
+    k-th largest weight keep the first equal weights in (row, col) order.
+    """
+    if k == 0:
+        out[...] = 0
+        return out
+    n, m = weights.shape[1], upper.shape[1]
+    # t is each network's k-th largest weight. Every weight above it is kept,
+    # and of those equal to it the first in (row, col) order fill the k places.
+    upper.partition(m - k, axis=1)
+    t = upper[:, m - k]
+    np.greater_equal(weights, t[:, None, None], out=out, casting="unsafe")
+    diag = np.arange(n)
+    out[:, diag, diag] = 0
+    extra = np.count_nonzero(upper >= t[:, None], axis=1) - k
+    for i in np.flatnonzero(extra):
+        ties = np.flatnonzero(np.triu(weights[i] == t[i], 1))  # (row, col) order
+        rows, cols = np.divmod(ties[ties.size - extra[i]:], n)
+        out[i, rows, cols] = out[i, cols, rows] = 0
+    return out
+
+
 def sparsity_threshold(w: WeightedNetwork, keep: float) -> BinaryNetwork:
     """Binarize a weighted network by retaining the strongest edges.
 
@@ -211,17 +240,10 @@ def sparsity_threshold(w: WeightedNetwork, keep: float) -> BinaryNetwork:
     """
     n = w.n
     flat = _upper_flat(n)
-    vals = w.weights.take(flat)
-    m = vals.size
-    k = target_edge_count(keep, m)
-    if k == 0:
-        return _built(BinaryNetwork, np.zeros((n, n), dtype=bool), w.labels)
-    # t is the k-th largest weight: fewer than k weights exceed it and the
-    # rest of the k are the first weights equal to it in (row, col) order.
-    t = np.partition(vals, m - k)[m - k]
-    chosen = vals > t
-    chosen[np.flatnonzero(vals == t)[:k - np.count_nonzero(chosen)]] = True
-    return _built(BinaryNetwork, _adjacency(n, flat[chosen]), w.labels)
+    k = target_edge_count(keep, flat.size)
+    a = _keep_strongest(w.weights[None], w.weights.take(flat)[None], k,
+                        np.empty((1, n, n), dtype=bool))
+    return _built(BinaryNetwork, a[0], w.labels)
 
 
 def consistency_threshold(stack: Sequence[WeightedNetwork], keep: float,

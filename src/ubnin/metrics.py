@@ -44,17 +44,25 @@ def nodal_clustering(b: BinaryNetwork) -> np.ndarray:
         get 0. Values lie in [0, 1].
 
     The 2-walk counts ``a @ a`` run in float32: each is an integer of at most
-    n-2, exact in float32 for any n below 2^24. Degrees and the closed
-    3-walks ``2*t`` are summed in float64, and the division runs in float64,
-    so the coefficients are the same floats as a float64 count gives.
+    n-1, exact in float32 for any n below 2^24. Degrees are the closed 2-walks
+    on the diagonal; the closed 3-walks ``2*t`` are summed in float64 and the
+    division runs in float64, so the coefficients are the floats of a float64 count.
     """
-    a = b.edges.astype(np.float32)
-    deg = a.sum(axis=1, dtype=np.float64)
-    closed = ((a @ a) * a).sum(axis=1, dtype=np.float64)
-    c = np.zeros(b.n)
+    return _clustering(b.edges.astype(np.float32)[None])[0]
+
+
+def _clustering(a: np.ndarray, walks: np.ndarray | None = None) -> np.ndarray:
+    """Nodal clustering, (g, n) float64, of a (g, n, n) float32 adjacency stack.
+
+    ``walks``, if given, is the (g, n, n) float32 array for the 2-walk counts.
+    """
+    walks = np.matmul(a, a, out=walks)
+    deg = np.diagonal(walks, axis1=1, axis2=2).astype(np.float64)
+    closed = np.einsum("gij,gij->gi", walks, a, dtype=np.float64)
+    c = np.zeros(deg.shape)
     connected = deg >= 2
-    k = deg[connected]
-    c[connected] = closed[connected] / (k * (k - 1.0))
+    d = deg[connected]
+    c[connected] = closed[connected] / (d * (d - 1.0))
     return c
 
 

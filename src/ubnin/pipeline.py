@@ -65,6 +65,8 @@ class RunConfig:
             raise ValidationError(f"threshold mode must be one of {THRESHOLD_MODES}")
         if self.threshold_strategy not in THRESHOLD_STRATEGIES:
             raise ValidationError(f"threshold strategy must be one of {THRESHOLD_STRATEGIES}")
+        if self.threshold_mode != "consistency" and self.threshold_strategy != "per-subject":
+            raise ValidationError("only consistency thresholds take a strategy")
         if not 0 < self.threshold_fraction <= 1:
             raise ValidationError("threshold fraction must lie in (0, 1]")
         if self.iterations < 1:

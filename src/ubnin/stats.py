@@ -7,12 +7,13 @@ distribution for group-level covariance networks. Iteration t draws its
 relabeling from the stream (seed, t).
 
 The statistic is computed for a block of splits at a time, on raw arrays:
-one correlation stack per group (``_pearson_stack``), one partition per
-level for the thresholds of the whole block, and one float32 matrix product
-for its closed walks. A block holds as many splits as fit ``_BLOCK_BYTES``
-for its float64 (splits, regions, regions) correlation stack. The floats are
-those of ``_pearson_network``, ``sparsity_threshold`` and
-``nodal_clustering``, so the result does not depend on the block size.
+one correlation stack per group (``_pearson_stack``, whose one-matrix case
+is ``_pearson_network``), then per level one call of
+``graphs._keep_strongest`` and one of ``metrics._clustering`` on the stack
+of the whole block. ``sparsity_threshold`` and ``nodal_clustering`` call the
+same two functions for one network, so the result does not depend on the
+block size. A block holds as many splits as fit ``_BLOCK_BYTES`` for its
+float64 (splits, regions, regions) correlation stack.
 """
 
 from __future__ import annotations
@@ -25,11 +26,12 @@ import numpy as np
 from scipy import special
 
 from .errors import DegenerateDesignError, ValidationError
-from .graphs import _upper_flat, target_edge_count
+from .graphs import _keep_strongest, _upper_flat, target_edge_count
 # perfbench/tracing.py wraps ``stats.sparsity_threshold`` and
 # ``stats._pearson_network``: the block kernel does not call the first, and
 # calls the second only to raise what a rejected split raises.
 from .graphs import sparsity_threshold  # noqa: F401
+from .metrics import _clustering
 from .subjects import CohortTable, _pearson_network, _pearson_rejects, _pearson_stack
 
 # A block holds as many splits as fit this many bytes of float64 (B, r, r)
@@ -149,8 +151,7 @@ class _BlockKernel:
         self.pool, self.n_a, self.labels, self.edges = pool, n_a, labels, edges
         self.upper_cells = _upper_flat(r)
         self.corr = np.empty((rows, r, r))
-        # The symmetrized correlations (c + c.T) / 2 of every network, A's
-        # then B's, with -inf on the diagonal so no threshold keeps a self-loop.
+        # The symmetrized correlations (c + c.T) / 2 of every network, A's then B's.
         self.weights = np.empty((2 * rows, r, r))
         # Their upper triangles, in an order that each level's partition changes.
         self.upper = np.empty((2 * rows, self.upper_cells.size))
@@ -181,47 +182,13 @@ class _BlockKernel:
             first = splits[np.argmax(rejected.any(axis=0))]
             _pearson_network(pool[first[:n_a]], self.labels)
             _pearson_network(pool[first[n_a:]], self.labels)
-        flat = weights.reshape(2 * b, r * r)
-        flat[:, ::r + 1] = -np.inf
-        flat.take(self.upper_cells, axis=1, out=self.upper[:2 * b])
+        upper = weights.reshape(2 * b, r * r).take(self.upper_cells, axis=1,
+                                                   out=self.upper[:2 * b])
         clustering = np.empty((2 * b, len(self.edges)))
         for level, k in enumerate(self.edges):
-            clustering[:, level] = self._mean_clustering(2 * b, k)
+            a = _keep_strongest(weights, upper, k, self.adjacency[:2 * b])
+            clustering[:, level] = _clustering(a, self.walks[:2 * b]).mean(axis=1)
         return clustering[:b] - clustering[b:]
-
-    def _mean_clustering(self, g: int, k: int) -> np.ndarray:
-        """``mean_clustering(sparsity_threshold(w, keep))`` for the first g networks.
-
-        k is the edge count ``sparsity_threshold`` keeps. The edges kept and
-        the arithmetic are those of ``sparsity_threshold`` and
-        ``nodal_clustering``, so each mean is the same float.
-        """
-        weights, upper = self.weights[:g], self.upper[:g]
-        n, m = weights.shape[1], upper.shape[1]
-        if k == 0:
-            return np.zeros(g)
-        # t is each network's k-th largest weight. Every weight above it is
-        # kept, and of those equal to it the first in (row, col) order fill
-        # the k places.
-        upper.partition(m - k, axis=1)
-        t = upper[:, m - k]
-        a = np.greater_equal(weights, t[:, None, None], out=self.adjacency[:g], casting="unsafe")
-        extra = np.count_nonzero(upper >= t[:, None], axis=1) - k
-        for i in np.flatnonzero(extra):
-            ties = np.flatnonzero(np.triu(weights[i] == t[i], 1))  # (row, col) order
-            for cell in ties[ties.size - extra[i]:]:
-                row, col = divmod(int(cell), n)
-                a[i, row, col] = a[i, col, row] = 0.0
-        # 2-walk counts, exact in float32 as in nodal_clustering; a node's
-        # closed 2-walks are its degree.
-        walks = np.matmul(a, a, out=self.walks[:g])
-        deg = np.diagonal(walks, axis1=1, axis2=2).astype(np.float64)
-        closed = np.einsum("gij,gij->gi", walks, a, dtype=np.float64)
-        c = np.zeros((g, n))
-        connected = deg >= 2
-        d = deg[connected]
-        c[connected] = closed[connected] / (d * (d - 1.0))
-        return c.mean(axis=1)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,11 @@ rewritten functions must match exactly. Likewise ``sparsity_threshold_argsort``
 is the earlier ``sparsity_threshold`` (a stable sort of every weight),
 ``target_edge_count_fraction`` the earlier ``target_edge_count`` (a
 ``Fraction`` product) and ``nodal_clustering_float64`` the earlier
-``nodal_clustering`` (triangle counts in float64). ``encode_tril`` and
+``nodal_clustering`` (triangle counts in float64). ``sparsity_threshold_partition``
+and ``nodal_clustering_float32`` are the one-network ``sparsity_threshold`` (a
+partition of one upper triangle) and ``nodal_clustering`` (degrees as row
+sums) from before both became the one-network case of the stacked functions
+that the permutation test calls. ``encode_tril`` and
 ``decode_tril`` are the earlier ``encode`` and ``decode`` (a 2-D
 ``tril_indices`` lookup), and ``to_decimal_string_int`` and
 ``parse_decimal_string_int`` the earlier value form (int multiplication and
@@ -61,6 +65,7 @@ from ubnin import (
     sparsity_threshold,
 )
 from ubnin.codec import _digits_to_int, _int_to_digits, _is_digits, max_scale
+from ubnin.graphs import _adjacency, _built, _upper_flat, target_edge_count
 from ubnin.subjects import CLINICAL_FIELDS, REQUIRED_COLUMNS, _pearson_network
 
 
@@ -92,6 +97,18 @@ def nodal_clustering_float64(b) -> np.ndarray:
     c = np.zeros(b.n)
     connected = deg >= 2
     c[connected] = 2.0 * triangles[connected] / (deg[connected] * (deg[connected] - 1.0))
+    return c
+
+
+def nodal_clustering_float32(b) -> np.ndarray:
+    """Per-node clustering with float32 2-walks and degrees as float64 row sums."""
+    a = b.edges.astype(np.float32)
+    deg = a.sum(axis=1, dtype=np.float64)
+    closed = ((a @ a) * a).sum(axis=1, dtype=np.float64)
+    c = np.zeros(b.n)
+    connected = deg >= 2
+    k = deg[connected]
+    c[connected] = closed[connected] / (k * (k - 1.0))
     return c
 
 
@@ -275,6 +292,27 @@ def sparsity_threshold_argsort(w, keep: float) -> BinaryNetwork:
     e = np.zeros((w.n, w.n), dtype=bool)
     e[rows[sel], cols[sel]] = True
     return BinaryNetwork(e | e.T, w.labels)
+
+
+def sparsity_threshold_partition(w, keep: float) -> BinaryNetwork:
+    """The k strongest upper-triangle edges by one partition of the triangle.
+
+    Ties at the k-th largest weight keep the first equal weights in (row, col)
+    order.
+    """
+    n = w.n
+    flat = _upper_flat(n)
+    vals = w.weights.take(flat)
+    m = vals.size
+    k = target_edge_count(keep, m)
+    if k == 0:
+        return _built(BinaryNetwork, np.zeros((n, n), dtype=bool), w.labels)
+    # t is the k-th largest weight: fewer than k weights exceed it and the
+    # rest of the k are the first weights equal to it in (row, col) order.
+    t = np.partition(vals, m - k)[m - k]
+    chosen = vals > t
+    chosen[np.flatnonzero(vals == t)[:k - np.count_nonzero(chosen)]] = True
+    return _built(BinaryNetwork, _adjacency(n, flat[chosen]), w.labels)
 
 
 def column_codes(edges) -> tuple[int, ...]:

@@ -62,6 +62,19 @@ class TestSweepAndThresholdParsing:
         with pytest.raises(ValidationError):
             parse_threshold_spec(spec)
 
+    def test_config_rejects_what_the_spec_rejects(self):
+        from ubnin import ValidationError
+
+        with pytest.raises(ValidationError, match="only consistency thresholds take a strategy"):
+            parse_threshold_spec("sparsity:0.3:group-mask")
+        with pytest.raises(ValidationError, match="only consistency thresholds take a strategy"):
+            pipeline.RunConfig(input="in.csv", out_dir="out", threshold_mode="sparsity",
+                               threshold_strategy="group-mask")
+        for strategy in ("per-subject", "group-mask"):
+            pipeline.RunConfig(input="in.csv", out_dir="out", threshold_mode="consistency",
+                               threshold_strategy=strategy)
+        pipeline.RunConfig(input="in.csv", out_dir="out", threshold_mode="sparsity")
+
 
 class TestEncodeCommand:
     def test_k10(self, tmp_path, capsys):

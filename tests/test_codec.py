@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -320,6 +321,25 @@ class TestCanonicalForm:
     def test_node_count_bound(self):
         with pytest.raises(MalformedCodeError):
             UbninCode(1, 0, 0)
+
+    @pytest.mark.parametrize("n, e", [(2, 0), (5, 0), (40, 0), (5, 6), (40, 700)])
+    def test_value_bound_is_exact(self, n, e):
+        top = 1 << (n - 1 + e)  # the value bound 2^(n-1) at scale e
+        assert UbninCode(n, top - 1, e).numerator == top - 1
+        past = top if e == 0 else top + 1  # at scale e > 0 a numerator must be odd
+        with pytest.raises(MalformedCodeError, match="out of range"):
+            UbninCode(n, past, e)
+
+    def test_value_bound_builds_no_power_of_two(self):
+        # 2^(n-1) alone would take 12 MiB at n = 10^8
+        tracemalloc.start()
+        try:
+            code = from_record({"n": 10**8, "numerator": "1", "scale": 0})
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == UbninCode(10**8, 1, 0)
+        assert peak < 1 << 20
 
     def test_n2_scale_must_be_zero(self):
         with pytest.raises(MalformedCodeError):

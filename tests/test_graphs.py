@@ -19,14 +19,16 @@ from ubnin import (
     sparsity_threshold,
     target_edge_count,
 )
-from ubnin.graphs import _upper_flat
+from ubnin.graphs import _keep_strongest, _upper_flat
+from ubnin.subjects import _pearson_network
 from oracles import (
     kept_edges_oracle,
     ranked_upper_triangle_lexsort,
     sparsity_threshold_argsort,
+    sparsity_threshold_partition,
     target_edge_count_fraction,
 )
-from synth import complete_graph, empty_graph, path_graph, random_weighted
+from synth import complete_graph, empty_graph, path_graph, random_weighted, region_labels
 
 
 def weighted_from_upper(n, entries):
@@ -262,9 +264,34 @@ class TestSelectionMatchesArgsortOracle:
             for w in weight_sets(n, rng):
                 for keep in oracle_keeps(n):
                     assert target_edge_count(keep, m) == target_edge_count_fraction(keep, m)
-                    assert sparsity_threshold(w, keep) == sparsity_threshold_argsort(w, keep)
+                    b = sparsity_threshold(w, keep)
+                    assert b == sparsity_threshold_argsort(w, keep)
+                    assert b == sparsity_threshold_partition(w, keep)
             assert target_edge_count(0.25 / m, m) == 0
             assert target_edge_count(1 / m, m) == 1
+
+    @pytest.mark.parametrize("n", ORACLE_SIZES)
+    def test_stacked_selection_row_by_row(self, n):
+        # Tie-heavy networks and few-subject correlations, which hold negative
+        # weights: at keep 1.0 the threshold lies below the diagonal's 0 or 1,
+        # so only the diagonal clear keeps self-loops out. The permutation test
+        # passes its networks with a diagonal of 1 and a float32 output.
+        rng = np.random.default_rng([15, n])
+        nets = weight_sets(n, rng) + [
+            _pearson_network(rng.normal(size=(4, n)), region_labels(n)) for _ in range(3)
+        ]
+        flat = _upper_flat(n)
+        zero_diag = np.stack([w.weights for w in nets])
+        unit_diag = zero_diag.copy()
+        unit_diag[:, np.arange(n), np.arange(n)] = 1.0
+        for keep in oracle_keeps(n):
+            k = target_edge_count(keep, flat.size)
+            for weights, dtype in ((zero_diag, bool), (unit_diag, np.float32)):
+                out = np.ones(weights.shape, dtype=dtype)
+                upper = weights.reshape(len(nets), -1)[:, flat]
+                assert _keep_strongest(weights, upper, k, out) is out
+                for w, a in zip(nets, out):
+                    assert np.array_equal(a, sparsity_threshold_argsort(w, keep).edges)
 
     @settings(max_examples=200, deadline=None)
     @given(

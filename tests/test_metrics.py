@@ -25,6 +25,7 @@ from oracles import (
     cpl_bfs_loop,
     cpl_floyd,
     metrics_report_separate,
+    nodal_clustering_float32,
     nodal_clustering_float64,
     random_reference_loop,
     small_world_index_separate,
@@ -111,7 +112,16 @@ class TestClusteringMatchesFloat64Oracle:
             c = nodal_clustering(b)
             assert c.dtype == np.float64
             assert c.tobytes() == expected.tobytes()
+            assert c.tobytes() == nodal_clustering_float32(b).tobytes()
             assert mean_clustering(b) == float(expected.mean())
+        # the permutation test's call: the stack of every graph at once, and
+        # the 2-walk counts in a work array of its own
+        a = np.stack([b.edges for b in graphs]).astype(np.float32)
+        walks = np.empty_like(a)
+        stacked = metrics._clustering(a, walks)
+        assert np.array_equal(walks, a @ a)
+        for b, c in zip(graphs, stacked):
+            assert c.tobytes() == nodal_clustering_float64(b).tobytes()
 
     def test_identical_with_isolated_and_degree_one_nodes(self):
         rng = np.random.default_rng(14)
