@@ -100,6 +100,15 @@ class UbninCode:
         object.__setattr__(self, "numerator", num)
         object.__setattr__(self, "scale", e)
 
+    @functools.cached_property
+    def _digits(self) -> str:
+        """The numerator's decimal digits, converted once per code.
+
+        ``to_decimal_string`` and ``to_record`` both start from them, and
+        ``run_fingerprint`` calls both for each code.
+        """
+        return _int_to_digits(self.numerator)
+
     @classmethod
     def canonical(cls, n: int, numerator: int, scale: int) -> "UbninCode":
         """Construct after stripping shared factors of two."""
@@ -226,8 +235,8 @@ def to_decimal_string(code: UbninCode) -> str:
     """
     k = code.scale
     if k == 0:
-        return _int_to_digits(code.numerator)
-    digits = str(_EXACT.multiply(decimal.Decimal(_int_to_digits(code.numerator)), _pow5(k)))
+        return code._digits
+    digits = str(_EXACT.multiply(decimal.Decimal(code._digits), _pow5(k)))
     digits = digits.zfill(k + 1)
     return f"{digits[:-k]}.{digits[-k:]}"
 
@@ -256,7 +265,7 @@ def parse_decimal_string(text: str, n: int) -> UbninCode:
 
 def to_record(code: UbninCode) -> dict:
     """Structured form {n, numerator digit string, scale}."""
-    return {"n": code.n, "numerator": _int_to_digits(code.numerator), "scale": code.scale}
+    return {"n": code.n, "numerator": code._digits, "scale": code.scale}
 
 
 def _json_int(literal: str):

@@ -223,10 +223,15 @@ def _keep_strongest(weights: np.ndarray, upper: np.ndarray, k: int,
     np.greater_equal(weights, t[:, None, None], out=out, casting="unsafe")
     diag = np.arange(n)
     out[:, diag, diag] = 0
-    extra = np.count_nonzero(upper >= t[:, None], axis=1) - k
-    for i in np.flatnonzero(extra):
+    if k == m:
+        return out
+    # The partition leaves the m - k weights below its pivot at most t, so a
+    # network has more ties at t than places only if their largest equals t.
+    below = upper[:, :m - k]
+    for i in np.flatnonzero(below.max(axis=1) == t):
+        extra = np.count_nonzero(below[i] == t[i])
         ties = np.flatnonzero(np.triu(weights[i] == t[i], 1))  # (row, col) order
-        rows, cols = np.divmod(ties[ties.size - extra[i]:], n)
+        rows, cols = np.divmod(ties[ties.size - extra:], n)
         out[i, rows, cols] = out[i, cols, rows] = 0
     return out
 

@@ -45,10 +45,18 @@ def nodal_clustering(b: BinaryNetwork) -> np.ndarray:
 
     The 2-walk counts ``a @ a`` run in float32: each is an integer of at most
     n-1, exact in float32 for any n below 2^24. Degrees are the closed 2-walks
-    on the diagonal; the closed 3-walks ``2*t`` are summed in float64 and the
-    division runs in float64, so the coefficients are the floats of a float64 count.
+    on the diagonal. The closed 3-walks ``2*t`` of a node are at most
+    (n-1)(n-2), and so is every partial sum of them: they are summed in
+    float32 while that bound is below 2^24 (n up to 4097) and in float64
+    above it, so every count is exact. The division runs in float64, so the
+    coefficients are the floats of a float64 count.
     """
     return _clustering(b.edges.astype(np.float32)[None])[0]
+
+
+def _closed_walk_dtype(n: int) -> type:
+    """The dtype in which the closed 3-walks of an n-node network sum exactly."""
+    return np.float32 if (n - 1) * (n - 2) < 1 << 24 else np.float64
 
 
 def _clustering(a: np.ndarray, walks: np.ndarray | None = None) -> np.ndarray:
@@ -58,7 +66,8 @@ def _clustering(a: np.ndarray, walks: np.ndarray | None = None) -> np.ndarray:
     """
     walks = np.matmul(a, a, out=walks)
     deg = np.diagonal(walks, axis1=1, axis2=2).astype(np.float64)
-    closed = np.einsum("gij,gij->gi", walks, a, dtype=np.float64)
+    closed = np.einsum("gij,gij->gi", walks, a,
+                       dtype=_closed_walk_dtype(a.shape[1])).astype(np.float64)
     c = np.zeros(deg.shape)
     connected = deg >= 2
     d = deg[connected]

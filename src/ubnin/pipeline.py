@@ -19,7 +19,7 @@ from .codec import encode, to_decimal_string, to_record
 from .errors import NotEstimableError, UbninError, UndefinedMetricError, ValidationError
 from .graphs import consistency_threshold, sparsity_threshold
 from .metrics import metrics_report
-from .stats import one_way_anova, permutation_test
+from .stats import PermutationWorkspace, one_way_anova, permutation_test
 from .subjects import (
     CLINICAL_FIELDS,
     DEFAULT_BIN_EDGES,
@@ -259,10 +259,12 @@ def run_cohort(config: RunConfig) -> dict:
                     continue
                 metric_rows.append(base | report.to_row())
 
+        workspace = PermutationWorkspace()  # shared by the group's tests
         for cohort_a, cohort_b in combinations(analyzed, 2):
             try:
                 result = permutation_test(
-                    cohort_a, cohort_b, sweep, iterations=config.iterations, seed=config.seed
+                    cohort_a, cohort_b, sweep, iterations=config.iterations, seed=config.seed,
+                    workspace=workspace,
                 )
             except UbninError as exc:
                 warnings.append(
@@ -285,6 +287,7 @@ def run_cohort(config: RunConfig) -> dict:
                         "metric": result.metric_name,
                     }
                 )
+        del workspace  # idle through the next group's metric rows
 
         fields = config.anova_fields
         if fields is None:

@@ -14,10 +14,16 @@ of the whole block. ``sparsity_threshold`` and ``nodal_clustering`` call the
 same two functions for one network, so the result does not depend on the
 block size. A block holds as many splits as fit ``_BLOCK_BYTES`` for its
 float64 (splits, regions, regions) correlation stack.
+
+The work arrays live in a ``PermutationWorkspace``. A caller that makes many
+tests (``pipeline.run_cohort``, for each group) creates one and passes it to
+each, so its arrays are allocated once for those tests rather than once per
+test; a test called without one creates its own.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import chain, islice
 from typing import ClassVar
@@ -39,7 +45,8 @@ from .subjects import CohortTable, _pearson_network, _pearson_rejects, _pearson_
 # ran a cohort-permutation round equally fast; larger blocks only add memory.
 _BLOCK_BYTES = 256 << 10
 
-__all__ = ["PermutationResult", "permutation_test", "AnovaResult", "one_way_anova"]
+__all__ = ["PermutationResult", "PermutationWorkspace", "permutation_test",
+           "AnovaResult", "one_way_anova"]
 
 
 @dataclass(frozen=True)
@@ -77,8 +84,31 @@ class PermutationResult:
         }
 
 
+class PermutationWorkspace:
+    """Work arrays that ``permutation_test`` calls reuse, one call at a time.
+
+    Each array is a view of a flat buffer of its own, which grows to the
+    largest size a call has asked for and is then kept: calls of one shape
+    get the same memory every time, and a smaller call a prefix of it. Freed
+    arrays of a few hundred KiB go back to the system, so fresh ones for
+    every test cost a page fault per 4 KiB page on every call.
+    """
+
+    def __init__(self):
+        self._buffers: dict[str, np.ndarray] = {}
+
+    def array(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+        """A C-ordered array of ``shape`` on the buffer ``name``; contents undefined."""
+        size = math.prod(shape)
+        buffer = self._buffers.get(name)
+        if buffer is None or buffer.dtype != dtype or buffer.size < size:
+            buffer = self._buffers[name] = np.empty(size, dtype)
+        return buffer[:size].reshape(shape)
+
+
 def permutation_test(group_a: CohortTable, group_b: CohortTable, sparsities,
-                     iterations: int = 1000, seed: int = 0) -> PermutationResult:
+                     iterations: int = 1000, seed: int = 0,
+                     workspace: PermutationWorkspace | None = None) -> PermutationResult:
     """Nonparametric permutation test of a group mean-clustering difference.
 
     The observed statistic, per sparsity level, is the mean clustering of the
@@ -91,7 +121,8 @@ def permutation_test(group_a: CohortTable, group_b: CohortTable, sparsities,
     Iteration t relabels the subjects with ``np.random.default_rng([seed, t])``,
     so equal inputs, iterations and seed give an equal result. The statistics
     are computed for a block of splits at a time, whatever the block size: the
-    observed split first, then the iterations in order.
+    observed split first, then the iterations in order. ``workspace`` holds the
+    work arrays; the result does not depend on what earlier calls left in it.
     """
     if group_a.region_labels != group_b.region_labels:
         raise ValidationError("cohorts must share identical region labels")
@@ -118,7 +149,8 @@ def permutation_test(group_a: CohortTable, group_b: CohortTable, sparsities,
     # iterations below then sums in the same order as over a list of rows.
     stat = np.empty((iterations + 1, len(sparsities)))
     block = max(1, _BLOCK_BYTES // (8 * r * r))
-    kernel = _BlockKernel(pool, n_a, labels, edges, min(block, iterations + 1))
+    kernel = _BlockKernel(pool, n_a, labels, edges, min(block, iterations + 1),
+                          workspace or PermutationWorkspace())
     for start in range(0, iterations + 1, block):
         rows = np.array(list(islice(splits, block)))
         stat[start:start + len(rows)] = kernel.statistic(rows)
@@ -137,26 +169,29 @@ def permutation_test(group_a: CohortTable, group_b: CohortTable, sparsities,
 
 
 class _BlockKernel:
-    """The statistic of a block of splits at a time, over work arrays reused
-    from block to block.
+    """The statistic of a block of splits at a time, on the arrays of a workspace.
 
-    Fresh arrays for every block cost more than their arithmetic: freed
-    arrays of a few hundred KiB go back to the system, and refilling them
-    page by page took about a third of the test's time at 90 regions and 24
-    iterations.
+    ``rows`` is the most splits a block holds; the arrays are sized for it.
+    The gathers pass ``mode="clip"`` to ``np.take``, which then writes to
+    ``out`` directly; the default "raise" fills a temporary and copies it.
+    Every index is in range, so the mode changes no value.
     """
 
-    def __init__(self, pool, n_a, labels, edges, rows):
-        r = pool.shape[1]
+    def __init__(self, pool, n_a, labels, edges, rows, workspace):
+        n_total, r = pool.shape
         self.pool, self.n_a, self.labels, self.edges = pool, n_a, labels, edges
         self.upper_cells = _upper_flat(r)
-        self.corr = np.empty((rows, r, r))
+        # The gathered and the centred volumes of one group of a block.
+        size = rows * max(n_a, n_total - n_a) * r
+        self.volumes = workspace.array("volumes", (size,))
+        self.centred = workspace.array("centred", (size,))
+        self.corr = workspace.array("corr", (rows, r, r))
         # The symmetrized correlations (c + c.T) / 2 of every network, A's then B's.
-        self.weights = np.empty((2 * rows, r, r))
+        self.weights = workspace.array("weights", (2 * rows, r, r))
         # Their upper triangles, in an order that each level's partition changes.
-        self.upper = np.empty((2 * rows, self.upper_cells.size))
-        self.adjacency = np.empty((2 * rows, r, r), dtype=np.float32)
-        self.walks = np.empty_like(self.adjacency)
+        self.upper = workspace.array("upper", (2 * rows, self.upper_cells.size))
+        self.adjacency = workspace.array("adjacency", (2 * rows, r, r), np.float32)
+        self.walks = workspace.array("walks", (2 * rows, r, r), np.float32)
 
     def statistic(self, splits) -> np.ndarray:
         """Mean clustering of A minus that of B, per split (row) and level (column).
@@ -172,8 +207,11 @@ class _BlockKernel:
         rejected = np.empty((2, b), dtype=bool)
         with np.errstate(all="ignore"):  # a rejected split warns in the call below
             for g, rows in enumerate((splits[:, :n_a], splits[:, n_a:])):
-                volumes = pool[rows]
-                c, var = _pearson_stack(volumes, out=self.corr[:b])
+                size, shape = b * rows.shape[1] * r, (b, rows.shape[1], r)
+                volumes = np.take(pool, rows, axis=0, mode="clip",
+                                  out=self.volumes[:size].reshape(shape))
+                c, var = _pearson_stack(volumes, self.corr[:b],
+                                        self.centred[:size].reshape(shape))
                 rejected[g] = _pearson_rejects(volumes, c, var)
                 w = weights[g * b:(g + 1) * b]
                 np.add(c, c.transpose(0, 2, 1), out=w)
@@ -182,7 +220,7 @@ class _BlockKernel:
             first = splits[np.argmax(rejected.any(axis=0))]
             _pearson_network(pool[first[:n_a]], self.labels)
             _pearson_network(pool[first[n_a:]], self.labels)
-        upper = weights.reshape(2 * b, r * r).take(self.upper_cells, axis=1,
+        upper = weights.reshape(2 * b, r * r).take(self.upper_cells, axis=1, mode="clip",
                                                    out=self.upper[:2 * b])
         clustering = np.empty((2 * b, len(self.edges)))
         for level, k in enumerate(self.edges):

@@ -168,7 +168,8 @@ def individual_network(subject, region_labels=None) -> WeightedNetwork:
 _TINY = np.finfo(np.float64).tiny  # the smallest normal float64
 
 
-def _pearson_stack(volumes: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarray]:
+def _pearson_stack(volumes: np.ndarray, out=None,
+                   centred=None) -> tuple[np.ndarray, np.ndarray]:
     """Correlations of each subjects-by-regions matrix in a (B, s, r) stack.
 
     Runs ``np.corrcoef(v, rowvar=False)``'s operations in its order: the mean
@@ -177,9 +178,11 @@ def _pearson_stack(volumes: np.ndarray, out=None) -> tuple[np.ndarray, np.ndarra
     by 1/(s-1), two divisions by the root of the diagonal, and the clip to
     [-1, 1]. So each (r, r) slice holds the same floats as ``np.corrcoef`` of
     that matrix. Also returns the (B, r) region variances: the diagonal
-    before the divisions. The correlations go to ``out`` when it is given.
+    before the divisions. The correlations go to ``out`` and the centred
+    volumes to ``centred``, a C-ordered array of the shape of ``volumes``,
+    when they are given.
     """
-    x = volumes - volumes.mean(axis=1, keepdims=True)
+    x = np.subtract(volumes, volumes.mean(axis=1, keepdims=True), out=centred)
     c = np.matmul(x.transpose(0, 2, 1), x, out=out)
     c *= np.true_divide(1, volumes.shape[1] - 1)
     var = np.diagonal(c, axis1=1, axis2=2).copy()

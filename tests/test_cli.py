@@ -20,6 +20,7 @@ from ubnin.cli import main
 from ubnin.graphs import format_binary_matrix
 from ubnin import pipeline
 from ubnin.pipeline import parse_threshold_spec
+from oracles import to_decimal_string_int
 from synth import (
     complete_graph,
     csv_text,
@@ -220,6 +221,7 @@ class TestFingerprintCommand:
         for rec, subject in zip(doc["records"], table.subjects):
             expected = sparsity_threshold(individual_network(subject, table.region_labels), 0.3)
             code = from_record({k: rec[k] for k in ("n", "numerator", "scale")})
+            assert rec["value"] == to_decimal_string_int(code)
             assert parse_decimal_string(rec["value"], regions) == code
             assert decode(code, table.region_labels) == expected
 

@@ -23,6 +23,7 @@ from ubnin import (
     to_float64,
     to_record,
 )
+from ubnin import codec
 from ubnin.codec import _lower_flat, max_scale
 from oracles import (
     column_codes,
@@ -253,6 +254,20 @@ class TestRecords:
         assert rec == {"n": 5, "numerator": "549", "scale": 6}
         assert from_record(rec) == code
         assert from_record('{"n": 5, "numerator": "549", "scale": 6}') == code
+
+    def test_value_and_record_convert_the_numerator_once(self, monkeypatch):
+        conversions = []
+
+        def counted(x):
+            conversions.append(x)
+            return str(x)
+
+        monkeypatch.setattr(codec, "_int_to_digits", counted)
+        code = encode(path_graph(5))
+        assert to_decimal_string(code) == "8.578125"
+        assert to_record(code) == {"n": 5, "numerator": "549", "scale": 6}
+        assert str(code) == "8.578125"
+        assert conversions == [549]
 
     @pytest.mark.parametrize("n", [170, 400])
     def test_round_trip_beyond_the_int_str_digit_limit(self, n):

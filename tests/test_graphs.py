@@ -293,6 +293,40 @@ class TestSelectionMatchesArgsortOracle:
                 for w, a in zip(nets, out):
                     assert np.array_equal(a, sparsity_threshold_argsort(w, keep).edges)
 
+    def test_stacked_selection_edge_cases(self):
+        # Every k from 0 to m on one stack: k == m leaves nothing below the
+        # partition's pivot, k == 1 keeps the largest weight alone, and ties
+        # above t, at t inside the k places, and at t across the cut occur
+        # in different networks of the stack at the same k.
+        n, m = 6, 15
+        rng = np.random.default_rng(16)
+        designs = [
+            np.arange(m, dtype=float),
+            np.array([9.0] * 3 + list(range(m - 3))),  # ties at the top
+            np.array([9.0] + [8.0] * 4 + [7.0] * 3 + list(range(m - 8))),  # ties inside
+            np.full(m, 0.5),  # all equal
+            np.array([-0.0, 0.0] * 7 + [1.0]),  # signed zeros compare equal
+        ]
+        nets = [upper_weights(n, rng.permutation(upper)) for upper in designs]
+        weights = np.stack([w.weights for w in nets])
+        weights[:, np.arange(n), np.arange(n)] = 1.0
+        flat = _upper_flat(n)
+        straddles = inside = 0
+        for k in range(m + 1):
+            keep = k / m if k else 0.25 / m
+            assert target_edge_count(keep, m) == k
+            out = np.ones(weights.shape, dtype=np.float32)
+            upper = weights.reshape(len(nets), -1)[:, flat]
+            assert _keep_strongest(weights, upper, k, out) is out
+            for w, a in zip(nets, out):
+                assert np.array_equal(a, sparsity_threshold_argsort(w, keep).edges)
+                ranked = np.sort(w.weights.take(flat))[::-1]
+                if 0 < k < m and ranked[k - 1] == ranked[k]:
+                    straddles += 1
+                elif 0 < k < m and ranked[k - 1] == ranked[k - 2]:
+                    inside += 1
+        assert straddles > 0 and inside > 0
+
     @settings(max_examples=200, deadline=None)
     @given(
         st.integers(min_value=2, max_value=12),

@@ -123,6 +123,16 @@ class TestClusteringMatchesFloat64Oracle:
         for b, c in zip(graphs, stacked):
             assert c.tobytes() == nodal_clustering_float64(b).tobytes()
 
+    def test_closed_walks_sum_in_float32_while_every_count_is_exact(self):
+        # A node's closed 3-walks, and every partial sum of them, are at most
+        # (n-1)(n-2): below 2^24, where float32 holds every integer, up to
+        # n = 4097.
+        assert 4096 * 4095 < 2**24 < 4097 * 4096
+        assert metrics._closed_walk_dtype(2) is np.float32
+        assert metrics._closed_walk_dtype(4097) is np.float32
+        assert metrics._closed_walk_dtype(4098) is np.float64
+        assert metrics._closed_walk_dtype(10**5) is np.float64
+
     def test_identical_with_isolated_and_degree_one_nodes(self):
         rng = np.random.default_rng(14)
         for n in (5, 17, 90):

@@ -234,3 +234,98 @@ def test_matches_objects_on_random_pools(n_a, n_b, r, integer, seed, iterations,
     with pytest.MonkeyPatch.context() as mp:
         set_block_rows(mp, rows, r)
         assert_same(a, b, levels, iterations, seed)
+
+
+def zero_span_pool(r, n_a, n_b, seed):
+    """Normal volumes, with region r1 at 0.1 for all but subjects 0 and n_a.
+
+    The observed split passes; a split that puts neither subject in a group
+    gives that group a zero span in r1.
+    """
+    volumes = np.random.default_rng(seed).normal(600.0, 40.0, (n_a + n_b, r))
+    volumes[:, 0] = 0.1
+    volumes[[0, n_a], 0] = [1.0, 2.0]
+    return volumes
+
+
+def test_one_workspace_serves_a_sequence_of_calls():
+    workspace = stats.PermutationWorkspace()
+    calls = []
+    for r, n_a, n_b in ((12, 9, 14), (56, 20, 7), (90, 11, 23)):
+        rng = np.random.default_rng([r, n_a, n_b])
+        pair = cohorts(rng.normal(600.0, 40.0, (n_a + n_b, r)), n_a)
+        block = block_rows(r)
+        for iterations in (1, block - 1, block + 1, 24):
+            for levels in ((0.6,), (0.3, 0.63, 0.9)):
+                calls.append((pair, levels, iterations))
+    # A call whose first rejected split is iteration t, row t + 1 of the
+    # statistics, in a block after the first one.
+    volumes = zero_span_pool(90, 4, 5, seed=5)
+    for failing_seed in range(100):
+        passed = [pair == (None, None) for pair in split_errors(volumes, 4, failing_seed, 6)]
+        if False in passed and passed.index(False) + 1 >= block_rows(90):
+            break
+    else:
+        pytest.fail("no seed rejects a split after the first block")
+    calls.insert(13, (cohorts(volumes, 4), (0.5,), 6))
+    raised = 0
+    for (a, b), levels, iterations in calls:
+        seed = failing_seed if iterations == 6 else iterations
+        kept = outcome(permutation_test, a, b, levels, iterations, seed, workspace)
+        assert kept == assert_same(a, b, levels, iterations, seed)
+        raised += isinstance(kept, tuple)
+    assert raised == 1
+
+
+def test_same_shaped_calls_reuse_the_workspace_buffers():
+    workspace = stats.PermutationWorkspace()
+    rng = np.random.default_rng(3)
+    a, b = cohorts(rng.normal(600.0, 40.0, (30, 56)), 14)
+    c, d = cohorts(rng.normal(600.0, 40.0, (30, 56)), 14)
+
+    def addresses():
+        return {name: buffer.ctypes.data for name, buffer in workspace._buffers.items()}
+
+    first = permutation_test(a, b, (0.4, 0.8), iterations=24, seed=1, workspace=workspace)
+    used = addresses()
+    assert set(used) == {"volumes", "centred", "corr", "weights", "upper", "adjacency", "walks"}
+    second = permutation_test(c, d, (0.4, 0.8), iterations=24, seed=2, workspace=workspace)
+    assert addresses() == used
+    # a call of fewer splits uses a prefix of the same buffers
+    assert permutation_test(a, b, (0.4, 0.8), iterations=1, seed=1,
+                            workspace=workspace) == permutation_test(a, b, (0.4, 0.8), 1, 1)
+    assert addresses() == used
+    assert first == permutation_test(a, b, (0.4, 0.8), iterations=24, seed=1)
+    assert second == permutation_test(c, d, (0.4, 0.8), iterations=24, seed=2)
+
+
+def test_workspace_grows_only_to_the_largest_call():
+    workspace = stats.PermutationWorkspace()
+    rng = np.random.default_rng(4)
+    a, b = cohorts(rng.normal(600.0, 40.0, (20, 90)), 10)
+    permutation_test(a, b, (0.6,), iterations=1, seed=0, workspace=workspace)
+    # iterations=1 has two splits, fewer than a block of 90 regions holds
+    assert block_rows(90) > 2
+    assert workspace._buffers["corr"].size == 2 * 90 * 90
+    assert workspace._buffers["volumes"].size == 2 * 10 * 90
+    permutation_test(a, b, (0.6,), iterations=24, seed=0, workspace=workspace)
+    assert workspace._buffers["corr"].size == block_rows(90) * 90 * 90
+
+
+@pytest.mark.parametrize("n_a,value,seed", [(3, 0.1, 0), (4, 7.0, 2)])
+def test_zero_span_in_a_pool_with_a_repeated_value(n_a, value, seed):
+    # Region r3 holds `value` for the first n_a subjects only, so the pool
+    # repeats a value there. With n_a = 3, group A of the observed split has
+    # a zero span in r3; with n_a = 4 (and 126 ways to choose group A), the
+    # first iteration that draws exactly those four subjects into it. Three
+    # times 0.1 has a mean other than 0.1, so a positive variance, and only
+    # the span check rejects the group; four times 7.0 has variance 0.
+    volumes = np.random.default_rng(seed).normal(600.0, 40.0, (n_a + 5, 6))
+    volumes[:n_a, 2] = value
+    r3 = volumes[None, :n_a, 2]
+    positive_variance = (r3 - r3.mean(axis=1, keepdims=True)).any()
+    assert positive_variance == (value == 0.1)
+    a, b = cohorts(volumes, n_a)
+    expected = (DegenerateDesignError, "zero-variance regions: r3")
+    assert assert_same(a, b, (0.5,), 200, seed) == expected
+

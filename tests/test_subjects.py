@@ -168,6 +168,11 @@ class TestGroupAssociation:
             volumes = rng.normal(600.0, 40.0, (count, subjects, regions))
             volumes[0] = np.round(volumes[0])  # ties between regions
             stack, var = _pearson_stack(volumes)
+            # the same bytes through work arrays that hold earlier values
+            out, centred = np.full(stack.shape, np.nan), np.full(volumes.shape, np.nan)
+            again, again_var = _pearson_stack(volumes, out, centred)
+            assert again is out
+            assert again.tobytes() == stack.tobytes() and again_var.tobytes() == var.tobytes()
             for v, c, d in zip(volumes, stack, var):
                 corr = np.corrcoef(v, rowvar=False)
                 assert c.tobytes() == corr.tobytes()
