@@ -125,6 +125,16 @@ def characteristic_path_length(b: BinaryNetwork) -> tuple[float, float]:
     return total / reachable, reachable / (n * (n - 1))
 
 
+_CHUNK = 4096
+"""Attempts whose draws ``random_reference`` converts to lists at a time."""
+
+
+def _check_count(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an integer (a Python or numpy int, not a bool)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def random_reference(b: BinaryNetwork, seed, swaps_per_edge: int = 10) -> BinaryNetwork:
     """Degree-preserving randomization by repeated double-edge swaps.
 
@@ -134,55 +144,66 @@ def random_reference(b: BinaryNetwork, seed, swaps_per_edge: int = 10) -> Binary
     the output equals the input exactly, and the result is a deterministic
     function of (input, seed, swaps_per_edge).
 
-    The edge list is held as two int lists of endpoints (u < v) and the edge
-    set as a flat ``bytearray`` upper-triangle adjacency indexed by
-    ``u * n + v``, so the swap loop does only int arithmetic and byte lookups.
+    Each attempt is one test, ``adj[a][d] or adj[c][b]``, on the adjacency
+    held as n ``bytearray`` rows over both triangles with the diagonal set
+    to 1, so the diagonal reads as an edge that is present. That one test
+    rejects every attempt that would duplicate an edge, every self-loop
+    (``a == d`` or ``c == b``) and every pair with i == j (with flip 0 the
+    new edge (a, d) is edge i itself, with flip 1 it is a self-loop). The
+    edge list is held as two int lists of endpoints of length 2m: slot s
+    holds edge s as (u, v) with u < v and slot s + m holds it as (v, u), so
+    the flip is folded into the second slot, j + m * flip, and an attempt
+    reads its four endpoints without a branch. The draws are converted to
+    lists ``_CHUNK`` attempts at a time; node ids below 257 are CPython's
+    cached small ints, so at atlas sizes the loop allocates nothing.
+
     The random draws, the accept/reject rule and the slot each swap writes are
     those of the tuple-and-set loop kept as ``random_reference_loop`` in
     ``tests/oracles.py``, and the output is identical to it.
     """
+    _check_count("swaps_per_edge", swaps_per_edge)
     m = edge_count(b)
     if m < 2:
         raise ValidationError(f"rewiring needs at least 2 edges, got {m}")
     if swaps_per_edge < 0:
         raise ValueError("swaps_per_edge must be nonnegative")
-    n = b.n
-    upper = np.triu(b.edges, 1)
-    rows, cols = np.nonzero(upper)
-    us = rows.tolist()
-    vs = cols.tolist()
-    adj = bytearray(upper.tobytes())
+    rows, cols = np.nonzero(np.triu(b.edges, 1))
+    us = np.concatenate([rows, cols]).tolist()
+    vs = np.concatenate([cols, rows]).tolist()
+    full = b.edges.view(np.uint8).copy()
+    np.fill_diagonal(full, 1)
+    adj = [bytearray(row) for row in full]
     rng = np.random.default_rng(seed)
     attempts = swaps_per_edge * m
-    slots_i, slots_j = rng.integers(0, m, size=(attempts, 2)).T.tolist()
-    flips = rng.integers(0, 2, size=attempts).tolist()
-    for i, j, flip in zip(slots_i, slots_j, flips):
-        if i == j:
-            continue
-        a = us[i]
-        b_ = vs[i]
-        if flip:
-            c = vs[j]
-            d = us[j]
-        else:
+    draws = rng.integers(0, m, size=(attempts, 2))
+    second = draws[:, 1]
+    second += m * rng.integers(0, 2, size=attempts)
+    for start in range(0, attempts, _CHUNK):
+        stop = start + _CHUNK
+        for i, j in zip(draws[start:stop, 0].tolist(), second[start:stop].tolist()):
+            # Slot i is edge (a, b) and slot j edge (c, d): this is adj[a][d] or adj[c][b].
+            if adj[us[i]][vs[j]] or adj[us[j]][vs[i]]:
+                continue
+            # Accepted, so a, b, c, d are four distinct nodes (a == c or b == d
+            # would make a new edge edge i itself) and the writes do not overlap.
+            a = us[i]
+            b_ = vs[i]
             c = us[j]
             d = vs[j]
-        if a == d or c == b_:
-            continue
-        # Distinct list edges make the two new edges distinct, so checking
-        # both against the adjacency rules out every duplicate.
-        first = a * n + d if a < d else d * n + a
-        second = c * n + b_ if c < b_ else b_ * n + c
-        if adj[first] or adj[second]:
-            continue
-        adj[a * n + b_] = 0
-        adj[us[j] * n + vs[j]] = 0
-        adj[first] = 1
-        adj[second] = 1
-        us[i], vs[i] = divmod(first, n)
-        us[j], vs[j] = divmod(second, n)
-    out = np.frombuffer(adj, dtype=np.uint8).reshape(n, n).astype(bool)
-    out |= out.T
+            adj[a][b_] = adj[b_][a] = adj[c][d] = adj[d][c] = 0
+            adj[a][d] = adj[d][a] = adj[c][b_] = adj[b_][c] = 1
+            if j >= m:
+                j -= m
+            if a > d:
+                a, d = d, a
+            if c > b_:
+                c, b_ = b_, c
+            us[i] = vs[i + m] = a
+            vs[i] = us[i + m] = d
+            us[j] = vs[j + m] = c
+            vs[j] = us[j + m] = b_
+    out = np.frombuffer(b"".join(adj), dtype=np.uint8).reshape(b.n, b.n).astype(bool)
+    np.fill_diagonal(out, False)
     return _built(BinaryNetwork, out, b.labels)
 
 
@@ -214,6 +235,7 @@ def small_world_index(b: BinaryNetwork, n_rand: int = 100, seed: int = 0,
 
 
 def _check_references(n_rand, seed) -> None:
+    _check_count("n_rand", n_rand)
     if n_rand < 1:
         raise ValueError("n_rand must be >= 1")
     if seed < 0:
@@ -275,6 +297,7 @@ def metrics_report(b: BinaryNetwork, n_rand: int = 100, seed: int = 0,
     n_rand 0 the sigma/gamma/lam fields stay empty; otherwise
     NotEstimableError propagates when references fail.
     """
+    _check_count("n_rand", n_rand)
     nodal = nodal_clustering(b)
     length, reach = characteristic_path_length(b)
     c_obs = float(nodal.mean())

@@ -69,6 +69,10 @@ class RunConfig:
             raise ValidationError("only consistency thresholds take a strategy")
         if not 0 < self.threshold_fraction <= 1:
             raise ValidationError("threshold fraction must lie in (0, 1]")
+        for name in ("iterations", "seed", "n_rand", "swaps_per_edge"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValidationError(f"{name} must be an integer, got {value!r}")
         if self.iterations < 1:
             raise ValidationError("iterations must be >= 1")
         if self.seed < 0:

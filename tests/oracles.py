@@ -7,11 +7,14 @@ statistics are evaluated in exact rationals or with mpmath.
 
 ``random_reference_loop`` and ``cpl_bfs_loop`` are the earlier
 implementations of ``random_reference`` and ``characteristic_path_length``
-(a tuple-and-set swap loop and a per-source BFS), and
-``ranked_upper_triangle_lexsort`` the earlier edge ranking of the thresholds
-(a lexsort with row and column as explicit keys), kept as references that the
-rewritten functions must match exactly. Likewise ``sparsity_threshold_argsort``
-is the earlier ``sparsity_threshold`` (a stable sort of every weight),
+(a tuple-and-set swap loop and a per-source BFS),
+``random_reference_bytearray`` the ``random_reference`` that came between
+(two endpoint lists, a flat upper-triangle ``bytearray`` and a branch per
+rejection rule), and ``ranked_upper_triangle_lexsort`` the earlier edge
+ranking of the thresholds (a lexsort with row and column as explicit keys),
+kept as references that the rewritten functions must match exactly.
+Likewise ``sparsity_threshold_argsort`` is the earlier
+``sparsity_threshold`` (a stable sort of every weight),
 ``target_edge_count_fraction`` the earlier ``target_edge_count`` (a
 ``Fraction`` product) and ``nodal_clustering_float64`` the earlier
 ``nodal_clustering`` (triangle counts in float64). ``sparsity_threshold_partition``
@@ -202,6 +205,51 @@ def random_reference_loop(b, seed, swaps_per_edge: int = 10):
     out = np.zeros((b.n, b.n), dtype=bool)
     for u, v in edges:
         out[u, v] = True
+    out |= out.T
+    return BinaryNetwork(out, b.labels)
+
+
+def random_reference_bytearray(b, seed, swaps_per_edge: int = 10):
+    """Double-edge swaps over two endpoint lists and a flat upper-triangle bytearray."""
+    m = edge_count(b)
+    if m < 2:
+        raise ValidationError(f"rewiring needs at least 2 edges, got {m}")
+    if swaps_per_edge < 0:
+        raise ValueError("swaps_per_edge must be nonnegative")
+    n = b.n
+    upper = np.triu(b.edges, 1)
+    rows, cols = np.nonzero(upper)
+    us = rows.tolist()
+    vs = cols.tolist()
+    adj = bytearray(upper.tobytes())
+    rng = np.random.default_rng(seed)
+    attempts = swaps_per_edge * m
+    slots_i, slots_j = rng.integers(0, m, size=(attempts, 2)).T.tolist()
+    flips = rng.integers(0, 2, size=attempts).tolist()
+    for i, j, flip in zip(slots_i, slots_j, flips):
+        if i == j:
+            continue
+        a = us[i]
+        b_ = vs[i]
+        if flip:
+            c = vs[j]
+            d = us[j]
+        else:
+            c = us[j]
+            d = vs[j]
+        if a == d or c == b_:
+            continue
+        first = a * n + d if a < d else d * n + a
+        second = c * n + b_ if c < b_ else b_ * n + c
+        if adj[first] or adj[second]:
+            continue
+        adj[a * n + b_] = 0
+        adj[us[j] * n + vs[j]] = 0
+        adj[first] = 1
+        adj[second] = 1
+        us[i], vs[i] = divmod(first, n)
+        us[j], vs[j] = divmod(second, n)
+    out = np.frombuffer(adj, dtype=np.uint8).reshape(n, n).astype(bool)
     out |= out.T
     return BinaryNetwork(out, b.labels)
 

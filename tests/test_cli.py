@@ -76,6 +76,28 @@ class TestSweepAndThresholdParsing:
                                threshold_strategy=strategy)
         pipeline.RunConfig(input="in.csv", out_dir="out", threshold_mode="sparsity")
 
+    @pytest.mark.parametrize("field, value", [
+        ("swaps_per_edge", 1.5), ("n_rand", 1.5), ("iterations", 2.5), ("seed", 1.5),
+        ("iterations", True), ("n_rand", False), ("seed", "3"), ("swaps_per_edge", np.int64(10)),
+    ])
+    def test_config_rejects_non_integer_counts(self, field, value):
+        from ubnin import ValidationError
+
+        with pytest.raises(ValidationError, match=f"^{field} must be an integer, got "):
+            pipeline.RunConfig(input="in.csv", out_dir="out", **{field: value})
+
+    def test_config_keeps_messages_for_integer_counts(self):
+        from ubnin import ValidationError
+
+        for kwargs, message in [
+            ({"iterations": 0}, "iterations must be >= 1"),
+            ({"seed": -1}, "seed must be nonnegative"),
+            ({"n_rand": -1}, "n_rand and swaps_per_edge must be nonnegative"),
+            ({"swaps_per_edge": -1}, "n_rand and swaps_per_edge must be nonnegative"),
+        ]:
+            with pytest.raises(ValidationError, match=f"^{message}$"):
+                pipeline.RunConfig(input="in.csv", out_dir="out", **kwargs)
+
 
 class TestEncodeCommand:
     def test_k10(self, tmp_path, capsys):

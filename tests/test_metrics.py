@@ -2,6 +2,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from ubnin import metrics
 from ubnin import (
@@ -27,6 +29,7 @@ from oracles import (
     metrics_report_separate,
     nodal_clustering_float32,
     nodal_clustering_float64,
+    random_reference_bytearray,
     random_reference_loop,
     small_world_index_separate,
 )
@@ -239,6 +242,58 @@ class TestRandomReference:
         with pytest.raises(ValidationError):
             random_reference(path_graph(2), seed=0)
 
+    @pytest.mark.parametrize("swaps", [1.5, 10.0, True, "10", None])
+    def test_rejects_non_integer_swaps_before_any_work(self, swaps):
+        # A one-edge network would raise ValidationError if any work ran first.
+        message = f"^swaps_per_edge must be an integer, got {swaps!r}$"
+        for b in (ring_lattice(10, 4), path_graph(2)):
+            with pytest.raises(ValueError, match=message):
+                random_reference(b, seed=0, swaps_per_edge=swaps)
+
+    def test_keeps_messages_for_integer_swaps(self):
+        with pytest.raises(ValueError, match="^swaps_per_edge must be nonnegative$"):
+            random_reference(ring_lattice(10, 4), seed=0, swaps_per_edge=-1)
+        with pytest.raises(ValidationError, match="^rewiring needs at least 2 edges, got 1$"):
+            random_reference(path_graph(2), seed=0, swaps_per_edge=-1)
+
+    def test_numpy_integer_swaps_accepted(self):
+        b = ring_lattice(20, 4)
+        assert random_reference(b, 3, np.int64(4)) == random_reference(b, 3, 4)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=4, max_value=40),
+        st.floats(min_value=0.1, max_value=1.0),
+        st.integers(min_value=0, max_value=2**32 - 1),
+        st.one_of(st.integers(min_value=0, max_value=2**32 - 1),
+                  st.lists(st.integers(min_value=0, max_value=2**32 - 1), min_size=2, max_size=2)),
+        st.integers(min_value=0, max_value=5),
+    )
+    def test_property_matches_loop_and_keeps_degrees(self, n, density, graph_seed, seed, swaps):
+        b = random_binary(n, density, np.random.default_rng(graph_seed))
+        assume(edge_count(b) >= 2)
+        ref = random_reference(b, seed, swaps)
+        assert ref == random_reference_loop(b, seed, swaps)
+        assert np.array_equal(degree_sequence(ref), degree_sequence(b))
+        assert np.array_equal(ref.edges, ref.edges.T)
+        assert not ref.edges.diagonal().any()
+
+
+def network_with_edges(n, m, rng):
+    """A network on n nodes with exactly m edges at random places."""
+    rows, cols = np.triu_indices(n, 1)
+    picked = rng.choice(rows.size, size=m, replace=False)
+    e = np.zeros((n, n), dtype=bool)
+    e[rows[picked], cols[picked]] = True
+    return BinaryNetwork(e | e.T)
+
+
+def assert_matches_both_oracles(b, seed, swaps):
+    ref = random_reference(b, seed, swaps)
+    assert ref == random_reference_loop(b, seed, swaps)
+    assert ref == random_reference_bytearray(b, seed, swaps)
+    return ref
+
 
 class TestRewiringMatchesOracle:
     @pytest.mark.parametrize("n", ORACLE_SIZES)
@@ -250,7 +305,7 @@ class TestRewiringMatchesOracle:
                 continue
             for seed in (0, 7, [n, 3]):
                 for swaps in SWAPS_PER_EDGE:
-                    assert random_reference(b, seed, swaps) == random_reference_loop(b, seed, swaps)
+                    assert_matches_both_oracles(b, seed, swaps)
 
     @pytest.mark.parametrize("keep", [0.6, 0.9])
     def test_identical_on_thresholded_atlas_networks(self, keep):
@@ -266,6 +321,39 @@ class TestRewiringMatchesOracle:
         for seed in (1, [2, 0]):
             for swaps in SWAPS_PER_EDGE:
                 assert random_reference(b, seed, swaps) == random_reference_loop(b, seed, swaps)
+
+    def test_identical_beyond_the_small_int_cache(self):
+        b = random_binary(300, 0.02, np.random.default_rng(300))
+        assert b.n > 257 and edge_count(b) > 500
+        for seed in (0, [300, 1]):
+            assert_matches_both_oracles(b, seed, 10)
+
+    @pytest.mark.parametrize("m, swaps", [(819, 5), (1024, 4), (241, 17), (2731, 3)],
+                             ids=["4095", "4096", "4097", "8193"])
+    def test_identical_at_chunk_edges(self, m, swaps):
+        # swaps * m attempts: one short of, exactly, one past and two chunks
+        # and one past the chunk of 4096.
+        b = network_with_edges(100, m, np.random.default_rng(m))
+        assert edge_count(b) == m
+        for seed in (m, [m, 2]):
+            assert_matches_both_oracles(b, seed, swaps)
+
+    def test_complete_graph_rejects_every_attempt(self):
+        for n in (4, 8, 30):
+            b = complete_graph(n)
+            for swaps in (1, 10):
+                assert assert_matches_both_oracles(b, n, swaps) == b
+
+    @pytest.mark.parametrize("b", [star_graph(6), two_disjoint_edges()], ids=["star", "two-edges"])
+    def test_identical_on_star_and_two_disjoint_edges(self, b):
+        for seed in range(20):
+            for swaps in (1, 10):
+                assert_matches_both_oracles(b, seed, swaps)
+
+    def test_zero_swaps_is_identity_in_all_three(self):
+        rng = np.random.default_rng(0)
+        for b in (random_binary(30, 0.3, rng), ring_lattice(12, 4), two_disjoint_edges()):
+            assert assert_matches_both_oracles(b, 5, 0) == b
 
 
 class TestSmallWorld:
@@ -317,6 +405,20 @@ class TestSmallWorldMatchesOracle:
 
 
 class TestMetricsReport:
+    @pytest.mark.parametrize("n_rand", [1.5, 2.0, True, "2"])
+    def test_rejects_non_integer_n_rand_before_any_work(self, monkeypatch, n_rand):
+        def no_work(*args, **kwargs):
+            raise AssertionError("measured a network before checking n_rand")
+
+        monkeypatch.setattr(metrics, "nodal_clustering", no_work)
+        for fn in (metrics_report, small_world_index):
+            with pytest.raises(ValueError, match=f"^n_rand must be an integer, got {n_rand!r}$"):
+                fn(ring_lattice(12, 4), n_rand=n_rand)
+
+    def test_numpy_integer_n_rand_accepted(self):
+        b = ring_lattice(12, 4)
+        assert metrics_report(b, n_rand=np.int64(2)) == metrics_report(b, n_rand=2)
+
     def test_mean_is_mean_of_nodal(self):
         report = metrics_report(k4_minus_edge(), n_rand=0)
         assert report.mean_clustering == pytest.approx(5 / 6, abs=1e-15)
@@ -367,6 +469,14 @@ def outcome(fn, *args, **kwargs):
 
 
 def assert_same_as_separate(b, n_rand, seed, swaps):
+    if not isinstance(n_rand, int):
+        # The earlier pair compared a non-integer n_rand as a number; both
+        # functions now reject it before any work, whatever the network.
+        want = (ValueError, f"n_rand must be an integer, got {n_rand!r}")
+        assert outcome(metrics_report, b, n_rand=n_rand, seed=seed, swaps_per_edge=swaps) == want
+        assert outcome(small_world_index, b, n_rand=n_rand, seed=seed,
+                       swaps_per_edge=swaps) == want
+        return want
     want = outcome(metrics_report_separate, b, n_rand, seed, swaps)
     assert outcome(metrics_report, b, n_rand=n_rand, seed=seed, swaps_per_edge=swaps) == want
     assert outcome(small_world_index, b, n_rand=n_rand, seed=seed, swaps_per_edge=swaps) == \
@@ -416,7 +526,7 @@ class TestReportMatchesSeparateLoops:
             (two_disjoint_edges(), 3, 0, 10, (NotEstimableError,
              "random reference 0 has zero clustering")),
             (path_graph(5), 2, -1, 10, (ValueError, "seed must be nonnegative")),
-            (path_graph(5), 0.5, 0, 10, (ValueError, "n_rand must be >= 1")),
+            (path_graph(5), 0.5, 0, 10, (ValueError, "n_rand must be an integer, got 0.5")),
             (path_graph(5), 2, 0, -1, (ValueError, "swaps_per_edge must be nonnegative")),
         ]
         for b, n_rand, seed, swaps, raised in cases:
