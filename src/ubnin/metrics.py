@@ -295,9 +295,12 @@ def metrics_report(b: BinaryNetwork, n_rand: int = 100, seed: int = 0,
     The network's clustering and path length are measured once and serve both
     the record and the small-world ratios (see ``small_world_index``). With
     n_rand 0 the sigma/gamma/lam fields stay empty; otherwise
-    NotEstimableError propagates when references fail.
+    NotEstimableError propagates when references fail. A negative or
+    non-integer n_rand raises ValueError before any work.
     """
     _check_count("n_rand", n_rand)
+    if n_rand < 0:
+        raise ValueError("n_rand must be >= 0")
     nodal = nodal_clustering(b)
     length, reach = characteristic_path_length(b)
     c_obs = float(nodal.mean())

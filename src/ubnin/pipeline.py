@@ -164,6 +164,28 @@ def _load_table(config: RunConfig):
     return table
 
 
+def _codes(table: CohortTable, config: RunConfig):
+    """Yield each subject's code in turn.
+
+    Per subject, and in group-mask mode with a single subject, one subject's
+    weighted and binary networks are built, encoded and dropped before the
+    next subject starts. A group mask over 2 or more subjects needs every
+    weighted network at once; they are dropped once the mask is applied.
+    """
+    labels, keep = table.region_labels, config.threshold_fraction
+    # Per-subject consistency is each network's sparsity threshold; a mask needs 2+ networks.
+    mask = (config.threshold_mode, config.threshold_strategy) == ("consistency", "group-mask")
+    if mask and len(table.subjects) > 1:
+        stack = [individual_network(s, labels) for s in table.subjects]
+        shared = consistency_threshold(stack, keep, "group-mask")
+        del stack
+        for net in shared:
+            yield encode(net)
+    else:
+        for subject in table.subjects:
+            yield encode(sparsity_threshold(individual_network(subject, labels), keep))
+
+
 def run_fingerprint(config: RunConfig) -> dict:
     """Encode every subject's thresholded similarity network; write the registry.
 
@@ -173,17 +195,9 @@ def run_fingerprint(config: RunConfig) -> dict:
     table = _load_table(config)
     if not table.subjects:
         raise ValidationError("no subjects to fingerprint")
-    networks = [individual_network(s, table.region_labels) for s in table.subjects]
-    # Per-subject consistency is each network's sparsity threshold; a mask needs 2+ networks.
-    mask = (config.threshold_mode, config.threshold_strategy) == ("consistency", "group-mask")
-    if mask and len(networks) > 1:
-        binarized = consistency_threshold(networks, config.threshold_fraction, "group-mask")
-    else:
-        binarized = [sparsity_threshold(w, config.threshold_fraction) for w in networks]
     records = []
     by_code: dict = {}
-    for subject, net in zip(table.subjects, binarized):
-        code = encode(net)
+    for subject, code in zip(table.subjects, _codes(table, config)):
         records.append(
             {"id": subject.id, "n": code.n, "value": to_decimal_string(code)} | to_record(code)
         )

@@ -19,6 +19,10 @@ The work arrays live in a ``PermutationWorkspace``. A caller that makes many
 tests (``pipeline.run_cohort``, for each group) creates one and passes it to
 each, so its arrays are allocated once for those tests rather than once per
 test; a test called without one creates its own.
+
+``one_way_anova`` takes its tail probability from ``scipy.special``, which
+it imports on its first call, so importing ``ubnin`` loads no scipy and a
+run that makes no ANOVA (``pipeline.run_fingerprint``) never pays for it.
 """
 
 from __future__ import annotations
@@ -29,7 +33,6 @@ from itertools import chain, islice
 from typing import ClassVar
 
 import numpy as np
-from scipy import special
 
 from .errors import DegenerateDesignError, ValidationError
 from .graphs import _keep_strongest, _upper_flat, target_edge_count
@@ -273,6 +276,8 @@ def one_way_anova(groups) -> AnovaResult:
         if ss_between == 0.0:
             return AnovaResult(F=0.0, df_between=df_between, df_within=df_within, p=1.0)
         raise DegenerateDesignError("zero within-group variance with unequal group means")
+    from scipy import special  # see the module docstring
+
     f_stat = (ss_between / df_between) / (ss_within / df_within)
     x = df_within / (df_within + df_between * f_stat)
     p = float(special.betainc(df_within / 2.0, df_between / 2.0, x))

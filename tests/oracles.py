@@ -36,7 +36,9 @@ clustering and path length a second time and ran the reference loop itself.
 loop that builds a ``WeightedNetwork`` and a ``BinaryNetwork`` per group and
 level for the observed split and for every iteration. Its networks come from
 the package's ``_pearson_network``, which ``tests/test_subjects.py`` pins to
-the bytes of ``np.corrcoef``.
+the bytes of ``np.corrcoef``. ``run_fingerprint_lists`` is the earlier
+``run_fingerprint``, which built every subject's weighted network, then every
+binary network, before it encoded the first.
 """
 
 from __future__ import annotations
@@ -44,10 +46,12 @@ from __future__ import annotations
 import csv
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
 from ubnin import (
+    __version__,
     BinaryNetwork,
     CohortTable,
     DegenerateDesignError,
@@ -67,9 +71,29 @@ from ubnin import (
     random_reference,
     sparsity_threshold,
 )
-from ubnin.codec import _digits_to_int, _int_to_digits, _is_digits, max_scale
-from ubnin.graphs import _adjacency, _built, _upper_flat, target_edge_count
-from ubnin.subjects import CLINICAL_FIELDS, REQUIRED_COLUMNS, _pearson_network
+from ubnin.codec import (
+    _digits_to_int,
+    _int_to_digits,
+    _is_digits,
+    encode,
+    max_scale,
+    to_decimal_string,
+    to_record,
+)
+from ubnin.graphs import (
+    _adjacency,
+    _built,
+    _upper_flat,
+    consistency_threshold,
+    target_edge_count,
+)
+from ubnin.pipeline import RunConfig, _load_table, _write_json
+from ubnin.subjects import (
+    CLINICAL_FIELDS,
+    REQUIRED_COLUMNS,
+    _pearson_network,
+    individual_network,
+)
 
 
 def clustering_brute(edges) -> list[float]:
@@ -701,3 +725,39 @@ def permutation_test_objects(group_a: CohortTable, group_b: CohortTable, sparsit
         iterations=iterations,
         seed=seed,
     )
+
+
+def run_fingerprint_lists(config: RunConfig) -> dict:
+    """The fingerprint run with every subject's networks held in lists."""
+    table = _load_table(config)
+    if not table.subjects:
+        raise ValidationError("no subjects to fingerprint")
+    networks = [individual_network(s, table.region_labels) for s in table.subjects]
+    mask = (config.threshold_mode, config.threshold_strategy) == ("consistency", "group-mask")
+    if mask and len(networks) > 1:
+        binarized = consistency_threshold(networks, config.threshold_fraction, "group-mask")
+    else:
+        binarized = [sparsity_threshold(w, config.threshold_fraction) for w in networks]
+    records = []
+    by_code: dict = {}
+    for subject, net in zip(table.subjects, binarized):
+        code = encode(net)
+        records.append(
+            {"id": subject.id, "n": code.n, "value": to_decimal_string(code)} | to_record(code)
+        )
+        by_code.setdefault((code.numerator, code.scale), []).append(subject.id)
+    duplicates = [ids for ids in by_code.values() if len(ids) > 1]
+    doc = {
+        "version": __version__,
+        "config": config.to_dict(),
+        "subjects": len(records),
+        "distinct_codes": len(by_code),
+        "records": records,
+        "duplicates": duplicates,
+    }
+    out_dir = Path(config.out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    registry = out_dir / "fingerprints.json"
+    _write_json(registry, doc)
+    doc["registry_path"] = str(registry)
+    return doc

@@ -477,6 +477,14 @@ def assert_same_as_separate(b, n_rand, seed, swaps):
         assert outcome(small_world_index, b, n_rand=n_rand, seed=seed,
                        swaps_per_edge=swaps) == want
         return want
+    if n_rand < 0:
+        # The earlier metrics_report returned a report without small-world
+        # fields for a negative n_rand; it now rejects it before any work.
+        want = (ValueError, "n_rand must be >= 0")
+        assert outcome(metrics_report, b, n_rand=n_rand, seed=seed, swaps_per_edge=swaps) == want
+        assert outcome(small_world_index, b, n_rand=n_rand, seed=seed, swaps_per_edge=swaps) == \
+            outcome(small_world_index_separate, b, n_rand, seed, swaps)
+        return want
     want = outcome(metrics_report_separate, b, n_rand, seed, swaps)
     assert outcome(metrics_report, b, n_rand=n_rand, seed=seed, swaps_per_edge=swaps) == want
     assert outcome(small_world_index, b, n_rand=n_rand, seed=seed, swaps_per_edge=swaps) == \
@@ -527,6 +535,7 @@ class TestReportMatchesSeparateLoops:
              "random reference 0 has zero clustering")),
             (path_graph(5), 2, -1, 10, (ValueError, "seed must be nonnegative")),
             (path_graph(5), 0.5, 0, 10, (ValueError, "n_rand must be an integer, got 0.5")),
+            (path_graph(5), -1, 0, 10, (ValueError, "n_rand must be >= 0")),
             (path_graph(5), 2, 0, -1, (ValueError, "swaps_per_edge must be nonnegative")),
         ]
         for b, n_rand, seed, swaps, raised in cases:
@@ -536,6 +545,7 @@ class TestReportMatchesSeparateLoops:
         edgeless = empty_graph(5)
         assert outcome(metrics_report, edgeless, n_rand=5, seed=-1) == \
             (UndefinedMetricError, "no reachable node pairs; path length is undefined")
+        assert outcome(metrics_report, edgeless, n_rand=-1) == (ValueError, "n_rand must be >= 0")
         assert outcome(small_world_index, edgeless, seed=-1) == \
             (ValueError, "seed must be nonnegative")
         assert outcome(small_world_index, edgeless, n_rand=0) == \
