@@ -8,12 +8,13 @@ relabeling from the stream (seed, t).
 
 The statistic is computed for a block of splits at a time, on raw arrays:
 one correlation stack per group (``_pearson_stack``, whose one-matrix case
-is ``_pearson_network``), then per level one call of
-``graphs._keep_strongest`` and one of ``metrics._clustering`` on the stack
-of the whole block. ``sparsity_threshold`` and ``nodal_clustering`` call the
-same two functions for one network, so the result does not depend on the
-block size. A block holds as many splits as fit ``_BLOCK_BYTES`` for its
-float64 (splits, regions, regions) correlation stack.
+is ``_pearson_network``) and its checks (``_pearson_rejection``), then per
+level one call of ``graphs._keep_strongest`` and one of
+``metrics._clustering`` on the stack of the whole block.
+``sparsity_threshold`` and ``nodal_clustering`` call the same two functions
+for one network, so the result does not depend on the block size. A block
+holds as many splits as fit ``_BLOCK_BYTES`` for its float64 (splits,
+regions, regions) correlation stack.
 
 The work arrays live in a ``PermutationWorkspace``. A caller that makes many
 tests (``pipeline.run_cohort``, for each group) creates one and passes it to
@@ -36,12 +37,11 @@ import numpy as np
 
 from .errors import DegenerateDesignError, ValidationError
 from .graphs import _keep_strongest, _upper_flat, target_edge_count
-# perfbench/tracing.py wraps ``stats.sparsity_threshold`` and
-# ``stats._pearson_network``: the block kernel does not call the first, and
-# calls the second only to raise what a rejected split raises.
-from .graphs import sparsity_threshold  # noqa: F401
 from .metrics import _clustering
-from .subjects import CohortTable, _pearson_network, _pearson_rejects, _pearson_stack
+from .subjects import CohortTable, _pearson_rejection, _pearson_stack
+# Not called here: kept only because perfbench/tracing.py WRAPPED looks them up.
+from .graphs import sparsity_threshold  # noqa: F401
+from .subjects import _pearson_network  # noqa: F401
 
 # A block holds as many splits as fit this many bytes of float64 (B, r, r)
 # correlation stack: 4 at 90 regions. At 90 regions, blocks of 2 to 8 splits
@@ -200,29 +200,29 @@ class _BlockKernel:
         """Mean clustering of A minus that of B, per split (row) and level (column).
 
         Row i of ``splits`` orders the pooled subjects with A's first
-        ``n_a``. A split that ``_pearson_network`` would reject raises,
-        through a call of it on that split, what the one-network path raises
-        for the first such split: group A before group B.
+        ``n_a``. The first rejected split raises what ``_pearson_rejection``
+        found in it, group A before group B, each checked before the other
+        group's stack overwrites the shared work arrays.
         """
         pool, n_a = self.pool, self.n_a
         b, r = len(splits), pool.shape[1]
         weights = self.weights[:2 * b]
-        rejected = np.empty((2, b), dtype=bool)
-        with np.errstate(all="ignore"):  # a rejected split warns in the call below
+        first = None
+        with np.errstate(all="ignore"):  # what numpy warns about is rejected below
             for g, rows in enumerate((splits[:, :n_a], splits[:, n_a:])):
                 size, shape = b * rows.shape[1] * r, (b, rows.shape[1], r)
                 volumes = np.take(pool, rows, axis=0, mode="clip",
                                   out=self.volumes[:size].reshape(shape))
                 c, var = _pearson_stack(volumes, self.corr[:b],
                                         self.centred[:size].reshape(shape))
-                rejected[g] = _pearson_rejects(volumes, c, var)
+                found = _pearson_rejection(volumes, c, var, self.labels)
+                if found and (first is None or found[0] < first[0]):
+                    first = found
                 w = weights[g * b:(g + 1) * b]
                 np.add(c, c.transpose(0, 2, 1), out=w)
                 w /= 2.0
-        if rejected.any():
-            first = splits[np.argmax(rejected.any(axis=0))]
-            _pearson_network(pool[first[:n_a]], self.labels)
-            _pearson_network(pool[first[n_a:]], self.labels)
+        if first:
+            raise first[1]
         upper = weights.reshape(2 * b, r * r).take(self.upper_cells, axis=1, mode="clip",
                                                    out=self.upper[:2 * b])
         clustering = np.empty((2 * b, len(self.edges)))

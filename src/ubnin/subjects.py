@@ -193,59 +193,58 @@ def _pearson_stack(volumes: np.ndarray, out=None,
     return c, var
 
 
-def _pearson_rejects(volumes: np.ndarray, c: np.ndarray, var: np.ndarray) -> np.ndarray:
-    """Which matrices of a ``_pearson_stack`` call ``_pearson_network`` rejects.
+def _pearson_rejection(volumes: np.ndarray, c: np.ndarray, var: np.ndarray,
+                       labels) -> tuple[int, Exception] | None:
+    """``(index, error)`` for the first matrix of a ``_pearson_stack`` call
+    that makes no network, or None. The error is built for that matrix only.
 
-    The same three checks on every matrix of the stack at once: a zero span,
-    a non-finite correlation and a subnormal variance. The clip has turned
-    every infinite correlation into +-1, so a NaN is the only non-finite
-    value left, and ``(c + c.T) / 2`` is non-finite exactly where c holds one.
+    The checks, in order: regions whose volumes do not vary; a NaN
+    correlation (after the clip, the only non-finite value), named by the
+    first region pair it reaches, or by a region and itself when a region on
+    a huge or tiny scale leaves its NaN on the diagonal alone; and a region
+    whose variance is subnormal, so that its correlations lose precision.
     """
-    return ((volumes.max(axis=1) == volumes.min(axis=1)).any(axis=1)
-            | np.isnan(c).any(axis=(1, 2))
-            | (var < _TINY).any(axis=1))
+    flat = volumes.max(axis=1) - volumes.min(axis=1) == 0
+    nan, low = np.isnan(c), var < _TINY
+    rejected = flat.any(axis=1) | nan.any(axis=(1, 2)) | low.any(axis=1)
+    if not rejected.any():
+        return None
+    k = int(np.argmax(rejected))
+    if flat[k].any():
+        names = ", ".join(labels[i] for i in np.flatnonzero(flat[k]))
+        return k, DegenerateDesignError(f"zero-variance regions: {names}")
+    if nan[k].any():
+        cells = np.argwhere(nan[k] | nan[k].T)  # the NaNs of (c + c.T) / 2
+        i, j = cells[np.argmax(cells[:, 0] != cells[:, 1])]  # a region pair before a region
+        pair = (f"regions {labels[i]} and {labels[j]}" if i != j
+                else f"region {labels[i]} and itself")
+        return k, ValidationError(f"non-finite weight between {pair}: the correlation "
+                                  "of their volumes overflows or underflows float64")
+    i = np.flatnonzero(low[k])[0]
+    return k, ValidationError(
+        f"region {labels[i]}: the variance of its volumes, {var[k, i]}, "
+        "is below the smallest normal float64, so its correlations lose precision"
+    )
 
 
 def _pearson_network(volume_matrix: np.ndarray, labels) -> WeightedNetwork:
     """Correlation network of a subjects-by-regions matrix.
 
-    The one-matrix case of ``_pearson_stack``. ``labels`` are a cohort's
-    region labels, which ``CohortTable`` has checked. A finite correlation
-    matrix is valid by construction. Volumes on a huge or tiny scale make the
-    correlation overflow or underflow float64; that is rejected with the
-    first region pair it reaches. The diagonal is checked before it is
-    zeroed: one region on such a scale can leave its NaN on the diagonal
-    alone, with wrong but finite correlations elsewhere. A region whose
-    variance is finite but subnormal gives finite correlations with too few
-    significant bits, and is rejected after that check.
+    The one-matrix case of ``_pearson_stack`` and ``_pearson_rejection``.
+    ``labels`` are a cohort's region labels, which ``CohortTable`` has
+    checked. numpy warns about nothing here: every value it would warn about
+    is rejected with an error that names its cause.
     """
     if volume_matrix.shape[0] < 3:
         raise DegenerateDesignError(
             f"association matrix needs >= 3 subjects, got {volume_matrix.shape[0]}"
         )
-    spans = volume_matrix.max(axis=0) - volume_matrix.min(axis=0)
-    flat = np.flatnonzero(spans == 0)
-    if flat.size:
-        names = ", ".join(labels[i] for i in flat)
-        raise DegenerateDesignError(f"zero-variance regions: {names}")
-    stack, var = _pearson_stack(volume_matrix[None])
+    with np.errstate(all="ignore"):
+        stack, var = _pearson_stack(volume_matrix[None])
+        rejection = _pearson_rejection(volume_matrix[None], stack, var, labels)
+    if rejection:
+        raise rejection[1]
     corr = (stack[0] + stack[0].T) / 2.0
-    if not np.isfinite(corr).all():
-        cells = np.argwhere(~np.isfinite(corr))
-        i, j = cells[np.argmax(cells[:, 0] != cells[:, 1])]  # a region pair before a region
-        pair = (f"regions {labels[i]} and {labels[j]}" if i != j
-                else f"region {labels[i]} and itself")
-        raise ValidationError(
-            f"non-finite weight between {pair}: "
-            "the correlation of their volumes overflows or underflows float64"
-        )
-    low = np.flatnonzero(var[0] < _TINY)
-    if low.size:
-        i = low[0]
-        raise ValidationError(
-            f"region {labels[i]}: the variance of its volumes, {var[0, i]}, "
-            "is below the smallest normal float64, so its correlations lose precision"
-        )
     np.fill_diagonal(corr, 0.0)
     return _built(WeightedNetwork, corr, labels)
 

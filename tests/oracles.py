@@ -35,8 +35,12 @@ clustering and path length a second time and ran the reference loop itself.
 ``permutation_test_objects`` is the earlier ``permutation_test``: one serial
 loop that builds a ``WeightedNetwork`` and a ``BinaryNetwork`` per group and
 level for the observed split and for every iteration. Its networks come from
-the package's ``_pearson_network``, which ``tests/test_subjects.py`` pins to
-the bytes of ``np.corrcoef``. ``run_fingerprint_lists`` is the earlier
+``pearson_network_three_checks``, the earlier ``_pearson_network``, which ran
+its zero-span, non-finite and subnormal checks one after another on one
+matrix (with numpy's warnings on), where the package now runs them through
+``_pearson_rejection`` on a whole stack. Its correlations come from the
+package's ``_pearson_stack``, which ``tests/test_subjects.py`` pins to the
+bytes of ``np.corrcoef``. ``run_fingerprint_lists`` is the earlier
 ``run_fingerprint``, which built every subject's weighted network, then every
 binary network, before it encoded the first.
 """
@@ -64,6 +68,7 @@ from ubnin import (
     UbninCode,
     UndefinedMetricError,
     ValidationError,
+    WeightedNetwork,
     characteristic_path_length,
     edge_count,
     mean_clustering,
@@ -91,7 +96,7 @@ from ubnin.pipeline import RunConfig, _load_table, _write_json
 from ubnin.subjects import (
     CLINICAL_FIELDS,
     REQUIRED_COLUMNS,
-    _pearson_network,
+    _pearson_stack,
     individual_network,
 )
 
@@ -682,6 +687,42 @@ def _load_demographics(path) -> dict:
     return out
 
 
+_TINY = np.finfo(np.float64).tiny
+
+
+def pearson_network_three_checks(volume_matrix: np.ndarray, labels) -> WeightedNetwork:
+    """Correlation network of a subjects-by-regions matrix, checked step by step."""
+    if volume_matrix.shape[0] < 3:
+        raise DegenerateDesignError(
+            f"association matrix needs >= 3 subjects, got {volume_matrix.shape[0]}"
+        )
+    spans = volume_matrix.max(axis=0) - volume_matrix.min(axis=0)
+    flat = np.flatnonzero(spans == 0)
+    if flat.size:
+        names = ", ".join(labels[i] for i in flat)
+        raise DegenerateDesignError(f"zero-variance regions: {names}")
+    stack, var = _pearson_stack(volume_matrix[None])
+    corr = (stack[0] + stack[0].T) / 2.0
+    if not np.isfinite(corr).all():
+        cells = np.argwhere(~np.isfinite(corr))
+        i, j = cells[np.argmax(cells[:, 0] != cells[:, 1])]  # a region pair before a region
+        pair = (f"regions {labels[i]} and {labels[j]}" if i != j
+                else f"region {labels[i]} and itself")
+        raise ValidationError(
+            f"non-finite weight between {pair}: "
+            "the correlation of their volumes overflows or underflows float64"
+        )
+    low = np.flatnonzero(var[0] < _TINY)
+    if low.size:
+        i = low[0]
+        raise ValidationError(
+            f"region {labels[i]}: the variance of its volumes, {var[0, i]}, "
+            "is below the smallest normal float64, so its correlations lose precision"
+        )
+    np.fill_diagonal(corr, 0.0)
+    return _built(WeightedNetwork, corr, labels)
+
+
 def permutation_test_objects(group_a: CohortTable, group_b: CohortTable, sparsities,
                              iterations: int = 1000, seed: int = 0) -> PermutationResult:
     """The permutation test as one serial loop over network objects."""
@@ -702,8 +743,8 @@ def permutation_test_objects(group_a: CohortTable, group_b: CohortTable, sparsit
     n_total = pool.shape[0]
 
     def stat(rows_a, rows_b):
-        net_a = _pearson_network(pool[rows_a], labels)
-        net_b = _pearson_network(pool[rows_b], labels)
+        net_a = pearson_network_three_checks(pool[rows_a], labels)
+        net_b = pearson_network_three_checks(pool[rows_b], labels)
         return [
             mean_clustering(sparsity_threshold(net_a, s))
             - mean_clustering(sparsity_threshold(net_b, s))

@@ -8,6 +8,8 @@ rejected input must raise the oracle's exception type and message, whatever
 the number of splits per block.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,10 +24,10 @@ from ubnin import (
     group_association_matrix,
     permutation_test,
     stats,
+    subjects,
 )
 from ubnin.graphs import _upper_flat, target_edge_count
-from ubnin.subjects import _pearson_network
-from oracles import permutation_test_objects
+from oracles import pearson_network_three_checks, permutation_test_objects
 from synth import region_labels
 
 # 1e-4 keeps no edge below 100 regions; 1.0 keeps every edge.
@@ -124,14 +126,14 @@ def test_matches_objects_on_tied_integer_volumes(monkeypatch):
 
 
 def split_errors(volumes, n_a, seed, iterations):
-    """What ``_pearson_network`` raises for group A and for group B, per iteration."""
+    """What the one-network checks raise for group A and for group B, per iteration."""
     labels = region_labels(volumes.shape[1])
     errors = []
     for t in range(iterations):
         perm = np.random.default_rng([seed, t]).permutation(len(volumes))
         pair = []
         for rows in (perm[:n_a], perm[n_a:]):
-            got = outcome(_pearson_network, volumes[rows], labels)
+            got = outcome(pearson_network_three_checks, volumes[rows], labels)
             pair.append(got if isinstance(got, tuple) else None)
         errors.append(tuple(pair))
     return errors
@@ -194,6 +196,54 @@ def test_observed_split_checks_run_in_the_serial_order(spread, huge, expected):
     assert assert_same(a, b, (0.5,), 5, seed=0) == expected
 
 
+# Group A of this order of the failing pool holds subjects 1 and 7, so its r2
+# overflows; group B holds subject 6, so its r1 varies and it passes.
+OVERFLOWING_OBSERVED_SPLIT = [0, 1, 7, 2, 3, 4, 5, 6, 8, 9, 10, 11]
+
+
+def first_failing_seed(volumes, n_a, iterations):
+    """A seed whose first rejected split is an iteration after the first."""
+    for seed in range(100):
+        errors = split_errors(volumes, n_a, seed, iterations)
+        failed = [t for t, pair in enumerate(errors) if pair != (None, None)]
+        if failed and failed[0] > 0:
+            return seed, next(e for e in errors[failed[0]] if e is not None)
+    pytest.fail("no seed rejects a later iteration")
+
+
+def test_rejected_splits_make_no_one_network_call(monkeypatch):
+    calls = []
+    for module in (subjects, stats):
+        monkeypatch.setattr(module, "_pearson_network",
+                            lambda *args, _module=module: calls.append(_module))
+    # the observed split fails
+    a, b = cohorts(failing_pool()[OVERFLOWING_OBSERVED_SPLIT], 6)
+    assert assert_same(a, b, (0.5,), 3, seed=0) == OVERFLOW
+    # the observed split passes and a later iteration fails
+    seed, expected = first_failing_seed(failing_pool(), 6, 12)
+    a, b = cohorts(failing_pool(), 6)
+    assert assert_same(a, b, (0.5,), 12, seed) == expected
+    assert calls == []
+
+
+def test_overflow_raises_no_numpy_warning():
+    a, b = cohorts(failing_pool()[OVERFLOWING_OBSERVED_SPLIT], 6)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValidationError) as err:
+            group_association_matrix(a)
+        assert (type(err.value), str(err.value)) == OVERFLOW
+        with pytest.raises(ValidationError) as err:
+            permutation_test(a, b, (0.5,), iterations=3, seed=0)
+        assert (type(err.value), str(err.value)) == OVERFLOW
+        # and in a later iteration
+        seed, expected = first_failing_seed(failing_pool(), 6, 12)
+        a, b = cohorts(failing_pool(), 6)
+        with pytest.raises(expected[0]) as err:
+            permutation_test(a, b, (0.5,), iterations=12, seed=seed)
+        assert str(err.value) == expected[1]
+
+
 def subnormal_cohorts():
     """Ten subjects whose region r4 has a subnormal variance, then eight others."""
     volumes = np.random.default_rng(0).normal(size=(18, 4))
@@ -234,6 +284,26 @@ def test_matches_objects_on_random_pools(n_a, n_b, r, integer, seed, iterations,
     with pytest.MonkeyPatch.context() as mp:
         set_block_rows(mp, rows, r)
         assert_same(a, b, levels, iterations, seed)
+
+
+def test_subnormal_variance_in_a_later_split_of_a_block(monkeypatch):
+    # Region r4 is on the scale 1e-160 except for subjects 0 and 6, so a group
+    # with neither has a subnormal variance there; the observed split passes.
+    volumes = np.random.default_rng(3).normal(size=(12, 5))
+    volumes[:, 3] *= 1e-160
+    volumes[[0, 6], 3] = [1.0, 2.0]
+    a, b = cohorts(volumes, 6)
+    set_block_rows(monkeypatch, 4, 5)
+    for seed in range(100):
+        errors = split_errors(volumes, 6, seed, 12)
+        t = next((t for t, pair in enumerate(errors) if pair != (None, None)), None)
+        if t is not None and (t + 1) % 4:  # not the first split of its block
+            break
+    else:
+        pytest.fail("no seed rejects a split inside a block")
+    kind, message = assert_same(a, b, (0.5,), 12, seed)
+    assert kind is ValidationError
+    assert message.startswith(SUBNORMAL[0]) and message.endswith(SUBNORMAL[1])
 
 
 def zero_span_pool(r, n_a, n_b, seed):

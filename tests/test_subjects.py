@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +17,7 @@ from ubnin import (
     residualize_covariate,
 )
 from ubnin.subjects import _pearson_network, _pearson_stack
-from oracles import load_subjects_csv_two_loops, pearson_brute
+from oracles import load_subjects_csv_two_loops, pearson_brute, pearson_network_three_checks
 from synth import (
     csv_text,
     make_cohort,
@@ -131,6 +133,12 @@ class TestResidualize:
             residualize_covariate(t, "height")
 
 
+def three_checks(t):
+    """The oracle's network of a table, with numpy's warnings off."""
+    with np.errstate(all="ignore"):
+        return pearson_network_three_checks(t.volume_matrix(), t.region_labels)
+
+
 class TestGroupAssociation:
     def test_duplicate_region_correlates_perfectly(self):
         t = table(
@@ -200,13 +208,79 @@ class TestGroupAssociation:
 
     def test_zero_variance_region_flagged_by_name(self):
         t = table([subject("a", [1.0, 7.0]), subject("b", [2.0, 7.0]), subject("c", [3.0, 7.0])])
-        with pytest.raises(DegenerateDesignError, match="r2"):
-            group_association_matrix(t)
+        for network in (group_association_matrix, three_checks):
+            with pytest.raises(DegenerateDesignError, match="r2"):
+                network(t)
 
     def test_too_few_subjects_rejected(self):
         t = table([subject("a", [1.0, 2.0]), subject("b", [2.0, 1.0])])
-        with pytest.raises(DegenerateDesignError):
-            group_association_matrix(t)
+        for network in (group_association_matrix, three_checks):
+            with pytest.raises(DegenerateDesignError):
+                network(t)
+
+
+def network_outcome(fn, volumes):
+    """Weight bytes of a network, or the type and message of what was raised."""
+    try:
+        return fn(volumes, region_labels(volumes.shape[1])).weights.tobytes()
+    except (DegenerateDesignError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+def rejected_volume_matrices():
+    """Volume matrices, one for each way the correlation checks reject."""
+    rng = np.random.default_rng(21)
+    cases = []
+    v = rng.normal(600.0, 40.0, (3, 5))
+    v[:, 2] = 0.1  # three times 0.1 has a mean other than 0.1: a positive variance
+    assert np.var(v[:, 2]) > 0
+    cases.append(pytest.param(v, id="zero span, positive variance"))
+    v = rng.normal(600.0, 40.0, (6, 5))
+    v[:, [1, 4]] = 7.0
+    cases.append(pytest.param(v, id="zero span, variance 0, two regions"))
+    v = rng.normal(size=(6, 5))
+    v[:, 0] = 0.1
+    v[:, 3] *= 1e200
+    cases.append(pytest.param(v, id="zero span before an overflow"))
+    for scale in (1e200, 1e-170):
+        cases.append(pytest.param(rng.normal(size=(10, 5)) * scale, id=f"every region at {scale}"))
+    v = rng.normal(size=(8, 4))
+    v[[2, 5], 1] = 1.2e154
+    cases.append(pytest.param(v, id="an overflowing region pair"))
+    for scale in (1e200, 1e-170):
+        for region in (0, 3):
+            v = rng.normal(size=(10, 4))
+            v[:, region] *= scale
+            cases.append(pytest.param(v, id=f"NaN on the diagonal only, r{region + 1} at {scale}"))
+    v = rng.normal(size=(10, 4))
+    v[:, 3] *= 1e-160
+    assert 0 < np.var(v[:, 3], ddof=1) < np.finfo(np.float64).tiny
+    cases.append(pytest.param(v, id="a subnormal variance"))
+    cases.append(pytest.param(rng.normal(size=(2, 4)), id="two subjects"))
+    return cases
+
+
+@pytest.mark.parametrize("volumes", rejected_volume_matrices())
+def test_rejections_match_the_three_check_oracle(volumes):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning comes before the error
+        got = network_outcome(_pearson_network, volumes)
+    with np.errstate(all="ignore"):
+        expected = network_outcome(pearson_network_three_checks, volumes)
+    assert isinstance(expected, tuple)
+    assert got == expected
+
+
+def test_networks_match_the_three_check_oracle():
+    rng = np.random.default_rng(22)
+    for subjects, regions in ((3, 2), (3, 9), (8, 30), (40, 90), (69, 56)):
+        for volumes in (rng.normal(600.0, 40.0, (subjects, regions)),
+                        rng.integers(0, 4, (subjects, regions)).astype(float)):
+            volumes[:, -1] = volumes[:, 0]  # two regions correlate perfectly
+            expected = network_outcome(pearson_network_three_checks, volumes)
+            if isinstance(expected, tuple):
+                continue  # a small integer draw left a region without spread
+            assert network_outcome(_pearson_network, volumes) == expected
 
 
 class TestAgeBinning:
