@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass, asdict
 from itertools import combinations
 from pathlib import Path
@@ -24,6 +25,7 @@ from .subjects import (
     CLINICAL_FIELDS,
     DEFAULT_BIN_EDGES,
     CohortTable,
+    _check_bin_edges,
     age_binning,
     group_association_matrix,
     individual_network,
@@ -58,7 +60,7 @@ class RunConfig:
     anova_fields: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        self.bin_edges = tuple(float(x) for x in self.bin_edges)
+        self.bin_edges = _check_bin_edges(self.bin_edges)
         if self.anova_fields is not None:
             self.anova_fields = tuple(self.anova_fields)
         if self.threshold_mode not in THRESHOLD_MODES:
@@ -95,6 +97,8 @@ class RunConfig:
 
 def sweep_values(start: float, stop: float, step: float) -> tuple[float, ...]:
     """Sparsity levels start, start+step, ... up to and including stop."""
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ValidationError("sweep start, stop and step must be finite")
     if step <= 0:
         raise ValidationError("sweep step must be positive")
     if stop < start:

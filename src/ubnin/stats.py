@@ -37,7 +37,7 @@ import numpy as np
 
 from .errors import DegenerateDesignError, ValidationError
 from .graphs import _keep_strongest, _upper_flat, target_edge_count
-from .metrics import _clustering
+from .metrics import _check_count, _clustering
 from .subjects import CohortTable, _pearson_rejection, _pearson_stack
 # Not called here: kept only because perfbench/tracing.py WRAPPED looks them up.
 from .graphs import sparsity_threshold  # noqa: F401
@@ -134,10 +134,13 @@ def permutation_test(group_a: CohortTable, group_b: CohortTable, sparsities,
     sparsities = tuple(float(s) for s in sparsities)
     if not sparsities or any(not 0 < s <= 1 for s in sparsities):
         raise ValueError("sparsity levels must be a non-empty subset of (0, 1]")
+    _check_count("iterations", iterations)
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
+    _check_count("seed", seed)
     if seed < 0:
         raise ValueError("seed must be nonnegative")
+    iterations, seed = int(iterations), int(seed)
     labels = group_a.region_labels
     pool = np.vstack([group_a.volume_matrix(), group_b.volume_matrix()])
     n_a = len(group_a)

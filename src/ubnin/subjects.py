@@ -254,6 +254,17 @@ def group_association_matrix(table: CohortTable) -> WeightedNetwork:
     return _pearson_network(table.volume_matrix(), table.region_labels)
 
 
+def _check_bin_edges(edges: Sequence[float]) -> tuple[float, ...]:
+    """The edges as floats: 1 to 25 of them, finite and strictly ascending."""
+    edges = tuple(float(x) for x in edges)
+    ascending = all(a < b for a, b in zip(edges, edges[1:]))
+    if not edges or not ascending or not all(map(math.isfinite, edges)):
+        raise ValidationError("bin edges must be non-empty, finite and strictly ascending")
+    if len(edges) > 25:
+        raise ValidationError("at most 25 bin edges supported")
+    return edges
+
+
 def age_binning(table: CohortTable, edges: Sequence[float] = DEFAULT_BIN_EDGES) -> list[CohortTable]:
     """Partition subjects into age cohorts A, B, ... by ascending year cutoffs.
 
@@ -261,11 +272,7 @@ def age_binning(table: CohortTable, edges: Sequence[float] = DEFAULT_BIN_EDGES) 
     the half-open interval (previous edge, next edge], and the final cohort
     everything above the last edge. Empty cohorts are kept.
     """
-    edges = [float(x) for x in edges]
-    if not edges or any(b <= a for a, b in zip(edges, edges[1:])):
-        raise ValidationError("bin edges must be non-empty and strictly ascending")
-    if len(edges) + 1 > 26:
-        raise ValidationError("at most 25 bin edges supported")
+    edges = _check_bin_edges(edges)
     buckets: list[list[SubjectRecord]] = [[] for _ in range(len(edges) + 1)]
     for s in table.subjects:
         buckets[bisect_left(edges, s.age)].append(s)

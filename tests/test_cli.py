@@ -32,6 +32,21 @@ from synth import (
 )
 
 K10_DECIMAL = "511.999999999985448084771633148193359375"
+NAN, INF = float("nan"), float("inf")
+NON_FINITE_SWEEPS = [(0.6, 0.9, NAN), (NAN, 0.9, 0.03), (0.6, NAN, 0.03), (0.6, INF, 0.03),
+                     (-INF, 0.9, 0.03), (0.6, 0.9, INF)]
+
+
+def no_sweep_loop(monkeypatch):
+    """Make the level loop of ``sweep_values`` fail at once if it is entered.
+
+    The loop never ends on a NaN value, so a check that let one through would
+    hang the test instead of failing it.
+    """
+    def entered(*args):
+        raise AssertionError("the sweep loop ran")
+
+    monkeypatch.setattr(pipeline, "round", entered, raising=False)
 
 
 def run(capsys, *args):
@@ -49,6 +64,29 @@ class TestSweepAndThresholdParsing:
 
     def test_single_level_sweep(self):
         assert sweep_values(0.8, 0.8, 0.03) == (0.8,)
+
+    @pytest.mark.parametrize("start, stop, step", NON_FINITE_SWEEPS)
+    def test_non_finite_sweep_rejected_before_the_loop(self, monkeypatch, start, stop, step):
+        from ubnin import ValidationError
+
+        no_sweep_loop(monkeypatch)
+        with pytest.raises(ValidationError, match="^sweep start, stop and step must be finite$"):
+            sweep_values(start, stop, step)
+        with pytest.raises(ValidationError, match="^sweep start, stop and step must be finite$"):
+            pipeline.RunConfig(input="in.csv", out_dir="out", sweep_start=start,
+                               sweep_stop=stop, sweep_step=step)
+
+    @pytest.mark.parametrize("edges", [(NAN,), (32.0, INF), (-INF, 40.0), (30.0, NAN, 50.0)])
+    def test_config_rejects_non_finite_bin_edges(self, edges):
+        from ubnin import ValidationError
+
+        with pytest.raises(ValidationError, match="^bin edges must be non-empty, finite and "):
+            pipeline.RunConfig(input="in.csv", out_dir="out", bin_edges=edges)
+
+    def test_config_keeps_bin_edges_as_floats(self):
+        config = pipeline.RunConfig(input="in.csv", out_dir="out", bin_edges=[30, 40.5])
+        assert config.bin_edges == (30.0, 40.5)
+        assert all(type(x) is float for x in config.bin_edges)
 
     def test_threshold_spec_forms(self):
         assert parse_threshold_spec("sparsity:0.3") == ("sparsity", 0.3, "per-subject")
@@ -428,6 +466,29 @@ class TestCohortCommand:
             "--anova", "iq",
         )
         assert code == 1 and "iq" in err
+
+    @pytest.mark.parametrize("sweep", ["0.6:0.9:nan", "nan:0.9:0.03", "0.6:nan:0.03",
+                                       "0.6:inf:0.03"])
+    def test_non_finite_sweep_exits_one(self, monkeypatch, tmp_path, capsys, sweep):
+        no_sweep_loop(monkeypatch)
+        data = cohort_csv(tmp_path, [30, 31, 32])
+        code, out, err = run(
+            capsys, "cohort", "--input", str(data), "--out-dir", str(tmp_path / "o"),
+            "--sweep", sweep,
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: sweep start, stop and step must be finite\n"
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("bins", ["nan", "32,inf", "-inf,40", "30,nan,50"])
+    def test_non_finite_bins_exit_one_before_the_input_loads(self, tmp_path, capsys, bins):
+        code, out, err = run(
+            capsys, "cohort", "--input", str(tmp_path / "missing.csv"),
+            "--out-dir", str(tmp_path / "o"), "--bins", bins,
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: bin edges must be non-empty, finite and strictly ascending\n"
+        assert not (tmp_path / "o").exists()
 
     def test_malformed_sweep_exits_one(self, tmp_path, capsys):
         data = cohort_csv(tmp_path, [30, 31, 32])

@@ -1,9 +1,11 @@
+import json
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from ubnin import (
+    CohortTable,
     DegenerateDesignError,
     PermutationResult,
     ValidationError,
@@ -158,6 +160,27 @@ class TestPermutationTest:
         a, b = make_null_pair(10, n_subjects=4, n_regions=8)
         with pytest.raises(ValueError):
             permutation_test(a, b, levels, iterations=5, seed=0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("iterations", True), ("iterations", 2.5), ("iterations", "3"),
+        ("seed", False), ("seed", 1.5), ("seed", [1, 2]),
+    ])
+    def test_non_integer_counts_rejected_before_any_work(self, monkeypatch, field, value):
+        a, b = make_null_pair(10, n_subjects=4, n_regions=8)
+
+        def stacked(self):
+            raise AssertionError("the pool was stacked")
+
+        monkeypatch.setattr(CohortTable, "volume_matrix", stacked)
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got "):
+            permutation_test(a, b, [0.5], **{"iterations": 5, "seed": 0, field: value})
+
+    def test_numpy_integer_counts_stored_as_python_ints(self):
+        a, b = make_null_pair(10, n_subjects=4, n_regions=8)
+        result = permutation_test(a, b, [0.5], iterations=np.int64(4), seed=np.int64(2))
+        assert type(result.iterations) is int and type(result.seed) is int
+        assert result == permutation_test(a, b, [0.5], iterations=4, seed=2)
+        assert json.loads(json.dumps(result.to_dict()))["seed"] == 2
 
     def test_result_invariants_enforced(self):
         with pytest.raises(ValidationError):

@@ -307,6 +307,21 @@ class TestAgeBinning:
         with pytest.raises(ValidationError):
             age_binning(t, (40, 30))
 
+    @pytest.mark.parametrize("edges", [
+        (), (float("nan"),), (32.0, float("inf")), (float("-inf"), 40.0), (30.0, float("nan"), 50.0),
+    ])
+    def test_rejects_empty_or_non_finite_edges(self, edges):
+        t = table([subject("s", [1.0, 2.0], age=40.0)])
+        with pytest.raises(ValidationError,
+                           match="^bin edges must be non-empty, finite and strictly ascending$"):
+            age_binning(t, edges)
+
+    def test_at_most_25_edges(self):
+        t = table([subject("s", [1.0, 2.0], age=40.0)])
+        assert len(age_binning(t, range(1, 26))) == 26
+        with pytest.raises(ValidationError, match="^at most 25 bin edges supported$"):
+            age_binning(t, range(1, 27))
+
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.floats(min_value=1.0, max_value=100.0), max_size=12))
     def test_partition_property(self, ages):
