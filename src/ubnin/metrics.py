@@ -126,7 +126,7 @@ def characteristic_path_length(b: BinaryNetwork) -> tuple[float, float]:
 
 
 _CHUNK = 4096
-"""Attempts whose draws ``random_reference`` converts to lists at a time."""
+"""Attempts whose draws ``_rewire`` converts to lists at a time."""
 
 
 def _check_count(name: str, value) -> None:
@@ -144,6 +144,24 @@ def random_reference(b: BinaryNetwork, seed, swaps_per_edge: int = 10) -> Binary
     the output equals the input exactly, and the result is a deterministic
     function of (input, seed, swaps_per_edge).
 
+    This is the one-network case of ``_rewire``. The random draws, the
+    accept/reject rule and the slot each swap writes are those of the
+    tuple-and-set loop kept as ``random_reference_loop`` in
+    ``tests/oracles.py``, and the output is identical to it.
+    """
+    return _rewire([b], seed, swaps_per_edge)[0]
+
+
+def _rewire(networks, seed, swaps_per_edge: int) -> list[BinaryNetwork]:
+    """``random_reference`` of each network, from one set of draws.
+
+    The draws depend only on (seed, edge count, swaps_per_edge), so networks
+    with equal edge counts share them: they are drawn once, converted to
+    lists ``_CHUNK`` attempts at a time, and each chunk runs through every
+    network's swap loop in turn. Each output is the network's own
+    ``random_reference``. Networks with different edge counts raise
+    ValueError.
+
     Each attempt is one test, ``adj[a][d] or adj[c][b]``, on the adjacency
     held as n ``bytearray`` rows over both triangles with the diagonal set
     to 1, so the diagonal reads as an edge that is present. That one test
@@ -153,26 +171,26 @@ def random_reference(b: BinaryNetwork, seed, swaps_per_edge: int = 10) -> Binary
     edge list is held as two int lists of endpoints of length 2m: slot s
     holds edge s as (u, v) with u < v and slot s + m holds it as (v, u), so
     the flip is folded into the second slot, j + m * flip, and an attempt
-    reads its four endpoints without a branch. The draws are converted to
-    lists ``_CHUNK`` attempts at a time; node ids below 257 are CPython's
-    cached small ints, so at atlas sizes the loop allocates nothing.
-
-    The random draws, the accept/reject rule and the slot each swap writes are
-    those of the tuple-and-set loop kept as ``random_reference_loop`` in
-    ``tests/oracles.py``, and the output is identical to it.
+    reads its four endpoints without a branch. Node ids below 257 are
+    CPython's cached small ints, so at atlas sizes the loop allocates nothing.
     """
     _check_count("swaps_per_edge", swaps_per_edge)
-    m = edge_count(b)
+    counts = {edge_count(b) for b in networks}
+    if len(counts) > 1:
+        raise ValueError(f"networks rewired together need equal edge counts, got {sorted(counts)}")
+    m, = counts
     if m < 2:
         raise ValidationError(f"rewiring needs at least 2 edges, got {m}")
     if swaps_per_edge < 0:
         raise ValueError("swaps_per_edge must be nonnegative")
-    rows, cols = np.nonzero(np.triu(b.edges, 1))
-    us = np.concatenate([rows, cols]).tolist()
-    vs = np.concatenate([cols, rows]).tolist()
-    full = b.edges.view(np.uint8).copy()
-    np.fill_diagonal(full, 1)
-    adj = [bytearray(row) for row in full]
+    states = []
+    for b in networks:
+        rows, cols = np.nonzero(np.triu(b.edges, 1))
+        full = b.edges.view(np.uint8).copy()
+        np.fill_diagonal(full, 1)
+        states.append(([bytearray(row) for row in full],
+                       np.concatenate([rows, cols]).tolist(),
+                       np.concatenate([cols, rows]).tolist()))
     rng = np.random.default_rng(seed)
     attempts = swaps_per_edge * m
     draws = rng.integers(0, m, size=(attempts, 2))
@@ -180,31 +198,37 @@ def random_reference(b: BinaryNetwork, seed, swaps_per_edge: int = 10) -> Binary
     second += m * rng.integers(0, 2, size=attempts)
     for start in range(0, attempts, _CHUNK):
         stop = start + _CHUNK
-        for i, j in zip(draws[start:stop, 0].tolist(), second[start:stop].tolist()):
-            # Slot i is edge (a, b) and slot j edge (c, d): this is adj[a][d] or adj[c][b].
-            if adj[us[i]][vs[j]] or adj[us[j]][vs[i]]:
-                continue
-            # Accepted, so a, b, c, d are four distinct nodes (a == c or b == d
-            # would make a new edge edge i itself) and the writes do not overlap.
-            a = us[i]
-            b_ = vs[i]
-            c = us[j]
-            d = vs[j]
-            adj[a][b_] = adj[b_][a] = adj[c][d] = adj[d][c] = 0
-            adj[a][d] = adj[d][a] = adj[c][b_] = adj[b_][c] = 1
-            if j >= m:
-                j -= m
-            if a > d:
-                a, d = d, a
-            if c > b_:
-                c, b_ = b_, c
-            us[i] = vs[i + m] = a
-            vs[i] = us[i + m] = d
-            us[j] = vs[j + m] = c
-            vs[j] = us[j + m] = b_
-    out = np.frombuffer(b"".join(adj), dtype=np.uint8).reshape(b.n, b.n).astype(bool)
-    np.fill_diagonal(out, False)
-    return _built(BinaryNetwork, out, b.labels)
+        firsts = draws[start:stop, 0].tolist()
+        seconds = second[start:stop].tolist()
+        for adj, us, vs in states:
+            for i, j in zip(firsts, seconds):
+                # Slot i is edge (a, b) and slot j edge (c, d): this is adj[a][d] or adj[c][b].
+                if adj[us[i]][vs[j]] or adj[us[j]][vs[i]]:
+                    continue
+                # Accepted, so a, b, c, d are four distinct nodes (a == c or b == d
+                # would make a new edge edge i itself) and the writes do not overlap.
+                a = us[i]
+                b_ = vs[i]
+                c = us[j]
+                d = vs[j]
+                adj[a][b_] = adj[b_][a] = adj[c][d] = adj[d][c] = 0
+                adj[a][d] = adj[d][a] = adj[c][b_] = adj[b_][c] = 1
+                if j >= m:
+                    j -= m
+                if a > d:
+                    a, d = d, a
+                if c > b_:
+                    c, b_ = b_, c
+                us[i] = vs[i + m] = a
+                vs[i] = us[i + m] = d
+                us[j] = vs[j + m] = c
+                vs[j] = us[j + m] = b_
+    refs = []
+    for b, (adj, _, _) in zip(networks, states):
+        out = np.frombuffer(b"".join(adj), dtype=np.uint8).reshape(b.n, b.n).astype(bool)
+        np.fill_diagonal(out, False)
+        refs.append(_built(BinaryNetwork, out, b.labels))
+    return refs
 
 
 @dataclass(frozen=True)
@@ -236,6 +260,7 @@ def small_world_index(b: BinaryNetwork, n_rand: int = 100, seed: int = 0,
 
 def _check_references(n_rand, seed) -> None:
     _check_count("n_rand", n_rand)
+    _check_count("seed", seed)
     if n_rand < 1:
         raise ValueError("n_rand must be >= 1")
     if seed < 0:
@@ -296,39 +321,72 @@ def metrics_report(b: BinaryNetwork, n_rand: int = 100, seed: int = 0,
     the record and the small-world ratios (see ``small_world_index``). With
     n_rand 0 the sigma/gamma/lam fields stay empty; otherwise
     NotEstimableError propagates when references fail. A negative or
-    non-integer n_rand raises ValueError before any work.
+    non-integer n_rand, or a non-integer seed, raises ValueError before any
+    work.
+    """
+    ((report, error),) = _reports([b], n_rand, seed, swaps_per_edge)
+    if error is not None:
+        raise error
+    return report
+
+
+def _reports(networks, n_rand: int, seed: int, swaps_per_edge: int) -> list[tuple]:
+    """``metrics_report`` of networks of one edge count, with shared reference draws.
+
+    Each network's clustering and path length are measured once. Reference
+    idx of every network still estimable then comes from one ``_rewire`` call
+    on stream (seed, idx), so each network gets the references it would get
+    alone. Returns one (report, error) pair per network, in order: (report,
+    None); (the report without small-world fields, NotEstimableError) when
+    one of its references fails; or (None, UndefinedMetricError) when its own
+    path length is undefined. Argument errors, and those of ``_rewire``, raise.
     """
     _check_count("n_rand", n_rand)
+    _check_count("seed", seed)
     if n_rand < 0:
         raise ValueError("n_rand must be >= 0")
-    nodal = nodal_clustering(b)
-    length, reach = characteristic_path_length(b)
-    c_obs = float(nodal.mean())
-    small_world = {}
-    if n_rand > 0:
+    observed = []  # per network: its report's fields, or the error of its path length
+    for b in networks:
+        nodal = nodal_clustering(b)
+        try:
+            length, reach = characteristic_path_length(b)
+        except UndefinedMetricError as exc:
+            observed.append(exc)
+            continue
+        observed.append(dict(
+            mean_clustering=float(nodal.mean()),
+            nodal_clustering=tuple(nodal.tolist()),
+            char_path_length=length,
+            reachable_pair_fraction=reach,
+            mean_degree=2.0 * edge_count(b) / b.n,
+        ))
+    live = [k for k, fields in enumerate(observed) if isinstance(fields, dict)]
+    failed = {}
+    if n_rand > 0 and live:
         _check_references(n_rand, seed)
-        c_rand = np.empty(n_rand)
-        l_rand = np.empty(n_rand)
+        c_rand = np.empty((len(networks), n_rand))
+        l_rand = np.empty((len(networks), n_rand))
         for idx in range(n_rand):
-            ref = random_reference(b, seed=[seed, idx], swaps_per_edge=swaps_per_edge)
-            try:
-                l_rand[idx], _ = characteristic_path_length(ref)
-            except UndefinedMetricError:
-                raise NotEstimableError(
-                    f"random reference {idx} has undefined path length"
-                ) from None
-            c_rand[idx] = mean_clustering(ref)
-            if c_rand[idx] == 0:
-                raise NotEstimableError(f"random reference {idx} has zero clustering")
-        gamma = c_obs / float(c_rand.mean())
-        lam = length / float(l_rand.mean())
-        small_world = dict(small_world_sigma=gamma / lam, gamma=gamma, lam=lam,
-                           n_rand=n_rand, swaps_per_edge=swaps_per_edge, seed=seed)
-    return MetricsReport(
-        mean_clustering=c_obs,
-        nodal_clustering=tuple(nodal.tolist()),
-        char_path_length=length,
-        reachable_pair_fraction=reach,
-        mean_degree=2.0 * edge_count(b) / b.n,
-        **small_world,
-    )
+            refs = _rewire([networks[k] for k in live], [seed, idx], swaps_per_edge)
+            for k, ref in zip(live, refs):
+                try:
+                    l_rand[k, idx], _ = characteristic_path_length(ref)
+                except UndefinedMetricError:
+                    failed[k] = NotEstimableError(
+                        f"random reference {idx} has undefined path length")
+                    continue
+                c_rand[k, idx] = mean_clustering(ref)
+                if c_rand[k, idx] == 0:
+                    failed[k] = NotEstimableError(f"random reference {idx} has zero clustering")
+            live = [k for k in live if k not in failed]
+            if not live:
+                break
+        for k in live:
+            gamma = observed[k]["mean_clustering"] / float(c_rand[k].mean())
+            lam = observed[k]["char_path_length"] / float(l_rand[k].mean())
+            observed[k].update(small_world_sigma=gamma / lam, gamma=gamma, lam=lam,
+                               n_rand=int(n_rand), swaps_per_edge=int(swaps_per_edge),
+                               seed=int(seed))
+    return [(None, fields) if isinstance(fields, Exception)
+            else (MetricsReport(**fields), failed.get(k))
+            for k, fields in enumerate(observed)]

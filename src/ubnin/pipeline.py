@@ -17,9 +17,9 @@ from pathlib import Path
 
 from . import __version__
 from .codec import encode, to_decimal_string, to_record
-from .errors import NotEstimableError, UbninError, UndefinedMetricError, ValidationError
+from .errors import UbninError, ValidationError
 from .graphs import consistency_threshold, sparsity_threshold
-from .metrics import metrics_report
+from .metrics import _reports
 from .stats import PermutationWorkspace, one_way_anova, permutation_test
 from .subjects import (
     CLINICAL_FIELDS,
@@ -32,10 +32,13 @@ from .subjects import (
     load_subjects_csv,
     residualize_covariate,
 )
+# Not called here: kept only because perfbench/tracing.py WRAPPED looks it up.
+from .metrics import metrics_report  # noqa: F401
 
 THRESHOLD_MODES = ("sparsity", "consistency")
 THRESHOLD_STRATEGIES = ("per-subject", "group-mask")
 MIN_COHORT_SIZE = 3  # correlation across fewer subjects is meaningless
+MAX_SWEEP_LEVELS = 10_000
 
 
 @dataclass
@@ -103,6 +106,11 @@ def sweep_values(start: float, stop: float, step: float) -> tuple[float, ...]:
         raise ValidationError("sweep step must be positive")
     if stop < start:
         raise ValidationError("sweep stop must be >= start")
+    # Levels run up to stop + 1e-9; these two checks bound the loop below.
+    if start <= 0 or stop > 1 + 1e-9:
+        raise ValidationError("sweep levels must lie in (0, 1]")
+    if (stop + 1e-9 - start) / step >= MAX_SWEEP_LEVELS:
+        raise ValidationError(f"sweep must have at most {MAX_SWEEP_LEVELS} levels")
     vals = []
     i = 0
     while True:
@@ -229,6 +237,9 @@ def run_cohort(config: RunConfig) -> dict:
     Cohorts smaller than MIN_COHORT_SIZE are skipped with a warning; a package
     error (``UbninError``) within one cohort, pair, or field is reported as a
     warning rather than aborting the rest of the run. Other exceptions propagate.
+    At each sweep level a group's cohorts are measured in one batch that shares
+    its reference draws (``metrics._reports``); rows and warnings keep cohort
+    order.
     """
     table = _load_table(config)
     sweep = sweep_values(config.sweep_start, config.sweep_stop, config.sweep_step)
@@ -258,28 +269,26 @@ def run_cohort(config: RunConfig) -> dict:
                 continue
             analyzed.append(cohort)
 
-        for cohort in analyzed:
+        logs = [([], []) for _ in analyzed]  # each cohort's rows and warnings, in cohort order
+        weighted = []  # (cohort, its log, its association matrix)
+        for cohort, log in zip(analyzed, logs):
             try:
-                association = group_association_matrix(cohort)
+                weighted.append((cohort, log, group_association_matrix(cohort)))
             except UbninError as exc:
-                warnings.append(f"{group}/{cohort.cohort_id}: {exc}")
-                continue
-            for s in sweep:
-                binarized = sparsity_threshold(association, s)
-                base = {"group": group, "cohort": cohort.cohort_id,
-                        "n_subjects": len(cohort), "sparsity": s}
-                try:
-                    report = metrics_report(
-                        binarized, n_rand=config.n_rand, seed=config.seed,
-                        swaps_per_edge=config.swaps_per_edge,
-                    )
-                except NotEstimableError as exc:
-                    warnings.append(f"{group}/{cohort.cohort_id} sparsity {s}: {exc}")
-                    report = metrics_report(binarized, n_rand=0)
-                except UndefinedMetricError as exc:
-                    warnings.append(f"{group}/{cohort.cohort_id} sparsity {s}: {exc}")
-                    continue
-                metric_rows.append(base | report.to_row())
+                log[1].append(f"{group}/{cohort.cohort_id}: {exc}")
+        for s in sweep:
+            # The cohorts keep one edge count per level, so they share reference draws.
+            binarized = [sparsity_threshold(association, s) for _, _, association in weighted]
+            reports = _reports(binarized, config.n_rand, config.seed, config.swaps_per_edge)
+            for (cohort, (rows, cohort_warnings), _), (report, error) in zip(weighted, reports):
+                if error is not None:
+                    cohort_warnings.append(f"{group}/{cohort.cohort_id} sparsity {s}: {error}")
+                if report is not None:
+                    rows.append({"group": group, "cohort": cohort.cohort_id,
+                                 "n_subjects": len(cohort), "sparsity": s} | report.to_row())
+        for rows, cohort_warnings in logs:
+            metric_rows += rows
+            warnings += cohort_warnings
 
         workspace = PermutationWorkspace()  # shared by the group's tests
         for cohort_a, cohort_b in combinations(analyzed, 2):

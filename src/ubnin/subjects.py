@@ -343,6 +343,23 @@ def _parse_float(cell: str, what: str, errors: list, row_id: str) -> float | Non
     return v
 
 
+def _parse_volumes(cells: list, errors: list, row_id: str) -> np.ndarray | None:
+    """One row's volume cells as floats, or None once errors are recorded.
+
+    numpy converts each cell as ``float`` does. Only a row that it rejects,
+    or that holds a non-finite value, is parsed again cell by cell, and that
+    parse decides: it records every bad cell, in order, or accepts the row.
+    """
+    try:
+        volumes = np.array(cells, dtype=np.float64)
+    except ValueError:
+        volumes = None
+    if volumes is None or not np.isfinite(volumes).all():
+        parsed = [_parse_float(c, "volume", errors, row_id) for c in cells]
+        volumes = None if any(v is None for v in parsed) else np.array(parsed)
+    return volumes
+
+
 def _parse_demographics(age, gender, group, clinical_cells, errors: list,
                         row_id: str) -> tuple | None:
     """Return (age, gender, group, clinical) parsed from one row's cells.
@@ -408,12 +425,12 @@ def load_subjects_csv(path, demographics_path=None) -> CohortTable:
             continue
         if fields is None:
             continue
-        volumes = [_parse_float(c, "volume", errors, where) for c in row[first_volume:]]
-        if any(v is None for v in volumes):
+        volumes = _parse_volumes(row[first_volume:], errors, where)
+        if volumes is None:
             continue
         age, gender, group, clinical = fields
         try:
-            subjects.append(SubjectRecord(sid, age, gender, group, np.array(volumes), clinical))
+            subjects.append(SubjectRecord(sid, age, gender, group, volumes, clinical))
         except ValidationError as exc:
             errors.append(f"{row_id}: {exc}")
     if errors:

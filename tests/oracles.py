@@ -32,6 +32,13 @@ division by 5^scale). ``load_subjects_csv_two_loops`` is the earlier
 and ``small_world_index_separate`` are the earlier ``metrics_report`` and
 ``small_world_index``, in which the small-world index measured the network's
 clustering and path length a second time and ran the reference loop itself.
+``random_reference_two_lookup`` and ``metrics_report_one_loop`` are the
+``random_reference`` and ``metrics_report`` from before both became the
+one-network case of batches that share one set of reference draws
+(``metrics._rewire`` and ``metrics._reports``).
+``load_subjects_csv_cellwise`` is the one-loop ``load_subjects_csv`` before
+its volume cells went through numpy a row at a time: it parses every cell
+with ``float``.
 ``permutation_test_objects`` is the earlier ``permutation_test``: one serial
 loop that builds a ``WeightedNetwork`` and a ``BinaryNetwork`` per group and
 level for the observed split and for every iteration. Its networks come from
@@ -92,6 +99,8 @@ from ubnin.graphs import (
     consistency_threshold,
     target_edge_count,
 )
+from ubnin import subjects as package_subjects
+from ubnin.metrics import _check_count
 from ubnin.pipeline import RunConfig, _load_table, _write_json
 from ubnin.subjects import (
     CLINICAL_FIELDS,
@@ -283,6 +292,54 @@ def random_reference_bytearray(b, seed, swaps_per_edge: int = 10):
     return BinaryNetwork(out, b.labels)
 
 
+def random_reference_two_lookup(b, seed, swaps_per_edge: int = 10):
+    """Double-edge swaps of one network, tested with two byte reads per attempt."""
+    _check_count("swaps_per_edge", swaps_per_edge)
+    m = edge_count(b)
+    if m < 2:
+        raise ValidationError(f"rewiring needs at least 2 edges, got {m}")
+    if swaps_per_edge < 0:
+        raise ValueError("swaps_per_edge must be nonnegative")
+    rows, cols = np.nonzero(np.triu(b.edges, 1))
+    us = np.concatenate([rows, cols]).tolist()
+    vs = np.concatenate([cols, rows]).tolist()
+    full = b.edges.view(np.uint8).copy()
+    np.fill_diagonal(full, 1)
+    adj = [bytearray(row) for row in full]
+    rng = np.random.default_rng(seed)
+    attempts = swaps_per_edge * m
+    draws = rng.integers(0, m, size=(attempts, 2))
+    second = draws[:, 1]
+    second += m * rng.integers(0, 2, size=attempts)
+    for start in range(0, attempts, 4096):
+        stop = start + 4096
+        for i, j in zip(draws[start:stop, 0].tolist(), second[start:stop].tolist()):
+            # Slot i is edge (a, b) and slot j edge (c, d): this is adj[a][d] or adj[c][b].
+            if adj[us[i]][vs[j]] or adj[us[j]][vs[i]]:
+                continue
+            # Accepted, so a, b, c, d are four distinct nodes (a == c or b == d
+            # would make a new edge edge i itself) and the writes do not overlap.
+            a = us[i]
+            b_ = vs[i]
+            c = us[j]
+            d = vs[j]
+            adj[a][b_] = adj[b_][a] = adj[c][d] = adj[d][c] = 0
+            adj[a][d] = adj[d][a] = adj[c][b_] = adj[b_][c] = 1
+            if j >= m:
+                j -= m
+            if a > d:
+                a, d = d, a
+            if c > b_:
+                c, b_ = b_, c
+            us[i] = vs[i + m] = a
+            vs[i] = us[i + m] = d
+            us[j] = vs[j + m] = c
+            vs[j] = us[j + m] = b_
+    out = np.frombuffer(b"".join(adj), dtype=np.uint8).reshape(b.n, b.n).astype(bool)
+    np.fill_diagonal(out, False)
+    return _built(BinaryNetwork, out, b.labels)
+
+
 def small_world_index_separate(b, n_rand: int = 100, seed: int = 0,
                                swaps_per_edge: int = 10) -> SmallWorldResult:
     if n_rand < 1:
@@ -329,6 +386,46 @@ def metrics_report_separate(b, n_rand: int = 100, seed: int = 0,
         n_rand=n_rand if sw is not None else None,
         swaps_per_edge=swaps_per_edge if sw is not None else None,
         seed=seed if sw is not None else None,
+    )
+
+
+def metrics_report_one_loop(b, n_rand: int = 100, seed: int = 0,
+                            swaps_per_edge: int = 10) -> MetricsReport:
+    """The metric record of one network, its references drawn for it alone."""
+    _check_count("n_rand", n_rand)
+    if n_rand < 0:
+        raise ValueError("n_rand must be >= 0")
+    nodal = nodal_clustering(b)
+    length, reach = characteristic_path_length(b)
+    c_obs = float(nodal.mean())
+    small_world = {}
+    if n_rand > 0:
+        if seed < 0:
+            raise ValueError("seed must be nonnegative")
+        c_rand = np.empty(n_rand)
+        l_rand = np.empty(n_rand)
+        for idx in range(n_rand):
+            ref = random_reference_two_lookup(b, [seed, idx], swaps_per_edge)
+            try:
+                l_rand[idx], _ = characteristic_path_length(ref)
+            except UndefinedMetricError:
+                raise NotEstimableError(
+                    f"random reference {idx} has undefined path length"
+                ) from None
+            c_rand[idx] = mean_clustering(ref)
+            if c_rand[idx] == 0:
+                raise NotEstimableError(f"random reference {idx} has zero clustering")
+        gamma = c_obs / float(c_rand.mean())
+        lam = length / float(l_rand.mean())
+        small_world = dict(small_world_sigma=gamma / lam, gamma=gamma, lam=lam,
+                           n_rand=n_rand, swaps_per_edge=swaps_per_edge, seed=seed)
+    return MetricsReport(
+        mean_clustering=c_obs,
+        nodal_clustering=tuple(nodal.tolist()),
+        char_path_length=length,
+        reachable_pair_fraction=reach,
+        mean_degree=2.0 * edge_count(b) / b.n,
+        **small_world,
     )
 
 
@@ -685,6 +782,66 @@ def _load_demographics(path) -> dict:
     if errors:
         raise ValidationError("invalid demographics rows:\n  " + "\n  ".join(errors))
     return out
+
+
+# The one-loop loader as it was before its volume cells went through numpy
+# a row at a time; it shares the package's header and demographics helpers.
+
+def load_subjects_csv_cellwise(path, demographics_path=None) -> CohortTable:
+    """The one-loop loader, parsing every volume cell with ``float``.
+
+    Every malformed row is reported; the load fails as a whole if any row is
+    invalid, so a successfully loaded table is always complete.
+    """
+    header, body = package_subjects._read_csv_rows(path)
+    if demographics_path is None:
+        clinical_cols, regions = package_subjects._split_header(path, header)
+        first_volume = 4 + len(clinical_cols)
+        demographics = None
+    else:
+        if header[:1] != ["id"] or any(c in CLINICAL_FIELDS + REQUIRED_COLUMNS for c in header[1:]):
+            raise ValidationError(
+                f"{path}: with a demographics file, the input must contain only "
+                "an id column followed by region columns"
+            )
+        regions = header[1:]
+        package_subjects._check_regions(path, regions)
+        first_volume = 1
+        demographics = package_subjects._load_demographics(demographics_path)
+    errors: list[str] = []
+    subjects = []
+    for r, row in enumerate(body, start=2):
+        row_id = f"{path}: row {r}"
+        if len(row) != len(header):
+            errors.append(f"{row_id}: expected {len(header)} cells, got {len(row)}")
+            continue
+        sid = row[0].strip()
+        if not sid:
+            errors.append(f"{row_id}: empty subject id")
+            continue
+        where = f"{row_id} ({sid})"
+        if demographics is None:
+            fields = package_subjects._parse_demographics(
+                row[1], row[2], row[3], zip(clinical_cols, row[4:first_volume]), errors, where
+            )
+        elif sid in demographics:
+            fields = demographics[sid]
+        else:
+            errors.append(f"{row_id}: subject {sid!r} missing from demographics file")
+            continue
+        if fields is None:
+            continue
+        volumes = [_parse_float(c, "volume", errors, where) for c in row[first_volume:]]
+        if any(v is None for v in volumes):
+            continue
+        age, gender, group, clinical = fields
+        try:
+            subjects.append(SubjectRecord(sid, age, gender, group, np.array(volumes), clinical))
+        except ValidationError as exc:
+            errors.append(f"{row_id}: {exc}")
+    if errors:
+        raise ValidationError("invalid subject rows:\n  " + "\n  ".join(errors))
+    return CohortTable("all", tuple(regions), tuple(subjects))
 
 
 _TINY = np.finfo(np.float64).tiny

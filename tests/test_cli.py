@@ -1,9 +1,13 @@
 import json
+import re
 
 import numpy as np
 import pytest
 
 from ubnin import (
+    NotEstimableError,
+    UndefinedMetricError,
+    ValidationError,
     decode,
     encode,
     from_record,
@@ -20,7 +24,7 @@ from ubnin.cli import main
 from ubnin.graphs import format_binary_matrix
 from ubnin import pipeline
 from ubnin.pipeline import parse_threshold_spec
-from oracles import to_decimal_string_int
+from oracles import metrics_report_one_loop, to_decimal_string_int
 from synth import (
     complete_graph,
     csv_text,
@@ -75,6 +79,30 @@ class TestSweepAndThresholdParsing:
         with pytest.raises(ValidationError, match="^sweep start, stop and step must be finite$"):
             pipeline.RunConfig(input="in.csv", out_dir="out", sweep_start=start,
                                sweep_stop=stop, sweep_step=step)
+
+    @pytest.mark.parametrize("start, stop, step, message", [
+        (0.6, 1e300, 0.03, "sweep levels must lie in (0, 1]"),
+        (0.6, 1.1, 1.0, "sweep levels must lie in (0, 1]"),
+        (0.0, 0.5, 0.1, "sweep levels must lie in (0, 1]"),
+        (-1e300, 0.5, 1e-300, "sweep levels must lie in (0, 1]"),
+        (0.6, 0.9, 1e-300, "sweep must have at most 10000 levels"),
+        (0.8, 0.8, 5e-324, "sweep must have at most 10000 levels"),
+        (1e-5, 1.0, 1e-5, "sweep must have at most 10000 levels"),
+    ])
+    def test_unbounded_sweep_rejected_before_the_loop(self, monkeypatch, start, stop, step,
+                                                      message):
+        no_sweep_loop(monkeypatch)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            sweep_values(start, stop, step)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            pipeline.RunConfig(input="in.csv", out_dir="out", sweep_start=start,
+                               sweep_stop=stop, sweep_step=step)
+
+    def test_longest_sweep_within_the_cap(self):
+        assert pipeline.MAX_SWEEP_LEVELS == 10_000
+        levels = sweep_values(1e-4, 1.0, 1e-4)
+        assert len(levels) == 10_000 and levels[-1] == 1.0
+        assert sweep_values(0.6, 1.0 + 1e-10, 0.4) == (0.6, 1.0)
 
     @pytest.mark.parametrize("edges", [(NAN,), (32.0, INF), (-INF, 40.0), (30.0, NAN, 50.0)])
     def test_config_rejects_non_finite_bin_edges(self, edges):
@@ -480,6 +508,20 @@ class TestCohortCommand:
         assert err == "error: sweep start, stop and step must be finite\n"
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("sweep, message", [
+        ("0.6:1e300:0.03", "sweep levels must lie in (0, 1]"),
+        ("0.6:0.9:1e-300", "sweep must have at most 10000 levels"),
+    ])
+    def test_unbounded_sweep_exits_one(self, monkeypatch, tmp_path, capsys, sweep, message):
+        no_sweep_loop(monkeypatch)
+        data = cohort_csv(tmp_path, [30, 31, 32])
+        code, out, err = run(
+            capsys, "cohort", "--input", str(data), "--out-dir", str(tmp_path / "o"),
+            "--sweep", sweep,
+        )
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("bins", ["nan", "32,inf", "-inf,40", "30,nan,50"])
     def test_non_finite_bins_exit_one_before_the_input_loads(self, tmp_path, capsys, bins):
         code, out, err = run(
@@ -579,6 +621,71 @@ class TestRunCohortErrors:
         data = cohort_csv(tmp_path, [30, 31, 32, 40, 41, 42])
         with pytest.raises(TypeError, match="broken permutation test"):
             pipeline.run_cohort(self.config(tmp_path, data))
+
+
+def reports_one_at_a_time(networks, n_rand, seed, swaps_per_edge):
+    """``metrics._reports`` as one report per network, its references drawn for it alone."""
+    out = []
+    for b in networks:
+        try:
+            out.append((metrics_report_one_loop(b, n_rand, seed, swaps_per_edge), None))
+        except NotEstimableError as exc:
+            out.append((metrics_report_one_loop(b, 0), exc))
+        except UndefinedMetricError as exc:
+            out.append((None, exc))
+    return out
+
+
+class TestCohortBatches:
+    """run_cohort reports each level's cohorts in one batch that shares reference draws."""
+
+    OUTPUTS = ("metrics.csv", "significance.csv", "anova.csv", "results.json")
+
+    @pytest.fixture
+    def data(self, tmp_path):
+        # Cohorts A-D of one group; region r1 is constant across cohort B, so
+        # its association fails between cohorts whose sparse levels warn.
+        ages = [28, 29, 30, 31, 38, 39, 40, 41, 48, 49, 50, 51, 58, 59, 60]
+        path = cohort_csv(tmp_path, ages, n_regions=10, seed=51)
+        lines = path.read_text().splitlines()
+        for i in (5, 6, 7, 8):
+            cells = lines[i].split(",")
+            lines[i] = ",".join(cells[:4] + ["600.00000"] + cells[5:])
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def config(self, tmp_path, data, **kwargs):
+        return pipeline.RunConfig(input=str(data), out_dir=str(tmp_path / "out"),
+                                  sweep_start=0.1, sweep_stop=0.5, sweep_step=0.1,
+                                  iterations=5, seed=2, **kwargs)
+
+    def test_warnings_keep_cohort_order(self, tmp_path, data):
+        doc = pipeline.run_cohort(self.config(tmp_path, data, n_rand=3))
+        assert doc["warnings"] == [
+            "G/E: skipped (0 subjects < 3)",
+            "G/A sparsity 0.1: random reference 0 has zero clustering",
+            "G/A sparsity 0.2: random reference 0 has zero clustering",
+            "G/B: zero-variance regions: r1",
+            "G/D sparsity 0.1: random reference 0 has zero clustering",
+            "G/D sparsity 0.2: random reference 0 has zero clustering",
+            "G/A vs B: zero-variance regions: r1",
+            "G/B vs C: zero-variance regions: r1",
+            "G/B vs D: zero-variance regions: r1",
+        ]
+        rows = [(row["cohort"], row["sparsity"], row["sigma"] is None) for row in doc["metrics"]]
+        assert rows == [(c, s, c != "C" and s < 0.3)
+                        for c in "ACD" for s in (0.1, 0.2, 0.3, 0.4, 0.5)]
+
+    @pytest.mark.parametrize("n_rand, swaps", [(0, 10), (2, 1), (3, 10), (5, 10)])
+    def test_same_bytes_as_one_report_per_cohort(self, tmp_path, monkeypatch, data,
+                                                 n_rand, swaps):
+        config = self.config(tmp_path, data, n_rand=n_rand, swaps_per_edge=swaps)
+        out_dir = tmp_path / "out"
+        pipeline.run_cohort(config)
+        batched = {name: (out_dir / name).read_bytes() for name in self.OUTPUTS}
+        monkeypatch.setattr(pipeline, "_reports", reports_one_at_a_time)
+        pipeline.run_cohort(config)
+        assert {name: (out_dir / name).read_bytes() for name in self.OUTPUTS} == batched
 
 
 class TestTopLevel:

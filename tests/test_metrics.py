@@ -1,3 +1,4 @@
+import json
 from collections import Counter
 
 import numpy as np
@@ -26,11 +27,13 @@ from oracles import (
     clustering_brute,
     cpl_bfs_loop,
     cpl_floyd,
+    metrics_report_one_loop,
     metrics_report_separate,
     nodal_clustering_float32,
     nodal_clustering_float64,
     random_reference_bytearray,
     random_reference_loop,
+    random_reference_two_lookup,
     small_world_index_separate,
 )
 from synth import (
@@ -292,6 +295,7 @@ def assert_matches_both_oracles(b, seed, swaps):
     ref = random_reference(b, seed, swaps)
     assert ref == random_reference_loop(b, seed, swaps)
     assert ref == random_reference_bytearray(b, seed, swaps)
+    assert ref == random_reference_two_lookup(b, seed, swaps)
     return ref
 
 
@@ -553,11 +557,12 @@ class TestReportMatchesSeparateLoops:
 
     @pytest.mark.parametrize("n_rand", [0, 1, 2, 4])
     def test_measures_the_network_once(self, monkeypatch, n_rand):
-        # perfbench/tracing.py times clustering, path length and rewiring by
-        # replacing these module attributes, so the reference loop must keep
-        # calling through them: once for the network, once per reference.
+        # perfbench/tracing.py times clustering and path length by replacing
+        # these module attributes, so the reference loop must keep calling
+        # through them: once for the network, once per reference. Rewiring
+        # runs as one _rewire call per reference.
         calls = Counter()
-        for name in ("nodal_clustering", "characteristic_path_length", "random_reference"):
+        for name in ("nodal_clustering", "characteristic_path_length", "_rewire"):
             def counted(*args, _name=name, _original=getattr(metrics, name), **kwargs):
                 calls[_name] += 1
                 return _original(*args, **kwargs)
@@ -566,7 +571,7 @@ class TestReportMatchesSeparateLoops:
         b = ring_lattice(20, 4)
         report = metrics_report(b, n_rand=n_rand, seed=3)
         expected = Counter(nodal_clustering=1 + n_rand, characteristic_path_length=1 + n_rand,
-                           random_reference=n_rand)
+                           _rewire=n_rand)
         assert calls == expected
         assert report == metrics_report_separate(b, n_rand, 3)
         if n_rand:
@@ -575,3 +580,154 @@ class TestReportMatchesSeparateLoops:
             assert (result.sigma, result.gamma, result.lam) == \
                 (report.small_world_sigma, report.gamma, report.lam)
             assert calls == expected
+
+
+def thresholded_batch(size, n, keep, seed):
+    """``size`` networks of n nodes thresholded at one level: one edge count."""
+    rng = np.random.default_rng(seed)
+    return [sparsity_threshold(random_weighted(n, rng), keep) for _ in range(size)]
+
+
+class TestBatchRewiringMatchesOneNetworkOracle:
+    """_rewire against random_reference_two_lookup, network by network."""
+
+    @pytest.mark.parametrize("size", [1, 2, 5, 10])
+    @pytest.mark.parametrize("n", [4, 5, 12, 33, 90])
+    def test_identical_per_network(self, size, n):
+        for keep in (0.3, 0.6, 0.95):
+            batch = thresholded_batch(size, n, keep, [size, n])
+            assert len({edge_count(b) for b in batch}) == 1
+            for swaps in (0, 1, 10):
+                seed = [n, swaps]
+                refs = metrics._rewire(batch, seed, swaps)
+                assert len(refs) == size
+                for b, ref in zip(batch, refs):
+                    assert ref == random_reference_two_lookup(b, seed, swaps)
+                    assert ref.labels == b.labels
+
+    @pytest.mark.parametrize("m, swaps", [(819, 5), (1024, 4), (241, 17)],
+                             ids=["4095", "4096", "4097"])
+    def test_identical_at_chunk_edges(self, m, swaps):
+        batch = [network_with_edges(100, m, np.random.default_rng([m, k])) for k in range(3)]
+        for seed in (m, [m, 2]):
+            for b, ref in zip(batch, metrics._rewire(batch, seed, swaps)):
+                assert ref == random_reference_two_lookup(b, seed, swaps)
+
+    def test_inputs_are_left_as_they_were(self):
+        batch = thresholded_batch(3, 20, 0.5, 8)
+        before = [b.edges.copy() for b in batch]
+        metrics._rewire(batch, 4, 10)
+        assert all(np.array_equal(b.edges, e) for b, e in zip(batch, before))
+
+    def test_mixed_edge_counts_raise(self):
+        batch = [ring_lattice(12, 4), ring_lattice(12, 4), ring_lattice(12, 6)]
+        with pytest.raises(ValueError, match=r"^networks rewired together need equal edge "
+                                             r"counts, got \[24, 36\]$"):
+            metrics._rewire(batch, 0, 10)
+
+    def test_keeps_the_one_network_messages(self):
+        with pytest.raises(ValueError, match="^swaps_per_edge must be an integer, got 1.5$"):
+            metrics._rewire([path_graph(2), ring_lattice(10, 4)], 0, 1.5)
+        with pytest.raises(ValidationError, match="^rewiring needs at least 2 edges, got 1$"):
+            metrics._rewire([path_graph(2), path_graph(2)], 0, -1)
+        with pytest.raises(ValueError, match="^swaps_per_edge must be nonnegative$"):
+            metrics._rewire([ring_lattice(10, 4)] * 2, 0, -1)
+
+
+def separate_outcome(b, n_rand, seed, swaps):
+    """The (report, error) pair that _reports gives one network, from the oracles."""
+    try:
+        report = metrics_report_separate(b, n_rand, seed, swaps)
+    except NotEstimableError as exc:
+        return metrics_report_separate(b, 0), (NotEstimableError, str(exc))
+    except UndefinedMetricError as exc:
+        return None, (UndefinedMetricError, str(exc))
+    assert outcome(metrics_report_one_loop, b, n_rand, seed, swaps) == report
+    return report, None
+
+
+def batch_outcomes(networks, n_rand, seed, swaps):
+    return [(report, None if error is None else (type(error), str(error)))
+            for report, error in metrics._reports(networks, n_rand, seed, swaps)]
+
+
+class TestBatchReportsMatchSeparateLoops:
+    """_reports against metrics_report_separate, network by network."""
+
+    @pytest.mark.parametrize("n, m", [(8, 6), (12, 10), (12, 14), (16, 16)])
+    def test_identical_when_some_references_fail(self, n, m):
+        # Sparse networks of one edge count: some have a reference with zero
+        # clustering, at reference 0 or later, while others in the batch go on.
+        outcomes = Counter()
+        for g in range(4):
+            batch = [network_with_edges(n, m, np.random.default_rng([n, m, g, k]))
+                     for k in range(5)]
+            for n_rand in (0, 1, 5):
+                want = [separate_outcome(b, n_rand, 3, 10) for b in batch]
+                assert batch_outcomes(batch, n_rand, 3, 10) == want
+                outcomes.update(error[1] if error else "report" for _, error in want)
+        assert outcomes["report"] > 0
+        assert any(key.startswith("random reference") for key in outcomes)
+
+    def test_failures_at_later_references_leave_the_rest_of_the_batch(self):
+        batch = [network_with_edges(12, 14, np.random.default_rng([12, 14, g, 0]))
+                 for g in range(12)]
+        want = [separate_outcome(b, 5, 3, 10) for b in batch]
+        failed_late = {error[1] for _, error in want
+                       if error and not error[1].startswith("random reference 0 ")}
+        assert failed_late and any(error is None for _, error in want)
+        assert batch_outcomes(batch, 5, 3, 10) == want
+
+    def test_undefined_path_length_leaves_the_batch(self):
+        batch = [empty_graph(12), ring_lattice(12, 4), empty_graph(12), ring_lattice(12, 4)]
+        for n_rand in (0, 2):
+            want = [separate_outcome(b, n_rand, 5, 10) for b in batch]
+            assert want[0] == (None, (UndefinedMetricError,
+                                      "no reachable node pairs; path length is undefined"))
+            assert batch_outcomes(batch, n_rand, 5, 10) == want
+
+    def test_edgeless_batch_makes_no_references(self, monkeypatch):
+        def no_rewiring(*args):
+            raise AssertionError("rewired an edgeless network")
+
+        monkeypatch.setattr(metrics, "_rewire", no_rewiring)
+        outcomes = batch_outcomes([empty_graph(6)] * 3, 4, -1, 10)
+        assert outcomes == [separate_outcome(empty_graph(6), 4, -1, 10)] * 3
+
+    @pytest.mark.parametrize("size", [2, 5, 10])
+    def test_one_draw_per_reference_index(self, monkeypatch, size):
+        calls = []
+        real = metrics._rewire
+
+        def counted(networks, seed, swaps_per_edge):
+            calls.append((len(networks), seed))
+            return real(networks, seed, swaps_per_edge)
+
+        monkeypatch.setattr(metrics, "_rewire", counted)
+        batch = thresholded_batch(size, 30, 0.6, size)
+        got = batch_outcomes(batch, 3, 7, 10)
+        assert calls == [(size, [7, idx]) for idx in range(3)]
+        assert got == [separate_outcome(b, 3, 7, 10) for b in batch]
+
+
+class TestReportSeedChecks:
+    def test_numpy_integer_seed_gives_a_json_row(self):
+        b = ring_lattice(12, 4)
+        report = metrics_report(b, n_rand=2, seed=np.int64(3), swaps_per_edge=np.int64(10))
+        assert report == metrics_report(b, n_rand=2, seed=3)
+        assert type(report.seed) is int and type(report.swaps_per_edge) is int
+        assert json.loads(json.dumps(report.to_row()))["seed"] == 3
+
+    @pytest.mark.parametrize("seed", [True, 1.5, "3", None])
+    @pytest.mark.parametrize("n_rand", [0, 2])
+    def test_non_integer_seed_rejected_before_any_work(self, monkeypatch, seed, n_rand):
+        def no_work(*args, **kwargs):
+            raise AssertionError("measured a network before checking seed")
+
+        monkeypatch.setattr(metrics, "nodal_clustering", no_work)
+        message = f"^seed must be an integer, got {seed!r}$"
+        with pytest.raises(ValueError, match=message):
+            metrics_report(ring_lattice(12, 4), n_rand=n_rand, seed=seed)
+        if n_rand:
+            with pytest.raises(ValueError, match=message):
+                small_world_index(ring_lattice(12, 4), n_rand=n_rand, seed=seed)

@@ -1,4 +1,6 @@
+import tempfile
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +19,12 @@ from ubnin import (
     residualize_covariate,
 )
 from ubnin.subjects import _pearson_network, _pearson_stack
-from oracles import load_subjects_csv_two_loops, pearson_brute, pearson_network_three_checks
+from oracles import (
+    load_subjects_csv_cellwise,
+    load_subjects_csv_two_loops,
+    pearson_brute,
+    pearson_network_three_checks,
+)
 from synth import (
     csv_text,
     make_cohort,
@@ -589,6 +596,8 @@ class TestLoaderMatchesOracle:
             assert got == (ValidationError, message)
         else:
             assert got == want
+        assert got == load_outcome(load_subjects_csv_cellwise, tmp_path, subjects_text,
+                                   demographics_text)
 
     def test_corpus_cases_that_load(self, tmp_path):
         loaded = {case for case in LOADER_CORPUS
@@ -615,6 +624,53 @@ class TestLoaderMatchesOracle:
         got = load_outcome(load_subjects_csv, tmp_path, texts[0], texts[1])
         want = load_outcome(load_subjects_csv_two_loops, tmp_path, texts[0], texts[1])
         assert got == want
+        assert got == load_outcome(load_subjects_csv_cellwise, tmp_path, texts[0], texts[1])
+
+
+# Cells on which numpy's conversion and ``float`` could part: whitespace,
+# underscores, spelled-out infinities and NaNs, non-ASCII digits, underflow and
+# overflow, and text that neither accepts.
+ODD_CELLS = (" 1.5 ", "1_000", "Infinity", "-nan", "\u0661\u0662\u0663", "\uff11\uff12",
+             "1e-400", "1e400", "-0", "+.5e1", "5.", "\u20071", "1__0", "_1", "0x10", "1,5",
+             "True", "", " ", "\t2\t", "nan(1)", "infinit", "1e", "\u0661.\u0662")
+CELL_TEXT = st.text(alphabet="0123456789.eE+-_ nNaAiIfFtTyY\t\u0661\u0662\uff11\u2007",
+                    max_size=8)
+CELLS = st.one_of(st.sampled_from(ODD_CELLS), CELL_TEXT,
+                  st.floats().map(repr), st.floats(width=32).map(str))
+
+
+class TestRowConversionMatchesCellwiseLoader:
+    """Volume cells through numpy a row at a time against ``float`` cell by cell."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.lists(CELLS, min_size=3, max_size=3), min_size=1, max_size=4),
+           st.booleans())
+    def test_equal_tables_or_equal_errors(self, rows, two_file):
+        if two_file:
+            header, demographics = ["id"], "id,age,gender,group\n" + "".join(
+                f"s{i},40,M,PD\n" for i in range(len(rows)))
+        else:
+            header, demographics = ["id", "age", "gender", "group"], None
+        body = [header + ["r1", "r2", "r3"]]
+        body += [[f"s{i}"] + ["40", "M", "PD"][:len(header) - 1] + cells
+                 for i, cells in enumerate(rows)]
+        with tempfile.TemporaryDirectory() as where:
+            got = load_outcome(load_subjects_csv, Path(where), csv_text(body), demographics)
+            want = load_outcome(load_subjects_csv_cellwise, Path(where), csv_text(body),
+                                demographics)
+        assert got == want
+
+    def test_odd_cells_reach_both_outcomes(self, tmp_path):
+        loaded = set()
+        for cell in ODD_CELLS:
+            text = csv_text([["id", "age", "gender", "group", "r1", "r2"],
+                             ["s1", "40", "M", "PD", cell, "2"]])
+            got = load_outcome(load_subjects_csv, tmp_path, text, None)
+            assert got == load_outcome(load_subjects_csv_cellwise, tmp_path, text, None)
+            if got[0] == "all":
+                loaded.add(cell)
+        assert {" 1.5 ", "1_000", "\u0661\u0662\u0663", "\uff11\uff12", "1e-400"} <= loaded
+        assert not {"Infinity", "-nan", "1e400", "0x10", "", "True"} & loaded
 
 
 MUTANT_CELLS = ("", " ", "x", "nan", "inf", "-1", "0", "1e400", " 7 ")
