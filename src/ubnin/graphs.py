@@ -203,26 +203,37 @@ def _adjacency(n: int, flat_idx: np.ndarray) -> np.ndarray:
 
 
 def _keep_strongest(weights: np.ndarray, upper: np.ndarray, k: int,
-                    out: np.ndarray) -> np.ndarray:
+                    out: np.ndarray, ranked: int | None = None) -> np.ndarray:
     """The k strongest edges of each network of a stack, as adjacency ``out``.
 
     ``weights`` is a (g, n, n) stack of symmetric matrices and ``upper`` a
     (g, m) array of their upper triangles, which the partition reorders.
-    ``out`` is a (g, n, n) array of any dtype; it receives 1 for a kept edge,
-    in both triangles, and 0 elsewhere, the diagonal included. Ties at the
-    k-th largest weight keep the first equal weights in (row, col) order.
+    ``out`` is a C-ordered (g, n, n) array of any dtype; it receives 1 for a
+    kept edge, in both triangles, and 0 elsewhere, the diagonal included.
+    Ties at the k-th largest weight keep the first equal weights in
+    (row, col) order.
+
+    ``ranked`` (default m) is the length of the prefix of ``upper`` whose
+    order is still unknown: a call at k leaves ``upper[:, m - k:]`` at least
+    as large as every entry before it, so a later call at k' >= k passes
+    ``ranked=m - k`` and partitions only that prefix. The result depends on
+    ``upper`` only through each row's multiset, so it is the same for any
+    ``ranked`` that a call of a smaller or equal k left behind.
     """
     if k == 0:
         out[...] = 0
         return out
-    n, m = weights.shape[1], upper.shape[1]
+    (g, n), m = weights.shape[:2], upper.shape[1]
+    ranked = m if ranked is None else ranked
+    if not m - k <= ranked <= m:
+        raise ValueError(f"a ranked prefix of {ranked} cannot hold the pivot {m - k} of {m}")
     # t is each network's k-th largest weight. Every weight above it is kept,
     # and of those equal to it the first in (row, col) order fill the k places.
-    upper.partition(m - k, axis=1)
+    if m - k < ranked:
+        upper[:, :ranked].partition(m - k, axis=1)
     t = upper[:, m - k]
     np.greater_equal(weights, t[:, None, None], out=out, casting="unsafe")
-    diag = np.arange(n)
-    out[:, diag, diag] = 0
+    out.reshape(g, n * n)[:, ::n + 1] = 0  # the diagonal, through a view of C-ordered out
     if k == m:
         return out
     # The partition leaves the m - k weights below its pivot at most t, so a

@@ -68,11 +68,7 @@ def _clustering(a: np.ndarray, walks: np.ndarray | None = None) -> np.ndarray:
     deg = np.diagonal(walks, axis1=1, axis2=2).astype(np.float64)
     closed = np.einsum("gij,gij->gi", walks, a,
                        dtype=_closed_walk_dtype(a.shape[1])).astype(np.float64)
-    c = np.zeros(deg.shape)
-    connected = deg >= 2
-    d = deg[connected]
-    c[connected] = closed[connected] / (d * (d - 1.0))
-    return c
+    return np.divide(closed, deg * (deg - 1.0), out=np.zeros(deg.shape), where=deg >= 2)
 
 
 def mean_clustering(b: BinaryNetwork) -> float:

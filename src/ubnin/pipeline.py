@@ -11,6 +11,7 @@ import csv
 import io
 import json
 import math
+import os
 from dataclasses import dataclass, asdict
 from itertools import combinations
 from pathlib import Path
@@ -99,7 +100,11 @@ class RunConfig:
 
 
 def sweep_values(start: float, stop: float, step: float) -> tuple[float, ...]:
-    """Sparsity levels start, start+step, ... up to and including stop."""
+    """Sparsity levels start, start+step, ... up to and including stop.
+
+    Each level is rounded to 10 decimals; a step so small that two levels
+    round to the same value is rejected.
+    """
     if not all(map(math.isfinite, (start, stop, step))):
         raise ValidationError("sweep start, stop and step must be finite")
     if step <= 0:
@@ -121,6 +126,11 @@ def sweep_values(start: float, stop: float, step: float) -> tuple[float, ...]:
         i += 1
     if not vals or any(not 0 < v <= 1 for v in vals):
         raise ValidationError("sweep levels must lie in (0, 1]")
+    repeated = next((v for v, w in zip(vals, vals[1:]) if v == w), None)
+    if repeated is not None:
+        raise ValidationError(
+            f"sweep step {step!r} repeats level {repeated!r}: levels are rounded to 10 decimals"
+        )
     return tuple(vals)
 
 
@@ -166,7 +176,21 @@ def _cell(v) -> str:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    path.write_text(json.dumps(doc, indent=2) + "\n")
+    """Write ``doc`` as indented JSON, streamed into a file that replaces ``path``.
+
+    ``json.dump`` writes the text a piece at a time, so the whole text is
+    never held as one string. The pieces go to a temporary file next to
+    ``path``, which is renamed over it once complete: a write that fails
+    leaves no partial file and whatever ``path`` held before.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            json.dump(doc, fh, indent=2)
+            fh.write("\n")
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)  # gone already unless the write failed
 
 
 def _load_table(config: RunConfig):

@@ -16,6 +16,13 @@ for one network, so the result does not depend on the block size. A block
 holds as many splits as fit ``_BLOCK_BYTES`` for its float64 (splits,
 regions, regions) correlation stack.
 
+The levels are nested: the k strongest edges of a network hold the k' < k
+strongest. So a block visits its levels in ascending edge count, and each
+level partitions only the prefix of the upper triangles that the level
+before left below its cut (``ranked``); a repeated edge count partitions
+nothing. Each level's mean goes to the column of its place in
+``sparsities``, so the order of the levels given changes no value.
+
 The work arrays live in a ``PermutationWorkspace``. A caller that makes many
 tests (``pipeline.run_cohort``, for each group) creates one and passes it to
 each, so its arrays are allocated once for those tests rather than once per
@@ -187,6 +194,9 @@ class _BlockKernel:
         n_total, r = pool.shape
         self.pool, self.n_a, self.labels, self.edges = pool, n_a, labels, edges
         self.upper_cells = _upper_flat(r)
+        # Levels in ascending edge count: each one partitions only the prefix
+        # that the level before it left unranked (``_keep_strongest``).
+        self.ascending = sorted(range(len(edges)), key=edges.__getitem__)
         # The gathered and the centred volumes of one group of a block.
         size = rows * max(n_a, n_total - n_a) * r
         self.volumes = workspace.array("volumes", (size,))
@@ -223,16 +233,21 @@ class _BlockKernel:
                     first = found
                 w = weights[g * b:(g + 1) * b]
                 np.add(c, c.transpose(0, 2, 1), out=w)
-                w /= 2.0
+                w *= 0.5  # the float of w / 2.0
         if first:
             raise first[1]
         upper = weights.reshape(2 * b, r * r).take(self.upper_cells, axis=1, mode="clip",
                                                    out=self.upper[:2 * b])
-        clustering = np.empty((2 * b, len(self.edges)))
-        for level, k in enumerate(self.edges):
-            a = _keep_strongest(weights, upper, k, self.adjacency[:2 * b])
-            clustering[:, level] = _clustering(a, self.walks[:2 * b]).mean(axis=1)
-        return clustering[:b] - clustering[b:]
+        means = np.empty((len(self.edges), 2 * b))  # per level (row) and network
+        ranked = m = upper.shape[1]
+        for level in self.ascending:
+            k = self.edges[level]
+            a = _keep_strongest(weights, upper, k, self.adjacency[:2 * b], ranked)
+            # np.mean's sum; its division by the count follows for every level at once
+            np.add.reduce(_clustering(a, self.walks[:2 * b]), axis=1, out=means[level])
+            ranked = m - k
+        means /= r
+        return (means[:, :b] - means[:, b:]).T
 
 
 @dataclass(frozen=True)

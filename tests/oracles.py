@@ -21,11 +21,16 @@ Likewise ``sparsity_threshold_argsort`` is the earlier
 and ``nodal_clustering_float32`` are the one-network ``sparsity_threshold`` (a
 partition of one upper triangle) and ``nodal_clustering`` (degrees as row
 sums) from before both became the one-network case of the stacked functions
-that the permutation test calls. ``encode_tril`` and
+that the permutation test calls. ``keep_strongest_full_partition`` is the
+stacked selection before the permutation test visited its levels in
+ascending edge count: it partitions every row of the upper triangles in
+full at each level, where ``graphs._keep_strongest`` partitions only the
+prefix left unranked by the level before. ``encode_tril`` and
 ``decode_tril`` are the earlier ``encode`` and ``decode`` (a 2-D
 ``tril_indices`` lookup), and ``to_decimal_string_int`` and
 ``parse_decimal_string_int`` the earlier value form (int multiplication and
-division by 5^scale). ``load_subjects_csv_two_loops`` is the earlier
+division by 5^scale), the latter with ``is_digits_str``, the earlier digit
+check on the string itself. ``load_subjects_csv_two_loops`` is the earlier
 ``load_subjects_csv``, with its ``_load_combined`` and ``_load_demographics``
 (a subject-row loop per CSV layout, and a clinical-cell loop in each of
 ``_load_combined`` and ``_load_demographics``). ``metrics_report_separate``
@@ -86,7 +91,6 @@ from ubnin import (
 from ubnin.codec import (
     _digits_to_int,
     _int_to_digits,
-    _is_digits,
     encode,
     max_scale,
     to_decimal_string,
@@ -489,6 +493,37 @@ def sparsity_threshold_partition(w, keep: float) -> BinaryNetwork:
     return _built(BinaryNetwork, _adjacency(n, flat[chosen]), w.labels)
 
 
+def keep_strongest_full_partition(weights: np.ndarray, upper: np.ndarray, k: int,
+                                  out: np.ndarray) -> np.ndarray:
+    """The k strongest edges of each network of a stack, as adjacency ``out``.
+
+    ``weights`` is a (g, n, n) stack of symmetric matrices and ``upper`` a
+    (g, m) array of their upper triangles, which the partition reorders: all
+    m entries of every row, whatever an earlier call left in them. ``out``
+    is a (g, n, n) array of any dtype; it receives 1 for a kept edge, in both
+    triangles, and 0 elsewhere, the diagonal included. Ties at the k-th
+    largest weight keep the first equal weights in (row, col) order.
+    """
+    if k == 0:
+        out[...] = 0
+        return out
+    n, m = weights.shape[1], upper.shape[1]
+    upper.partition(m - k, axis=1)
+    t = upper[:, m - k]
+    np.greater_equal(weights, t[:, None, None], out=out, casting="unsafe")
+    diag = np.arange(n)
+    out[:, diag, diag] = 0
+    if k == m:
+        return out
+    below = upper[:, :m - k]
+    for i in np.flatnonzero(below.max(axis=1) == t):
+        extra = np.count_nonzero(below[i] == t[i])
+        ties = np.flatnonzero(np.triu(weights[i] == t[i], 1))  # (row, col) order
+        rows, cols = np.divmod(ties[ties.size - extra:], n)
+        out[i, rows, cols] = out[i, cols, rows] = 0
+    return out
+
+
 def column_codes(edges) -> tuple[int, ...]:
     """Column codes D_2 .. D_n: bit r of D_(j+1) is the edge (r, j), 0-based."""
     n = edges.shape[0]
@@ -538,11 +573,16 @@ def to_decimal_string_int(code) -> str:
     return f"{digits[:-code.scale]}.{digits[-code.scale:]}"
 
 
+def is_digits_str(text: str) -> bool:
+    """A nonempty string of ASCII digits 0-9 only, by ``str.isdigit``."""
+    return text.isascii() and text.isdigit()
+
+
 def parse_decimal_string_int(text: str, n: int) -> UbninCode:
     """Digits divided by 5^k in int arithmetic, k the fraction digits."""
     text = text.strip()
     int_part, sep, frac_part = text.partition(".")
-    if not _is_digits(int_part) or (sep and not _is_digits(frac_part)):
+    if not is_digits_str(int_part) or (sep and not is_digits_str(frac_part)):
         raise MalformedCodeError(f"not a nonnegative decimal number: {text!r}")
     frac_part = frac_part.rstrip("0")
     k = len(frac_part)

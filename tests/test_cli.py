@@ -98,6 +98,27 @@ class TestSweepAndThresholdParsing:
             pipeline.RunConfig(input="in.csv", out_dir="out", sweep_start=start,
                                sweep_stop=stop, sweep_step=step)
 
+    @pytest.mark.parametrize("start, stop, step, level", [
+        (0.8, 0.8, 1e-12, 0.8),  # 1050 levels, 11 of them distinct
+        (0.6, 0.6000001, 3e-11, 0.6),  # 3369 levels, 1011 of them distinct
+        (0.3, 0.3000001, 5e-11, 0.3),
+    ])
+    def test_repeated_levels_rejected(self, start, stop, step, level):
+        message = f"sweep step {step!r} repeats level {level!r}: levels are rounded to 10 decimals"
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            sweep_values(start, stop, step)
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            pipeline.RunConfig(input="in.csv", out_dir="out", sweep_start=start,
+                               sweep_stop=stop, sweep_step=step)
+
+    def test_smallest_steps_that_keep_levels_distinct(self):
+        # Levels run up to stop + 1e-9, so 0.6 to 0.60000001 at 1e-10 has 111.
+        levels = sweep_values(0.6, 0.60000001, 1e-10)
+        assert len(levels) == len(set(levels)) == 111
+        assert levels[:3] == (0.6, 0.6000000001, 0.6000000002)
+        levels = sweep_values(0.5, 0.5000000002, 1.5e-10)
+        assert len(levels) == len(set(levels)) == 9
+
     def test_longest_sweep_within_the_cap(self):
         assert pipeline.MAX_SWEEP_LEVELS == 10_000
         levels = sweep_values(1e-4, 1.0, 1e-4)
@@ -520,6 +541,17 @@ class TestCohortCommand:
             "--sweep", sweep,
         )
         assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_repeated_sweep_levels_exit_one(self, tmp_path, capsys):
+        data = cohort_csv(tmp_path, [30, 31, 32])
+        code, out, err = run(
+            capsys, "cohort", "--input", str(data), "--out-dir", str(tmp_path / "o"),
+            "--sweep", "0.8:0.8:1e-12",
+        )
+        assert (code, out) == (1, "")
+        assert err == ("error: sweep step 1e-12 repeats level 0.8: "
+                       "levels are rounded to 10 decimals\n")
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("bins", ["nan", "32,inf", "-inf,40", "30,nan,50"])

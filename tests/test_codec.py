@@ -30,6 +30,7 @@ from oracles import (
     decode_tril,
     encode_fraction,
     encode_tril,
+    is_digits_str,
     parse_decimal_string_int,
     to_decimal_string_int,
 )
@@ -245,6 +246,25 @@ class TestDecimalStrings:
     def test_non_ascii_digits_rejected(self, text):
         with pytest.raises(MalformedCodeError, match="not a nonnegative decimal number"):
             parse_decimal_string(text, 5)
+
+
+class TestDigitCheck:
+    """``codec._is_digits`` against ``is_digits_str``, the check it replaced."""
+
+    # Superscript two, Arabic-Indic three, fullwidth one, and each among ASCII digits.
+    EDGE_CASES = ["", "0", "0123456789", "\u00b2", "\u0663", "\uff11", "1\u00b2",
+                  "\u06631", "12\uff113", " 1", "1 ", "+1", "-1", "1.5", "\x00", "\x7f1",
+                  "1" * 3940, "1" * 3939 + "\u0663"]
+
+    @pytest.mark.parametrize("text", EDGE_CASES)
+    def test_edge_cases(self, text):
+        assert codec._is_digits(text) is is_digits_str(text)
+
+    @settings(max_examples=500, deadline=None)
+    @given(st.text(alphabet=st.sampled_from("0123456789.-+ e\u00b2\u0663\uff11\u00e9a"))
+           | st.text())
+    def test_same_answer_as_the_string_rule(self, text):
+        assert codec._is_digits(text) is is_digits_str(text)
 
 
 class TestRecords:

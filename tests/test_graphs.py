@@ -22,6 +22,7 @@ from ubnin import (
 from ubnin.graphs import _keep_strongest, _upper_flat
 from ubnin.subjects import _pearson_network
 from oracles import (
+    keep_strongest_full_partition,
     kept_edges_oracle,
     ranked_upper_triangle_lexsort,
     sparsity_threshold_argsort,
@@ -362,6 +363,75 @@ class TestSelectionMatchesArgsortOracle:
             for b in consistency_threshold([w, tie_heavy(n, rng)], 0.5, "group-mask"):
                 assert not np.shares_memory(b.edges, flat)
             assert np.array_equal(flat, np.flatnonzero(np.triu(np.ones((n, n)), 1)))
+
+
+def nested_edge_counts(m, rng):
+    """Ascending edge counts from 0 to m, with repeats and random counts between."""
+    inner = rng.integers(0, m + 1, size=6).tolist()
+    return sorted(inner + [0, 0, 1, m // 2, m // 2, max(m - 1, 0), m, m])
+
+
+class TestNestedRankingMatchesFullPartition:
+    """``_keep_strongest`` with ``ranked`` carried from the level before,
+    against ``keep_strongest_full_partition``, which partitions every row in
+    full at every level."""
+
+    @staticmethod
+    def assert_nested_levels(weights, edge_counts):
+        g, n = weights.shape[:2]
+        flat = _upper_flat(n)
+        m = flat.size
+        fresh = weights.reshape(g, -1)[:, flat]
+        for dtype in (bool, np.float32):
+            upper, ranked = fresh.copy(), m
+            for k in edge_counts:
+                out = np.ones(weights.shape, dtype=dtype)
+                expected = keep_strongest_full_partition(
+                    weights, fresh.copy(), k, np.ones(weights.shape, dtype=dtype))
+                assert _keep_strongest(weights, upper, k, out, ranked) is out
+                assert np.array_equal(out, expected)
+                assert out.sum() == 2 * k * g  # k edges per network, both triangles
+                ranked = m - k
+            # the partitions only reorder each row
+            assert np.array_equal(np.sort(upper, axis=1), np.sort(fresh, axis=1))
+
+    @pytest.mark.parametrize("n", ORACLE_SIZES)
+    def test_ascending_repeated_and_extreme_edge_counts(self, n):
+        # Tie-heavy and distinct weights, integer weights of a few values (ties
+        # across every cut), and few-subject correlations with a unit diagonal,
+        # as the permutation test passes them.
+        rng = np.random.default_rng([18, n])
+        m = n * (n - 1) // 2
+        nets = weight_sets(n, rng) + [
+            upper_weights(n, rng.integers(0, 3, size=m).astype(float)),
+            upper_weights(n, rng.integers(-2, 2, size=m).astype(float)),
+        ] + [_pearson_network(rng.normal(size=(4, n)), region_labels(n)) for _ in range(3)]
+        weights = np.stack([w.weights for w in nets])
+        unit_diag = weights.copy()
+        unit_diag[:, np.arange(n), np.arange(n)] = 1.0
+        for stack in (weights, unit_diag):
+            for _ in range(3):
+                self.assert_nested_levels(stack, nested_edge_counts(m, rng))
+            self.assert_nested_levels(stack, list(range(m + 1)) if m <= 50 else [0, m, m])
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(min_value=2, max_value=12), st.integers(min_value=1, max_value=4),
+           st.data())
+    def test_tie_heavy_stacks(self, n, g, data):
+        m = n * (n - 1) // 2
+        nets = [upper_weights(n, data.draw(st.lists(st.sampled_from(TIE_VALUES),
+                                                    min_size=m, max_size=m)))
+                for _ in range(g)]
+        edge_counts = sorted(data.draw(st.lists(st.integers(0, m), min_size=1, max_size=6)))
+        self.assert_nested_levels(np.stack([w.weights for w in nets]), edge_counts)
+
+    def test_rejects_a_pivot_outside_the_unranked_prefix(self):
+        w = random_weighted(6, np.random.default_rng(19)).weights[None]
+        upper = w.reshape(1, -1)[:, _upper_flat(6)]
+        out = np.empty(w.shape, dtype=bool)
+        for k, ranked in ((3, 11), (15, -1), (5, 16)):
+            with pytest.raises(ValueError, match="ranked prefix"):
+                _keep_strongest(w, upper, k, out, ranked)
 
 
 class TestDegreeAndEdgeCount:

@@ -125,6 +125,32 @@ def test_matches_objects_on_tied_integer_volumes(monkeypatch):
     assert tied_cuts > 0
 
 
+# The kernel visits levels in ascending edge count and partitions each
+# network's weights only below the cut of the level before; the oracle
+# thresholds every level from the full triangle, in the order given.
+NESTED_LEVELS = {
+    "eleven": tuple(round(0.6 + 0.03 * i, 10) for i in range(11)),
+    "unsorted": (0.9, 0.6, 0.75),
+    "same edge count": (0.5, 0.5001, 0.3, 0.5),  # 0.5 and 0.5001 keep 218 of 435 edges
+    "none and all": (1.0, 1e-4, 0.45, 1e-4, 1.0),
+}
+
+
+@pytest.mark.parametrize("levels", NESTED_LEVELS.values(), ids=NESTED_LEVELS)
+@pytest.mark.parametrize("rows", [1, 2, 3, 4])
+def test_nested_levels_match_objects(monkeypatch, levels, rows):
+    r = 30
+    set_block_rows(monkeypatch, rows, r)
+    rng = np.random.default_rng([18, rows])
+    a, b = cohorts(rng.normal(600.0, 40.0, (21 + 17, r)), 21)
+    result = assert_same(a, b, levels, 2 * rows + 1, seed=rows)
+    assert result.sparsities == levels
+    # Tied integer volumes: many equal weights at every cut.
+    a, b = cohorts(rng.integers(0, 3, (21 + 17, r)).astype(float), 21)
+    result = assert_same(a, b, levels, 2 * rows + 1, seed=rows)
+    assert not isinstance(result, tuple)
+
+
 def split_errors(volumes, n_a, seed, iterations):
     """What the one-network checks raise for group A and for group B, per iteration."""
     labels = region_labels(volumes.shape[1])
