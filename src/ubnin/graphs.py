@@ -30,13 +30,26 @@ def default_labels(n: int) -> tuple[str, ...]:
     return tuple(f"v{i}" for i in range(1, n + 1))
 
 
+# The labels that last passed _check_labels, a tuple of str. A tuple of str
+# cannot change, so it passes again at the same length without the checks:
+# a cohort's networks share one tuple of region labels.
+_passed: tuple[str, ...] = ()
+
+
 def _check_labels(labels, n) -> tuple[str, ...]:
     """Checked labels as strings, or ``default_labels(n)`` for None or no labels.
 
     Converts to a tuple before testing for emptiness: a numpy array of
-    labels has no truth value of its own.
+    labels has no truth value of its own. A tuple whose labels are all
+    ``str`` needs no conversion and is returned as it is.
     """
-    labels = () if labels is None else tuple(str(x) for x in labels)
+    global _passed
+    if labels is _passed and len(labels) == n:
+        return labels
+    if labels is None:
+        labels = ()
+    elif type(labels) is not tuple or not all(type(x) is str for x in labels):
+        labels = tuple(str(x) for x in labels)
     if not labels:
         return default_labels(n)
     if len(labels) != n:
@@ -45,6 +58,7 @@ def _check_labels(labels, n) -> tuple[str, ...]:
         raise ValidationError("node labels must be unique")
     if any(not lab for lab in labels):
         raise ValidationError("node labels must be non-empty")
+    _passed = labels
     return labels
 
 

@@ -12,6 +12,7 @@ import io
 import json
 import math
 import os
+from collections.abc import Iterator
 from dataclasses import dataclass, asdict
 from itertools import combinations
 from pathlib import Path
@@ -32,6 +33,7 @@ from .subjects import (
     individual_network,
     load_subjects_csv,
     residualize_covariate,
+    stream_subjects_csv,
 )
 # Not called here: kept only because perfbench/tracing.py WRAPPED looks it up.
 from .metrics import metrics_report  # noqa: F401
@@ -111,16 +113,18 @@ def sweep_values(start: float, stop: float, step: float) -> tuple[float, ...]:
         raise ValidationError("sweep step must be positive")
     if stop < start:
         raise ValidationError("sweep stop must be >= start")
-    # Levels run up to stop + 1e-9; these two checks bound the loop below.
+    # Levels run up to round(stop, 10), below stop + 1e-9; these two checks
+    # bound the loop below.
     if start <= 0 or stop > 1 + 1e-9:
         raise ValidationError("sweep levels must lie in (0, 1]")
     if (stop + 1e-9 - start) / step >= MAX_SWEEP_LEVELS:
         raise ValidationError(f"sweep must have at most {MAX_SWEEP_LEVELS} levels")
+    last = round(stop, 10)
     vals = []
     i = 0
     while True:
         v = round(start + i * step, 10)
-        if v > stop + 1e-9:
+        if v > last:
             break
         vals.append(v)
         i += 1
@@ -176,21 +180,57 @@ def _cell(v) -> str:
 
 
 def _write_json(path: Path, doc: dict) -> None:
-    """Write ``doc`` as indented JSON, streamed into a file that replaces ``path``.
+    """Write ``doc`` as ``json.dump(doc, fh, indent=2)`` writes it, plus a
+    newline, into a file that replaces ``path``.
 
-    ``json.dump`` writes the text a piece at a time, so the whole text is
-    never held as one string. The pieces go to a temporary file next to
-    ``path``, which is renamed over it once complete: a write that fails
-    leaves no partial file and whatever ``path`` held before.
+    The text is written a piece at a time, as ``json.dump`` writes it, and a
+    value of ``doc`` that is an iterator is written as a list, an item at a
+    time: so the whole text is never held as one string, and the iterator
+    may drop each item once it has yielded it. The pieces go to a temporary
+    file next to ``path``, which is renamed over it once complete: a write
+    that fails leaves no partial file and whatever ``path`` held before.
     """
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w") as fh:
-            json.dump(doc, fh, indent=2)
+            fh.writelines(_json_pieces(doc))
             fh.write("\n")
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)  # gone already unless the write failed
+
+
+_ENCODER = json.JSONEncoder(indent=2)  # json.dump's encoder at indent=2
+
+
+def _json_pieces(doc: dict):
+    """The text of ``json.dump(doc, fh, indent=2)`` for a ``doc`` with string
+    keys, in pieces.
+
+    Each value is encoded on its own, a piece at a time as ``json.dump``
+    encodes it, and indented one level further by padding the newlines in
+    its pieces: a JSON string holds no raw newline, so every newline in the
+    text starts a line of indentation.
+    """
+    mark = "{"
+    for key, value in doc.items():
+        yield f"{mark}\n  {json.dumps(key)}: "
+        mark = ","
+        if isinstance(value, Iterator):
+            item_mark = "["
+            for item in value:
+                yield f"{item_mark}\n    "
+                yield from _indented(item, "\n    ")
+                item_mark = ","
+            yield "[]" if item_mark == "[" else "\n  ]"
+        else:
+            yield from _indented(value, "\n  ")
+    yield "{}" if mark == "{" else "\n}"
+
+
+def _indented(value, pad: str):
+    for piece in _ENCODER.iterencode(value):
+        yield piece.replace("\n", pad)
 
 
 def _load_table(config: RunConfig):
@@ -200,57 +240,80 @@ def _load_table(config: RunConfig):
     return table
 
 
-def _codes(table: CohortTable, config: RunConfig):
-    """Yield each subject's code in turn.
+def _subject_codes(config: RunConfig):
+    """Yield each subject's id and code, in row order.
 
     Per subject, and in group-mask mode with a single subject, one subject's
     weighted and binary networks are built, encoded and dropped before the
-    next subject starts. A group mask over 2 or more subjects needs every
-    weighted network at once; they are dropped once the mask is applied.
+    next subject starts. Without residualization or a group mask, rows are
+    read as they are reached (``stream_subjects_csv``), so no row is held
+    once its subject is encoded. Residualization needs every subject's
+    volumes at once, and a group mask over 2 or more subjects every weighted
+    network; those are dropped once the mask is applied.
     """
-    labels, keep = table.region_labels, config.threshold_fraction
+    keep = config.threshold_fraction
     # Per-subject consistency is each network's sparsity threshold; a mask needs 2+ networks.
     mask = (config.threshold_mode, config.threshold_strategy) == ("consistency", "group-mask")
-    if mask and len(table.subjects) > 1:
-        stack = [individual_network(s, labels) for s in table.subjects]
-        shared = consistency_threshold(stack, keep, "group-mask")
-        del stack
-        for net in shared:
-            yield encode(net)
+    if config.residualize or mask:
+        table = _load_table(config)
+        labels, subjects = table.region_labels, table.subjects
+        if mask and len(subjects) > 1:
+            stack = [individual_network(s, labels) for s in subjects]
+            shared = consistency_threshold(stack, keep, "group-mask")
+            del stack
+            for subject, net in zip(subjects, shared):
+                yield subject.id, encode(net)
+            return
     else:
-        for subject in table.subjects:
-            yield encode(sparsity_threshold(individual_network(subject, labels), keep))
+        labels, subjects = stream_subjects_csv(config.input, config.demographics)
+    for subject in subjects:
+        yield subject.id, encode(sparsity_threshold(individual_network(subject, labels), keep))
+
+
+def _records(held: list):
+    """Yield the registry record of each held (id, code), dropping the code
+    (and the digits it caches) from ``held`` once its record is made."""
+    for i, (sid, code) in enumerate(held):
+        held[i] = None
+        yield {"id": sid, "n": code.n, "value": to_decimal_string(code)} | to_record(code)
 
 
 def run_fingerprint(config: RunConfig) -> dict:
     """Encode every subject's thresholded similarity network; write the registry.
 
+    Returns the registry document without its records, plus
+    ``registry_path``: the records (one per subject, in row order) are only
+    in the file. Only each subject's id and code are held until the registry
+    is written, and each record is rendered as the file reaches it.
+
     Output is all-or-nothing: any subject that fails validation aborts the run
-    before the registry file is created.
+    before the registry file is created. A streamed run (``_subject_codes``)
+    encodes subjects before it reaches an invalid row further down, but it
+    raises the same error as a run that loads every row first: the loader
+    lists every invalid row after the last one, and no network or encoding
+    step can fail on a subject that the loader accepted (finite volumes, at
+    least 2 unique, non-empty region labels).
     """
-    table = _load_table(config)
-    if not table.subjects:
-        raise ValidationError("no subjects to fingerprint")
-    records = []
+    held = []  # (id, code) per subject, in row order
     by_code: dict = {}
-    for subject, code in zip(table.subjects, _codes(table, config)):
-        records.append(
-            {"id": subject.id, "n": code.n, "value": to_decimal_string(code)} | to_record(code)
-        )
-        by_code.setdefault((code.numerator, code.scale), []).append(subject.id)
-    duplicates = [ids for ids in by_code.values() if len(ids) > 1]
+    for sid, code in _subject_codes(config):
+        held.append((sid, code))
+        by_code.setdefault((code.numerator, code.scale), []).append(sid)
+    if not held:
+        raise ValidationError("no subjects to fingerprint")
     doc = {
         "version": __version__,
         "config": config.to_dict(),
-        "subjects": len(records),
+        "subjects": len(held),
         "distinct_codes": len(by_code),
-        "records": records,
-        "duplicates": duplicates,
+        "records": _records(held),
+        "duplicates": [ids for ids in by_code.values() if len(ids) > 1],
     }
     out_dir = Path(config.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     registry = out_dir / "fingerprints.json"
     _write_json(registry, doc)
+    del doc["records"]
     doc["registry_path"] = str(registry)
     return doc
 

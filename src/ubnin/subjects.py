@@ -13,7 +13,7 @@ import math
 import types
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -292,13 +292,19 @@ def age_binning(table: CohortTable, edges: Sequence[float] = DEFAULT_BIN_EDGES) 
 # (id,<regions>), looked up by id row by row.
 # ---------------------------------------------------------------------------
 
-def _read_csv_rows(path) -> tuple[list[str], list[list[str]]]:
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row]
-    if not rows:
+def _csv_rows(path, fh) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
+    """The stripped header of an open CSV file, and an iterator over its
+    later rows as (row number, cells).
+
+    Blank lines are skipped and not counted: the header is row 1, and the
+    n-th non-empty row after it is row n + 1. Rows are read as they are
+    reached, so none is held after the caller moves on.
+    """
+    rows = enumerate(filter(None, csv.reader(fh)), start=1)
+    first = next(rows, None)
+    if first is None:
         raise ValidationError(f"{path}: empty file")
-    header = [cell.strip() for cell in rows[0]]
-    return header, rows[1:]
+    return [cell.strip() for cell in first[1]], rows
 
 
 def _check_regions(path, regions) -> None:
@@ -390,60 +396,87 @@ def load_subjects_csv(path, demographics_path=None) -> CohortTable:
     Every malformed row is reported; the load fails as a whole if any row is
     invalid, so a successfully loaded table is always complete.
     """
-    header, body = _read_csv_rows(path)
-    if demographics_path is None:
-        clinical_cols, regions = _split_header(path, header)
-        first_volume = 4 + len(clinical_cols)
-        demographics = None
-    else:
-        if header[:1] != ["id"] or any(c in CLINICAL_FIELDS + REQUIRED_COLUMNS for c in header[1:]):
-            raise ValidationError(
-                f"{path}: with a demographics file, the input must contain only "
-                "an id column followed by region columns"
-            )
-        regions = header[1:]
-        _check_regions(path, regions)
-        first_volume = 1
-        demographics = _load_demographics(demographics_path)
-    errors: list[str] = []
-    subjects = []
-    for r, row in enumerate(body, start=2):
-        row_id = f"{path}: row {r}"
-        if len(row) != len(header):
-            errors.append(f"{row_id}: expected {len(header)} cells, got {len(row)}")
-            continue
-        sid = row[0].strip()
-        if not sid:
-            errors.append(f"{row_id}: empty subject id")
-            continue
-        where = f"{row_id} ({sid})"
-        if demographics is None:
-            fields = _parse_demographics(
-                row[1], row[2], row[3], zip(clinical_cols, row[4:first_volume]), errors, where
-            )
-        elif sid in demographics:
-            fields = demographics[sid]
+    regions, subjects = stream_subjects_csv(path, demographics_path)
+    return CohortTable("all", regions, tuple(subjects))
+
+
+def stream_subjects_csv(path, demographics_path=None
+                        ) -> tuple[tuple[str, ...], Iterator[SubjectRecord]]:
+    """The region labels of a subjects CSV, and its subjects as they are read.
+
+    Header, empty-file and demographics errors are raised before this
+    returns. The iterator then reads one row at a time and yields each valid
+    subject in row order. After the last row it raises the ``ValidationError``
+    that lists every invalid row, if there is one, as ``load_subjects_csv``
+    does: a subject it yielded counts only once the iterator is exhausted.
+    The input file stays open until then, or until the iterator is closed.
+    """
+    subjects = _subject_rows(path, demographics_path)
+    return next(subjects), subjects
+
+
+def _subject_rows(path, demographics_path):
+    """Yield the region labels, then each valid subject; see ``stream_subjects_csv``."""
+    with open(path, newline="") as fh:
+        header, body = _csv_rows(path, fh)
+        if demographics_path is None:
+            clinical_cols, regions = _split_header(path, header)
+            first_volume = 4 + len(clinical_cols)
+            demographics = None
         else:
-            errors.append(f"{row_id}: subject {sid!r} missing from demographics file")
-            continue
-        if fields is None:
-            continue
-        volumes = _parse_volumes(row[first_volume:], errors, where)
-        if volumes is None:
-            continue
-        age, gender, group, clinical = fields
-        try:
-            subjects.append(SubjectRecord(sid, age, gender, group, volumes, clinical))
-        except ValidationError as exc:
-            errors.append(f"{row_id}: {exc}")
+            if header[:1] != ["id"] or any(c in CLINICAL_FIELDS + REQUIRED_COLUMNS
+                                           for c in header[1:]):
+                raise ValidationError(
+                    f"{path}: with a demographics file, the input must contain only "
+                    "an id column followed by region columns"
+                )
+            regions = header[1:]
+            _check_regions(path, regions)
+            first_volume = 1
+            demographics = _load_demographics(demographics_path)
+        yield tuple(regions)
+        errors: list[str] = []
+        for r, row in body:
+            row_id = f"{path}: row {r}"
+            if len(row) != len(header):
+                errors.append(f"{row_id}: expected {len(header)} cells, got {len(row)}")
+                continue
+            sid = row[0].strip()
+            if not sid:
+                errors.append(f"{row_id}: empty subject id")
+                continue
+            where = f"{row_id} ({sid})"
+            if demographics is None:
+                fields = _parse_demographics(
+                    row[1], row[2], row[3], zip(clinical_cols, row[4:first_volume]), errors,
+                    where
+                )
+            elif sid in demographics:
+                fields = demographics[sid]
+            else:
+                errors.append(f"{row_id}: subject {sid!r} missing from demographics file")
+                continue
+            if fields is None:
+                continue
+            volumes = _parse_volumes(row[first_volume:], errors, where)
+            if volumes is None:
+                continue
+            age, gender, group, clinical = fields
+            try:
+                subject = SubjectRecord(sid, age, gender, group, volumes, clinical)
+            except ValidationError as exc:
+                errors.append(f"{row_id}: {exc}")
+                continue
+            yield subject
     if errors:
         raise ValidationError("invalid subject rows:\n  " + "\n  ".join(errors))
-    return CohortTable("all", tuple(regions), tuple(subjects))
 
 
 def _load_demographics(path) -> dict:
     """Map each subject id of a demographics CSV to its parsed fields."""
-    header, body = _read_csv_rows(path)
+    with open(path, newline="") as fh:
+        header, body = _csv_rows(path, fh)
+        body = list(body)
     if header[:1] != ["id"]:
         raise ValidationError(f"{path}: demographics header must start with 'id'")
     known = ("age", "gender", "group") + CLINICAL_FIELDS
@@ -457,7 +490,7 @@ def _load_demographics(path) -> dict:
     clinical_idx = [(k, idx[k]) for k in CLINICAL_FIELDS if k in idx]
     errors: list[str] = []
     out: dict[str, tuple] = {}
-    for r, row in enumerate(body, start=2):
+    for r, row in body:
         row_id = f"{path}: row {r}"
         if len(row) != len(header):
             errors.append(f"{row_id}: expected {len(header)} cells, got {len(row)}")

@@ -43,7 +43,10 @@ one-network case of batches that share one set of reference draws
 (``metrics._rewire`` and ``metrics._reports``).
 ``load_subjects_csv_cellwise`` is the one-loop ``load_subjects_csv`` before
 its volume cells went through numpy a row at a time: it parses every cell
-with ``float``.
+with ``float``. ``load_subjects_csv_lists`` is the one-loop loader before it
+read its rows as they came (``subjects.stream_subjects_csv``): it reads every
+non-empty row into a list first. ``check_labels_converted`` is the label
+check before a tuple of ``str`` was checked without converting it.
 ``permutation_test_objects`` is the earlier ``permutation_test``: one serial
 loop that builds a ``WeightedNetwork`` and a ``BinaryNetwork`` per group and
 level for the observed split and for every iteration. Its networks come from
@@ -54,7 +57,7 @@ matrix (with numpy's warnings on), where the package now runs them through
 package's ``_pearson_stack``, which ``tests/test_subjects.py`` pins to the
 bytes of ``np.corrcoef``. ``run_fingerprint_lists`` is the earlier
 ``run_fingerprint``, which built every subject's weighted network, then every
-binary network, before it encoded the first.
+binary network, before it encoded the first, and returned every record.
 """
 
 from __future__ import annotations
@@ -524,6 +527,21 @@ def keep_strongest_full_partition(weights: np.ndarray, upper: np.ndarray, k: int
     return out
 
 
+def check_labels_converted(labels, n) -> tuple[str, ...]:
+    """The label check before a tuple of ``str`` skipped the conversion:
+    every call converts every label to ``str`` and then checks it."""
+    labels = () if labels is None else tuple(str(x) for x in labels)
+    if not labels:
+        return tuple(f"v{i}" for i in range(1, n + 1))
+    if len(labels) != n:
+        raise ValidationError(f"expected {n} node labels, got {len(labels)}")
+    if len(set(labels)) != n:
+        raise ValidationError("node labels must be unique")
+    if any(not lab for lab in labels):
+        raise ValidationError("node labels must be non-empty")
+    return labels
+
+
 def column_codes(edges) -> tuple[int, ...]:
     """Column codes D_2 .. D_n: bit r of D_(j+1) is the edge (r, j), 0-based."""
     n = edges.shape[0]
@@ -833,7 +851,7 @@ def load_subjects_csv_cellwise(path, demographics_path=None) -> CohortTable:
     Every malformed row is reported; the load fails as a whole if any row is
     invalid, so a successfully loaded table is always complete.
     """
-    header, body = package_subjects._read_csv_rows(path)
+    header, body = _read_csv_rows(path)
     if demographics_path is None:
         clinical_cols, regions = package_subjects._split_header(path, header)
         first_volume = 4 + len(clinical_cols)
@@ -877,6 +895,68 @@ def load_subjects_csv_cellwise(path, demographics_path=None) -> CohortTable:
         age, gender, group, clinical = fields
         try:
             subjects.append(SubjectRecord(sid, age, gender, group, np.array(volumes), clinical))
+        except ValidationError as exc:
+            errors.append(f"{row_id}: {exc}")
+    if errors:
+        raise ValidationError("invalid subject rows:\n  " + "\n  ".join(errors))
+    return CohortTable("all", tuple(regions), tuple(subjects))
+
+
+# The one-loop loader as it was before it read its rows as they came: every
+# non-empty row is read into a list first. It shares the package's header
+# and cell helpers, and joins a demographics file through the list-based
+# ``_load_demographics`` above.
+
+def load_subjects_csv_lists(path, demographics_path=None) -> CohortTable:
+    """The one-loop loader over a list of every row.
+
+    Every malformed row is reported; the load fails as a whole if any row is
+    invalid, so a successfully loaded table is always complete.
+    """
+    header, body = _read_csv_rows(path)
+    if demographics_path is None:
+        clinical_cols, regions = package_subjects._split_header(path, header)
+        first_volume = 4 + len(clinical_cols)
+        demographics = None
+    else:
+        if header[:1] != ["id"] or any(c in CLINICAL_FIELDS + REQUIRED_COLUMNS for c in header[1:]):
+            raise ValidationError(
+                f"{path}: with a demographics file, the input must contain only "
+                "an id column followed by region columns"
+            )
+        regions = header[1:]
+        package_subjects._check_regions(path, regions)
+        first_volume = 1
+        demographics = _load_demographics(demographics_path)
+    errors: list[str] = []
+    subjects = []
+    for r, row in enumerate(body, start=2):
+        row_id = f"{path}: row {r}"
+        if len(row) != len(header):
+            errors.append(f"{row_id}: expected {len(header)} cells, got {len(row)}")
+            continue
+        sid = row[0].strip()
+        if not sid:
+            errors.append(f"{row_id}: empty subject id")
+            continue
+        where = f"{row_id} ({sid})"
+        if demographics is None:
+            fields = package_subjects._parse_demographics(
+                row[1], row[2], row[3], zip(clinical_cols, row[4:first_volume]), errors, where
+            )
+        elif sid in demographics:
+            fields = demographics[sid]
+        else:
+            errors.append(f"{row_id}: subject {sid!r} missing from demographics file")
+            continue
+        if fields is None:
+            continue
+        volumes = package_subjects._parse_volumes(row[first_volume:], errors, where)
+        if volumes is None:
+            continue
+        age, gender, group, clinical = fields
+        try:
+            subjects.append(SubjectRecord(sid, age, gender, group, volumes, clinical))
         except ValidationError as exc:
             errors.append(f"{row_id}: {exc}")
     if errors:

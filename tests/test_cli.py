@@ -24,7 +24,7 @@ from ubnin.cli import main
 from ubnin.graphs import format_binary_matrix
 from ubnin import pipeline
 from ubnin.pipeline import parse_threshold_spec
-from oracles import metrics_report_one_loop, to_decimal_string_int
+from oracles import metrics_report_one_loop, run_fingerprint_lists, to_decimal_string_int
 from synth import (
     complete_graph,
     csv_text,
@@ -112,12 +112,26 @@ class TestSweepAndThresholdParsing:
                                sweep_stop=stop, sweep_step=step)
 
     def test_smallest_steps_that_keep_levels_distinct(self):
-        # Levels run up to stop + 1e-9, so 0.6 to 0.60000001 at 1e-10 has 111.
         levels = sweep_values(0.6, 0.60000001, 1e-10)
-        assert len(levels) == len(set(levels)) == 111
+        assert len(levels) == len(set(levels)) == 101
         assert levels[:3] == (0.6, 0.6000000001, 0.6000000002)
-        levels = sweep_values(0.5, 0.5000000002, 1.5e-10)
+        levels = sweep_values(0.5, 0.5000000012, 1.5e-10)
         assert len(levels) == len(set(levels)) == 9
+
+    # Levels once ran up to stop + 1e-9: 511 levels ending at 0.600000051 for
+    # the first case, 111 ending at 0.600000011 for the second, and 9 ending
+    # at 0.5000000012 for the third.
+    @pytest.mark.parametrize("start, stop, step, count", [
+        (0.6, 0.60000005, 1e-10, 501),
+        (0.6, 0.60000001, 1e-10, 101),
+        (0.5, 0.5000000002, 1.5e-10, 2),
+        (0.6, 0.9, 0.03, 11),
+        (0.6, 0.9, 0.3, 2),
+    ])
+    def test_no_level_above_stop(self, start, stop, step, count):
+        levels = sweep_values(start, stop, step)
+        assert len(levels) == count
+        assert levels[0] == start and levels[-1] == stop
 
     def test_longest_sweep_within_the_cap(self):
         assert pipeline.MAX_SWEEP_LEVELS == 10_000
@@ -361,6 +375,22 @@ class TestFingerprintCommand:
         assert "duplicate code" in err
         doc = json.loads((out_dir / "fingerprints.json").read_text())
         assert doc["duplicates"] == [["s0001", "s0001"]]
+
+    def test_same_summary_and_warnings_as_the_list_based_run(self, tmp_path, capsys):
+        header, *rows = subjects_csv_text(7, 10, seed=5).splitlines(keepends=True)
+        data = tmp_path / "subjects.csv"
+        data.write_text("".join([header, *rows, rows[0], rows[2]]))
+        out_dir = tmp_path / "out"
+        want = run_fingerprint_lists(pipeline.RunConfig(input=str(data), out_dir=str(out_dir)))
+        registry = (out_dir / "fingerprints.json").read_bytes()
+        code, out, err = run(capsys, "fingerprint", "--input", str(data), "--out-dir", str(out_dir))
+        assert code == 0
+        assert len(want["duplicates"]) == 2
+        assert err == "".join(f"warning: duplicate code shared by subjects {', '.join(ids)}\n"
+                              for ids in want["duplicates"])
+        assert out == (f"fingerprinted {want['subjects']} subjects "
+                       f"({want['distinct_codes']} distinct codes) -> {want['registry_path']}\n")
+        assert (out_dir / "fingerprints.json").read_bytes() == registry
 
     def test_invalid_row_aborts_without_output(self, tmp_path, capsys):
         import re

@@ -1,14 +1,18 @@
 """The fingerprint run: the same registry as the list-based run, one subject's
-matrices in memory at a time, and no scipy on its way."""
+row and matrices in memory at a time, only codes held until the registry is
+written, and no scipy on its way."""
 
 import json
 import subprocess
 import sys
+import tempfile
 import textwrap
 import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from ubnin import DegenerateDesignError, ValidationError, pipeline
@@ -33,7 +37,10 @@ def outcome(runner, config):
 
 
 def assert_same_as_lists(config):
+    """The outcome of both runs; run_fingerprint returns no records."""
     want = outcome(run_fingerprint_lists, config)
+    if isinstance(want[0], bytes):
+        want = want[0], {k: v for k, v in want[1].items() if k != "records"}
     assert outcome(run_fingerprint, config) == want
     return want
 
@@ -42,6 +49,14 @@ def with_duplicates(text):
     """The subjects CSV with its first and third rows repeated at the end."""
     header, *rows = text.splitlines(keepends=True)
     return "".join([header, *rows, rows[0], rows[2]])
+
+
+def bad_rows_after_good():
+    """Six valid rows, a short row 8, a blank line, two valid rows, and a row 11
+    with a bad volume."""
+    header, *rows = subjects_csv_text(8, 10, 13).splitlines(keepends=True)
+    bad = rows[0].replace("s0001", "s0099", 1).rsplit(",", 1)[0] + ",x\n"
+    return "".join([header, *rows[:6], "s0007,30,F,PD\n", "\n", *rows[6:], bad])
 
 
 INPUTS = {
@@ -66,8 +81,8 @@ class TestMatchesListBasedRun:
         data.write_text(INPUTS[name]())
         config = RunConfig(input=str(data), out_dir=str(tmp_path / "out"), threshold_mode=mode,
                            threshold_fraction=keep, threshold_strategy=strategy)
-        _, doc = assert_same_as_lists(config)
-        assert doc["subjects"] == len(doc["records"]) > 0
+        registry, doc = assert_same_as_lists(config)
+        assert doc["subjects"] == len(json.loads(registry)["records"]) > 0
         if name == "duplicates":
             assert doc["duplicates"]
 
@@ -87,13 +102,27 @@ class TestMatchesListBasedRun:
         ("id,age,gender,group,r1,r2\n", "no subjects to fingerprint"),
         ("id,age,gender,group,r1,r2\ns1,30,F,PD,1.0,x\n", "invalid subject rows"),
         ("id,age,gender,group,r1\ns1,30,F,PD,1.0\n", "need at least 2 region columns"),
-    ], ids=["no-subjects", "bad-volume", "one-region"])
+        ("id,age,gender,group,r1,r2\ns1,x,F,PD,1,2\n\ns2,30,F,PD,1\n",
+         "row 2 (s1): invalid age 'x'\n  {path}: row 3: expected 6 cells, got 5"),
+        (bad_rows_after_good(), "row 8: expected 18 cells, got 4\n"
+         "  {path}: row 11 (s0099): invalid volume 'x'"),
+    ], ids=["no-subjects", "bad-volume", "one-region", "all-rows-invalid", "bad-after-good"])
     def test_same_loader_errors(self, tmp_path, text, message):
         data = tmp_path / "subjects.csv"
         data.write_text(text)
-        config = RunConfig(input=str(data), out_dir=str(tmp_path / "out"))
+        out = tmp_path / "out"
+        config = RunConfig(input=str(data), out_dir=str(out))
         raised = assert_same_as_lists(config)
-        assert raised[0] is ValidationError and message in raised[1]
+        assert raised[0] is ValidationError and message.format(path=data) in raised[1]
+        assert [p.name for p in tmp_path.iterdir()] == ["subjects.csv"]
+        # A registry from an earlier run stays as it was, alone in its directory.
+        out.mkdir()
+        (out / "fingerprints.json").write_text("earlier\n")
+        with pytest.raises(ValidationError) as failed:
+            run_fingerprint(config)
+        assert str(failed.value) == raised[1]
+        assert [p.name for p in out.iterdir()] == ["fingerprints.json"]
+        assert (out / "fingerprints.json").read_text() == "earlier\n"
 
     def test_same_residualization_error(self, tmp_path):
         data = tmp_path / "subjects.csv"
@@ -123,8 +152,9 @@ class TestMatchesListBasedRun:
         assert not (tmp_path / "out").exists()
 
 
-def test_five_calls_per_subject_in_turn(tmp_path, monkeypatch):
-    # perfbench/tracing.py times these five calls through pipeline's names.
+def test_three_calls_per_subject_in_turn_then_two(tmp_path, monkeypatch):
+    # perfbench/tracing.py times these calls through pipeline's names. Codes
+    # are made as rows are read; records as the registry is written.
     calls = []
     for name in ("individual_network", "sparsity_threshold", "encode", "to_decimal_string",
                  "to_record"):
@@ -136,8 +166,8 @@ def test_five_calls_per_subject_in_turn(tmp_path, monkeypatch):
     data = tmp_path / "subjects.csv"
     data.write_text(subjects_csv_text(3, 6, 9))
     run_fingerprint(RunConfig(input=str(data), out_dir=str(tmp_path / "out")))
-    assert calls == ["individual_network", "sparsity_threshold", "encode", "to_decimal_string",
-                     "to_record"] * 3
+    assert calls == (["individual_network", "sparsity_threshold", "encode"] * 3
+                     + ["to_decimal_string", "to_record"] * 3)
 
 
 def traced_peak(tmp_path, n_subjects):
@@ -152,17 +182,19 @@ def traced_peak(tmp_path, n_subjects):
         tracemalloc.stop()
 
 
-def test_memory_does_not_grow_by_a_matrix_per_subject(tmp_path):
-    # Holding every subject's float64 90 x 90 weights adds 64,800 bytes per
-    # subject; the registry itself adds about 5 KB per subject at 90 regions.
-    growth = traced_peak(tmp_path, 400) - traced_peak(tmp_path, 100)
-    assert growth < 300 * 90 * 90 * 8 // 2
+def test_memory_grows_by_under_1_5_kb_per_subject(tmp_path):
+    # At 90 regions a subject's held code is about 0.95 KiB: its numerator,
+    # which the duplicate check keys on, and its id. Loading every row first
+    # and holding every record grew the peak by about 7.6 KiB per subject;
+    # holding every subject's float64 weights adds 64,800 bytes.
+    growth = traced_peak(tmp_path, 1500) - traced_peak(tmp_path, 150)
+    assert growth < 1350 * 1536
 
 
 def test_registry_text_is_never_held_whole(tmp_path):
-    # The document's records hold about one registry's worth of strings. A
-    # registry built as one string, then encoded to bytes for the write, held
-    # two more: a peak of 3.6 times the file at 400 subjects, 1.5 streamed.
+    # A registry built as one string, then encoded to bytes for the write,
+    # peaked at 3.6 times the file at 400 subjects; streamed from a list of
+    # every record, at 1.5 times; rendered a record at a time, at 0.3 times.
     peak = traced_peak(tmp_path, 400)
     registry = tmp_path / "out-400" / "fingerprints.json"
     assert peak < 2 * registry.stat().st_size
@@ -194,9 +226,46 @@ def test_failed_registry_write_leaves_no_file(tmp_path, monkeypatch):
     assert [p.name for p in out.iterdir()] == ["fingerprints.json"]
     assert registry.read_text() == "earlier\n"
     monkeypatch.setattr(pipeline, "to_record", real)
-    doc = run_fingerprint(config)
-    assert registry.read_text() == json.dumps(
-        {k: v for k, v in doc.items() if k != "registry_path"}, indent=2) + "\n"
+    run_fingerprint_lists(config)
+    want = registry.read_bytes()
+    run_fingerprint(config)
+    assert registry.read_bytes() == want
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner,
+                                                                max_size=3),
+    max_leaves=8)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.dictionaries(st.text(max_size=3), JSON_VALUES, max_size=4), st.data())
+def test_written_json_is_json_dump_text(doc, data):
+    # Any list value may be handed over as an iterator, and is written the same.
+    streamed = {k: iter(v) if isinstance(v, list) and data.draw(st.booleans()) else v
+                for k, v in doc.items()}
+    with tempfile.TemporaryDirectory() as where:
+        path = Path(where) / "doc.json"
+        pipeline._write_json(path, streamed)
+        assert path.read_text() == json.dumps(doc, indent=2) + "\n"
+
+
+def test_json_text_of_a_list_value_is_never_held_whole(tmp_path):
+    # results.json's values are lists, not iterators. Encoding each value as
+    # one string and then padding it peaked at over twice the file; written
+    # a piece at a time, at under 0.1 times.
+    doc = {"metrics": [{"row": i, "sigma": i / 7, "gamma": i / 3, "group": "PD"}
+                       for i in range(4000)]}
+    path = tmp_path / "results.json"
+    tracemalloc.start()
+    try:
+        pipeline._write_json(path, doc)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert path.read_text() == json.dumps(doc, indent=2) + "\n"
+    assert peak < path.stat().st_size / 4
 
 
 def test_no_scipy_until_the_first_anova(tmp_path):

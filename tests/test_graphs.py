@@ -19,9 +19,11 @@ from ubnin import (
     sparsity_threshold,
     target_edge_count,
 )
-from ubnin.graphs import _keep_strongest, _upper_flat
+from ubnin import graphs
+from ubnin.graphs import _check_labels, _keep_strongest, _upper_flat
 from ubnin.subjects import _pearson_network
 from oracles import (
+    check_labels_converted,
     keep_strongest_full_partition,
     kept_edges_oracle,
     ranked_upper_triangle_lexsort,
@@ -552,6 +554,62 @@ class TestNetworkValidation:
         b = complete_graph(3)
         with pytest.raises(ValueError):
             b.edges[0, 1] = False
+
+
+def label_outcome(check, labels, n):
+    """The labels a check returns, with their types, or the error it raises."""
+    try:
+        checked = check(labels, n)
+    except Exception as exc:  # the exception itself is the outcome compared
+        return type(exc), str(exc)
+    return type(checked), checked, [type(x) for x in checked]
+
+
+# Equal labels of different types (1, 1.0 and True; "1" and np.str_("1")),
+# duplicates, empty strings and unhashable lists.
+LABEL_ITEMS = st.one_of(st.text(alphabet="ab1", max_size=2), st.integers(0, 2),
+                        st.sampled_from([1.0, True, False, -0.0, np.str_("1"), np.int64(1)]),
+                        st.lists(st.integers(0, 1), max_size=1))
+LABELS = st.one_of(
+    st.none(),
+    st.lists(LABEL_ITEMS, max_size=4).map(tuple),
+    st.lists(LABEL_ITEMS, max_size=4),
+    st.lists(st.text(alphabet="ab1", max_size=2), max_size=4).map(np.array),
+)
+
+
+class TestLabelFastPath:
+    """_check_labels against the check that converts every label, in oracles.py."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(LABELS, st.integers(2, 4)), min_size=1, max_size=6))
+    def test_same_outcome_as_converting_check(self, calls):
+        # Each call twice, then on an equal copy: a tuple that passed passes
+        # again at once, so the same tuple at another length and an equal
+        # tuple must still get the full check.
+        for labels, n in calls * 2:
+            want = label_outcome(check_labels_converted, labels, n)
+            assert label_outcome(_check_labels, labels, n) == want
+            if isinstance(labels, tuple):
+                copy = tuple(list(labels))
+                assert label_outcome(_check_labels, copy, n) == want
+                assert label_outcome(_check_labels, labels, n + 1) == \
+                    label_outcome(check_labels_converted, labels, n + 1)
+
+    def test_equal_tuples_of_other_types(self):
+        assert _check_labels(("1", "2"), 2) == ("1", "2")
+        assert _check_labels((1.0, 2.0), 2) == ("1.0", "2.0")
+        assert _check_labels((True, 2), 2) == ("True", "2")
+        assert _check_labels(([1], [2]), 2) == ("[1]", "[2]")
+        assert type(_check_labels((np.str_("a"), "b"), 2)[0]) is str
+
+    def test_tuple_of_str_returned_as_given_and_kept(self):
+        labels = tuple(f"r{i}" for i in range(90))
+        for _ in range(2):
+            assert _check_labels(labels, 90) is labels
+            assert graphs._passed is labels  # the next call skips the checks
+            with pytest.raises(ValidationError, match="expected 91 node labels, got 90"):
+                _check_labels(labels, 91)
 
 
 class TestMatrixCsv:

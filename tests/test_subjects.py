@@ -1,5 +1,6 @@
 import tempfile
 import warnings
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
@@ -18,9 +19,10 @@ from ubnin import (
     load_subjects_csv,
     residualize_covariate,
 )
-from ubnin.subjects import _pearson_network, _pearson_stack
+from ubnin.subjects import _pearson_network, _pearson_stack, stream_subjects_csv
 from oracles import (
     load_subjects_csv_cellwise,
+    load_subjects_csv_lists,
     load_subjects_csv_two_loops,
     pearson_brute,
     pearson_network_three_checks,
@@ -519,6 +521,10 @@ LOADER_CORPUS = {
     "one-file empty ids": ("id,age,gender,group,r1,r2\n,40,M,PD,1,2\n  ,41,F,HC,1,2\n", None),
     "one-file empty file": ("", None),
     "one-file blank lines": ("\n\n", None),
+    "one-file blank lines between rows": ("\nid,age,gender,group,r1,r2\n\np1,40,M,PD,1,2\n\n\n"
+                                          "p2,41,F,HC,3,4\n\np3,42,F,HC,5,6\n\n", None),
+    "one-file blank lines around bad rows": ("id,age,gender,group,r1,r2\n\np1,40,M,PD,1,x\n\n"
+                                             "p2,41,F,HC,3,4\n\n\np3,42,F,HC\n", None),
     "one-file wrong start": ("subject,age,gender,group,r1,r2\np1,40,M,PD,1,2\n", None),
     "one-file short header": ("id,age\n", None),
     "one-file reserved after regions": ("id,age,gender,group,r1,r2,age\np1,40,M,PD,1,2,3\n",
@@ -553,6 +559,11 @@ LOADER_CORPUS = {
                                      DEMOGRAPHICS + "p1,30,M,PD,,,,\np3,-1,F,HC,,,,\n"),
     "two-file bad subject rows": (VOLUMES + "p1,1,2\n,1,2,3\np2,1,x,nan\np3,1,2,3,4\n",
                                   DEMOGRAPHICS + "p1,30,M,PD,,,,\np2,30,M,PD,,,,\n"),
+    "two-file blank lines between rows": ("\n" + VOLUMES + "\np1,1,2,3\n\n\np2,4,5,6\n\n",
+                                          DEMOGRAPHICS + "\n\np2,50,F,HC,,,,\n\np1,40,M,PD,,,,\n"),
+    "two-file blank lines around bad rows": (VOLUMES + "\n\np1,1,2,x\n\np2,4,5,6\n",
+                                             "\n" + DEMOGRAPHICS + "p1,40,M,PD,,,,\n\n\n"
+                                             "p2,x,F,HC,,,,\n"),
     "two-file empty volumes file": ("", DEMOGRAPHICS),
     "two-file combined input": ("id,age,gender,group,r1,r2\np1,40,M,PD,1,2\n",
                                 "id,age,gender,group\np1,40,M,PD\n"),
@@ -598,6 +609,28 @@ class TestLoaderMatchesOracle:
             assert got == want
         assert got == load_outcome(load_subjects_csv_cellwise, tmp_path, subjects_text,
                                    demographics_text)
+        assert got == load_outcome(load_subjects_csv_lists, tmp_path, subjects_text,
+                                   demographics_text)
+
+    @pytest.mark.parametrize("case", sorted(LOADER_CORPUS))
+    def test_streamed_errors_come_before_the_first_row_or_after_the_last(self, tmp_path, case):
+        want = load_outcome(load_subjects_csv, tmp_path, *LOADER_CORPUS[case])
+        path = tmp_path / "subjects.csv"
+        demo = tmp_path / "demographics.csv" if LOADER_CORPUS[case][1] is not None else None
+        try:
+            regions, subjects = stream_subjects_csv(path, demo)
+        except ValidationError as exc:
+            assert not str(exc).startswith("invalid subject rows")
+            assert want == (ValidationError, str(exc))
+            return
+        yielded = []
+        with pytest.raises(ValidationError) if want[0] is ValidationError else nullcontext():
+            yielded.extend(subjects)
+        assert subjects.gi_frame is None  # finished, so its file is closed
+        if want[0] is ValidationError:
+            assert want[1].startswith("invalid subject rows")
+        else:
+            assert table_fields(CohortTable("all", regions, tuple(yielded))) == want
 
     def test_corpus_cases_that_load(self, tmp_path):
         loaded = {case for case in LOADER_CORPUS
@@ -605,6 +638,7 @@ class TestLoaderMatchesOracle:
         assert loaded == {
             "one-file", "one-file no clinical", "one-file clinical reordered",
             "one-file padded cells", "one-file header only", "one-file duplicate rows",
+            "one-file blank lines between rows", "two-file blank lines between rows",
             "two-file", "two-file clinical in any order", "two-file extra and duplicate rows",
             "two-file unused negative age", "two-file repeated demographics column",
         }
@@ -625,6 +659,7 @@ class TestLoaderMatchesOracle:
         want = load_outcome(load_subjects_csv_two_loops, tmp_path, texts[0], texts[1])
         assert got == want
         assert got == load_outcome(load_subjects_csv_cellwise, tmp_path, texts[0], texts[1])
+        assert got == load_outcome(load_subjects_csv_lists, tmp_path, texts[0], texts[1])
 
 
 # Cells on which numpy's conversion and ``float`` could part: whitespace,
