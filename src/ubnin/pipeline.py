@@ -3,6 +3,12 @@
 Both runners are deterministic functions of (input files, RunConfig): output
 files embed the effective configuration and package version, carry no
 timestamps, and are byte-identical across repeated runs.
+
+``run_cohort`` runs its small-world reference batches and permutation tests
+in forked worker processes, one per usable CPU (``_run_tasks``), and writes
+the same bytes for any number of workers. ``multiprocessing`` and
+``concurrent.futures`` are imported only when a pool starts, so importing
+``ubnin`` and ``run_fingerprint`` never load them.
 """
 
 from __future__ import annotations
@@ -13,7 +19,9 @@ import json
 import math
 import os
 from collections.abc import Iterator
+from contextlib import suppress
 from dataclasses import dataclass, asdict
+from functools import partial
 from itertools import combinations
 from pathlib import Path
 
@@ -318,18 +326,142 @@ def run_fingerprint(config: RunConfig) -> dict:
     return doc
 
 
+@dataclass
+class _GroupPlan:
+    """One group's age cohorts, and the tasks of its references and tests.
+
+    ``tasks`` holds one ``metrics._reports`` batch per sweep level, over the
+    analyzed cohorts whose association matrix was built, then one
+    ``permutation_test`` per pair of analyzed cohorts, in that order.
+    """
+
+    group: str
+    members: tuple
+    cohorts: list  # every age cohort
+    analyzed: list  # those of MIN_COHORT_SIZE or more subjects
+    association_errors: list  # per analyzed cohort: the UbninError of its matrix, or None
+    tasks: list
+
+
+def _plan_group(table: CohortTable, group: str, sweep, config: RunConfig) -> _GroupPlan:
+    members = tuple(s for s in table.subjects if s.group == group)
+    cohorts = age_binning(CohortTable(group, table.region_labels, members), config.bin_edges)
+    analyzed = [c for c in cohorts if len(c) >= MIN_COHORT_SIZE]
+    association_errors, associations = [], []
+    for cohort in analyzed:
+        try:
+            associations.append(group_association_matrix(cohort))
+            association_errors.append(None)
+        except UbninError as exc:
+            association_errors.append(exc)
+    # The cohorts keep one edge count per level, so each level's batch shares reference draws.
+    tasks = [partial(_report_task, [sparsity_threshold(a, s) for a in associations], config)
+             for s in sweep]
+    tasks += [partial(_permutation_task, a, b, sweep, config)
+              for a, b in combinations(analyzed, 2)]
+    return _GroupPlan(group, members, cohorts, analyzed, association_errors, tasks)
+
+
+def _report_task(networks, config: RunConfig, workspace) -> list:
+    return _reports(networks, config.n_rand, config.seed, config.swaps_per_edge)
+
+
+def _permutation_task(cohort_a, cohort_b, sweep, config: RunConfig, workspace):
+    """The test's result, or the UbninError it raised."""
+    try:
+        return permutation_test(cohort_a, cohort_b, sweep, iterations=config.iterations,
+                                seed=config.seed, workspace=workspace)
+    except UbninError as exc:
+        return exc
+
+
+def _workers(tasks: int) -> int:
+    """Worker processes for ``tasks`` tasks: one per CPU this process may run
+    on, and no more than tasks; 1 where the affinity is unknown."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return min(len(os.sched_getaffinity(0)), tasks)
+
+
+_worker: tuple = ()  # (tasks, workspace), set in a worker process of _run_tasks only
+
+
+def _start_worker(tasks: list, cpus) -> None:
+    """Keep ``tasks`` and a workspace, and pin this worker to the next CPU of ``cpus``.
+
+    Left alone, the scheduler may keep forked workers on their parent's CPU
+    for a second or more, and then they take turns on it.
+    """
+    global _worker
+    _worker = (tasks, PermutationWorkspace())
+    with suppress(OSError):  # an optimisation only
+        os.sched_setaffinity(0, {cpus.get()})
+
+
+def _run_in_worker(index: int):
+    tasks, workspace = _worker
+    return tasks[index](workspace)
+
+
+def _run_tasks(tasks: list) -> list:
+    """``task(workspace)`` of every task, in task order.
+
+    With two or more ``_workers`` and the ``fork`` start method, the tasks
+    run in a pool of forked worker processes, each pinned to one of the
+    usable CPUs and with one ``PermutationWorkspace``. The workers inherit
+    ``tasks`` and are sent only indices, so a task need not pickle; each
+    result comes back pickled. Otherwise the tasks run here, on one
+    workspace. Every task draws from its own seed-keyed streams, so the
+    results are the same either way. A task's exception propagates with
+    its type, and a worker that dies raises ``BrokenProcessPool``; either
+    way the pool is shut down, its pending tasks cancelled and its
+    processes joined before this returns or raises.
+    """
+    workers = _workers(len(tasks))
+    if workers > 1:
+        import multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            context = multiprocessing.get_context("fork")
+            usable = sorted(os.sched_getaffinity(0))
+            cpus = context.SimpleQueue()  # one CPU for each worker to take
+            for i in range(workers):
+                cpus.put(usable[i % len(usable)])
+            # A fork-context pool forks every worker before it starts its own threads.
+            pool = ProcessPoolExecutor(workers, context, initializer=_start_worker,
+                                       initargs=(tasks, cpus))
+            try:
+                futures = [pool.submit(_run_in_worker, i) for i in range(len(tasks))]
+                return [f.result() for f in futures]
+            finally:
+                pool.shutdown(cancel_futures=True)
+                cpus.close()
+    workspace = PermutationWorkspace()
+    return [task(workspace) for task in tasks]
+
+
 def run_cohort(config: RunConfig) -> dict:
     """Age-binned metric sweep, pairwise permutation tests, and clinical ANOVA.
 
     Cohorts smaller than MIN_COHORT_SIZE are skipped with a warning; a package
     error (``UbninError``) within one cohort, pair, or field is reported as a
     warning rather than aborting the rest of the run. Other exceptions propagate.
-    At each sweep level a group's cohorts are measured in one batch that shares
-    its reference draws (``metrics._reports``); rows and warnings keep cohort
-    order.
+
+    The run plans, runs, then assembles. Loading, binning, association
+    matrices and thresholds come first, and give each group's tasks
+    (``_plan_group``): at each sweep level one batch of its cohorts that
+    shares reference draws (``metrics._reports``), and one permutation test
+    per cohort pair. ``_run_tasks`` runs every group's tasks, in worker
+    processes where there are CPUs for them. Rows, warnings and ANOVA are
+    then assembled in group, cohort, level and pair order, whatever order
+    the tasks ran in.
     """
     table = _load_table(config)
     sweep = sweep_values(config.sweep_start, config.sweep_stop, config.sweep_step)
+    plans = [_plan_group(table, group, sweep, config)
+             for group in sorted({s.group for s in table.subjects})]
+    results = iter(_run_tasks([task for plan in plans for task in plan.tasks]))
     warnings: list[str] = []
     metric_rows: list[dict] = []
     significance_rows: list[dict] = []
@@ -337,14 +469,9 @@ def run_cohort(config: RunConfig) -> dict:
     anova_rows: list[dict] = []
     cohort_summaries: list[dict] = []
 
-    groups = sorted({s.group for s in table.subjects})
-    for group in groups:
-        members = tuple(s for s in table.subjects if s.group == group)
-        cohorts = age_binning(
-            CohortTable(group, table.region_labels, members), config.bin_edges
-        )
-        analyzed = []
-        for cohort in cohorts:
+    for plan in plans:
+        group = plan.group
+        for cohort in plan.cohorts:
             cohort_summaries.append(
                 {"group": group, "cohort": cohort.cohort_id, "n_subjects": len(cohort)}
             )
@@ -353,40 +480,26 @@ def run_cohort(config: RunConfig) -> dict:
                     f"{group}/{cohort.cohort_id}: skipped "
                     f"({len(cohort)} subjects < {MIN_COHORT_SIZE})"
                 )
+
+        # Each measured cohort's (report, error) per level, in cohort order.
+        measured = zip(*[next(results) for _ in sweep])
+        for cohort, failed in zip(plan.analyzed, plan.association_errors):
+            if failed is not None:
+                warnings.append(f"{group}/{cohort.cohort_id}: {failed}")
                 continue
-            analyzed.append(cohort)
-
-        logs = [([], []) for _ in analyzed]  # each cohort's rows and warnings, in cohort order
-        weighted = []  # (cohort, its log, its association matrix)
-        for cohort, log in zip(analyzed, logs):
-            try:
-                weighted.append((cohort, log, group_association_matrix(cohort)))
-            except UbninError as exc:
-                log[1].append(f"{group}/{cohort.cohort_id}: {exc}")
-        for s in sweep:
-            # The cohorts keep one edge count per level, so they share reference draws.
-            binarized = [sparsity_threshold(association, s) for _, _, association in weighted]
-            reports = _reports(binarized, config.n_rand, config.seed, config.swaps_per_edge)
-            for (cohort, (rows, cohort_warnings), _), (report, error) in zip(weighted, reports):
+            for s, (report, error) in zip(sweep, next(measured)):
                 if error is not None:
-                    cohort_warnings.append(f"{group}/{cohort.cohort_id} sparsity {s}: {error}")
+                    warnings.append(f"{group}/{cohort.cohort_id} sparsity {s}: {error}")
                 if report is not None:
-                    rows.append({"group": group, "cohort": cohort.cohort_id,
-                                 "n_subjects": len(cohort), "sparsity": s} | report.to_row())
-        for rows, cohort_warnings in logs:
-            metric_rows += rows
-            warnings += cohort_warnings
+                    metric_rows.append({"group": group, "cohort": cohort.cohort_id,
+                                        "n_subjects": len(cohort), "sparsity": s}
+                                       | report.to_row())
 
-        workspace = PermutationWorkspace()  # shared by the group's tests
-        for cohort_a, cohort_b in combinations(analyzed, 2):
-            try:
-                result = permutation_test(
-                    cohort_a, cohort_b, sweep, iterations=config.iterations, seed=config.seed,
-                    workspace=workspace,
-                )
-            except UbninError as exc:
+        for cohort_a, cohort_b in combinations(plan.analyzed, 2):
+            result = next(results)
+            if isinstance(result, UbninError):
                 warnings.append(
-                    f"{group}/{cohort_a.cohort_id} vs {cohort_b.cohort_id}: {exc}"
+                    f"{group}/{cohort_a.cohort_id} vs {cohort_b.cohort_id}: {result}"
                 )
                 continue
             pair = {"group": group, "cohort_a": cohort_a.cohort_id,
@@ -405,15 +518,14 @@ def run_cohort(config: RunConfig) -> dict:
                         "metric": result.metric_name,
                     }
                 )
-        del workspace  # idle through the next group's metric rows
 
         fields = config.anova_fields
         if fields is None:
-            present = {k for s in members for k in s.clinical}
+            present = {k for s in plan.members for k in s.clinical}
             fields = tuple(f for f in CLINICAL_FIELDS if f in present)
         for fname in fields:
             value_groups = []
-            for cohort in analyzed:
+            for cohort in plan.analyzed:
                 vals = [s.clinical[fname] for s in cohort.subjects if fname in s.clinical]
                 if vals:
                     value_groups.append(vals)

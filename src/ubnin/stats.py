@@ -24,9 +24,10 @@ nothing. Each level's mean goes to the column of its place in
 ``sparsities``, so the order of the levels given changes no value.
 
 The work arrays live in a ``PermutationWorkspace``. A caller that makes many
-tests (``pipeline.run_cohort``, for each group) creates one and passes it to
-each, so its arrays are allocated once for those tests rather than once per
-test; a test called without one creates its own.
+tests creates one and passes it to each, so its arrays are allocated once for
+those tests rather than once per test: ``pipeline.run_cohort`` keeps one in
+each worker process, or one for the run when its tests run in one process.
+A test called without one creates its own.
 
 ``one_way_anova`` takes its tail probability from ``scipy.special``, which
 it imports on its first call, so importing ``ubnin`` loads no scipy and a

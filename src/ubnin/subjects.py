@@ -298,13 +298,25 @@ def _csv_rows(path, fh) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
 
     Blank lines are skipped and not counted: the header is row 1, and the
     n-th non-empty row after it is row n + 1. Rows are read as they are
-    reached, so none is held after the caller moves on.
+    reached, so none is held after the caller moves on. A row that the
+    ``csv`` module cannot read, such as one with a cell over its field size
+    limit, raises ``ValidationError`` naming the file and the row.
     """
-    rows = enumerate(filter(None, csv.reader(fh)), start=1)
+    rows = _numbered_rows(path, fh)
     first = next(rows, None)
     if first is None:
         raise ValidationError(f"{path}: empty file")
     return [cell.strip() for cell in first[1]], rows
+
+
+def _numbered_rows(path, fh) -> Iterator[tuple[int, list[str]]]:
+    r = 0
+    try:
+        for row in filter(None, csv.reader(fh)):
+            r += 1
+            yield r, row
+    except csv.Error as exc:
+        raise ValidationError(f"{path}: row {r + 1}: {exc}") from None
 
 
 def _check_regions(path, regions) -> None:

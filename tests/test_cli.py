@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 import re
 
 import numpy as np
@@ -748,6 +749,48 @@ class TestCohortBatches:
         monkeypatch.setattr(pipeline, "_reports", reports_one_at_a_time)
         pipeline.run_cohort(config)
         assert {name: (out_dir / name).read_bytes() for name in self.OUTPUTS} == batched
+
+    @pytest.mark.parametrize("n_rand", [0, 2, 3])
+    def test_same_bytes_in_worker_processes_and_in_one(self, tmp_path, monkeypatch, data,
+                                                       n_rand):
+        config = self.config(tmp_path, data, n_rand=n_rand)
+        out_dir = tmp_path / "out"
+        # three workers whatever the CPU count, so the pool runs on any machine
+        monkeypatch.setattr(pipeline, "_workers", lambda tasks: min(3, tasks))
+        pooled_doc = pipeline.run_cohort(config)
+        pooled = {name: (out_dir / name).read_bytes() for name in self.OUTPUTS}
+        monkeypatch.setattr(pipeline, "_workers", lambda tasks: 1)
+        assert pipeline.run_cohort(config) == pooled_doc
+        assert {name: (out_dir / name).read_bytes() for name in self.OUTPUTS} == pooled
+
+    def test_same_cli_output_in_worker_processes_and_in_one(self, tmp_path, monkeypatch,
+                                                            capsys, data):
+        args = ("cohort", "--input", str(data), "--out-dir", str(tmp_path / "out"),
+                "--sweep", "0.1:0.5:0.1", "--iterations", "5", "--n-rand", "2", "--seed", "2")
+        runs = []
+        for workers in (3, 1):
+            monkeypatch.setattr(pipeline, "_workers", lambda tasks: min(workers, tasks))
+            runs.append(run(capsys, *args) + tuple(
+                (tmp_path / "out" / name).read_bytes() for name in self.OUTPUTS))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == 0 and "warning: G/B vs C: zero-variance regions: r1" in runs[0][2]
+        assert multiprocessing.active_children() == []
+
+
+class TestCsvFieldLimit:
+    """A cell longer than the csv module's field size limit is an input error."""
+
+    @pytest.mark.parametrize("command", ["fingerprint", "cohort"])
+    def test_error_line_names_the_file_and_row(self, tmp_path, capsys, command):
+        path = tmp_path / "subjects.csv"
+        big = "1" * 140_000
+        path.write_text("id,age,gender,group,r1,r2,r3\ns1,30,F,G,1,2,3\n\n"
+                        f"s2,31,M,G,{big},2,3\ns3,32,F,G,1,2,3\n")
+        code, out, err = run(capsys, command, "--input", str(path),
+                             "--out-dir", str(tmp_path / "out"))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: row 3: field larger than field limit (131072)\n"
+        assert not (tmp_path / "out").exists()
 
 
 class TestTopLevel:
