@@ -125,7 +125,8 @@ def cmd_fingerprint(input_path, demographics, residualize, seed, out_dir, thresh
 @cli.command("cohort")
 @_config_options
 @click.option("--sweep", default="0.6:0.9:0.03", show_default=True,
-              help="Sparsity sweep start:stop:step.")
+              help="Sparsity sweep start:stop:step; a level is the fraction of possible "
+                   "edges kept (the paper's levels may be the fraction removed).")
 @click.option("--bins", default="32,42,52,62", show_default=True,
               help="Ascending age bin edges, comma separated.")
 @click.option("--iterations", type=int, default=1000, show_default=True,

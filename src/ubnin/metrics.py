@@ -246,8 +246,8 @@ def small_world_index(b: BinaryNetwork, n_rand: int = 100, seed: int = 0,
     Raises
     ------
     NotEstimableError
-        If any reference has undefined path length or zero clustering, the
-        regime reached when the network is too sparse for the comparison.
+        If the network has fewer than 2 edges to rewire, or a reference has
+        undefined path length or zero clustering: it is too sparse to compare.
     """
     _check_references(n_rand, seed)
     report = metrics_report(b, n_rand=n_rand, seed=seed, swaps_per_edge=swaps_per_edge)
@@ -316,9 +316,9 @@ def metrics_report(b: BinaryNetwork, n_rand: int = 100, seed: int = 0,
     The network's clustering and path length are measured once and serve both
     the record and the small-world ratios (see ``small_world_index``). With
     n_rand 0 the sigma/gamma/lam fields stay empty; otherwise
-    NotEstimableError propagates when references fail. A negative or
-    non-integer n_rand, or a non-integer seed, raises ValueError before any
-    work.
+    NotEstimableError propagates when references fail or cannot be drawn
+    (fewer than 2 edges). A negative or non-integer n_rand, or a non-integer
+    seed, raises ValueError before any work.
     """
     ((report, error),) = _reports([b], n_rand, seed, swaps_per_edge)
     if error is not None:
@@ -333,9 +333,10 @@ def _reports(networks, n_rand: int, seed: int, swaps_per_edge: int) -> list[tupl
     idx of every network still estimable then comes from one ``_rewire`` call
     on stream (seed, idx), so each network gets the references it would get
     alone. Returns one (report, error) pair per network, in order: (report,
-    None); (the report without small-world fields, NotEstimableError) when
-    one of its references fails; or (None, UndefinedMetricError) when its own
-    path length is undefined. Argument errors, and those of ``_rewire``, raise.
+    None); (the report without small-world fields, NotEstimableError) when it
+    has fewer than 2 edges to rewire or one of its references fails; or (None,
+    UndefinedMetricError) when its own path length is undefined. Argument
+    errors, and those of ``_rewire``, raise.
     """
     _check_count("n_rand", n_rand)
     _check_count("seed", seed)
@@ -360,9 +361,17 @@ def _reports(networks, n_rand: int, seed: int, swaps_per_edge: int) -> list[tupl
     failed = {}
     if n_rand > 0 and live:
         _check_references(n_rand, seed)
+        _check_count("swaps_per_edge", swaps_per_edge)
+        for k in live:
+            m = edge_count(networks[k])
+            if m < 2:  # no swap is possible, so no reference can be drawn
+                failed[k] = NotEstimableError(f"rewiring needs at least 2 edges, got {m}")
+        live = [k for k in live if k not in failed]
         c_rand = np.empty((len(networks), n_rand))
         l_rand = np.empty((len(networks), n_rand))
         for idx in range(n_rand):
+            if not live:
+                break
             refs = _rewire([networks[k] for k in live], [seed, idx], swaps_per_edge)
             for k, ref in zip(live, refs):
                 try:
@@ -375,8 +384,6 @@ def _reports(networks, n_rand: int, seed: int, swaps_per_edge: int) -> list[tupl
                 if c_rand[k, idx] == 0:
                     failed[k] = NotEstimableError(f"random reference {idx} has zero clustering")
             live = [k for k in live if k not in failed]
-            if not live:
-                break
         for k in live:
             gamma = observed[k]["mean_clustering"] / float(c_rand[k].mean())
             lam = observed[k]["char_path_length"] / float(l_rand[k].mean())

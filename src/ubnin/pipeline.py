@@ -6,7 +6,8 @@ timestamps, and are byte-identical across repeated runs.
 
 ``run_cohort`` runs its small-world reference batches and permutation tests
 in forked worker processes, one per usable CPU (``_run_tasks``), and writes
-the same bytes for any number of workers. ``multiprocessing`` and
+the same bytes for any number of workers. Each task is a call of no
+arguments, which the workers inherit by fork. ``multiprocessing`` and
 ``concurrent.futures`` are imported only when a pool starts, so importing
 ``ubnin`` and ``run_fingerprint`` never load them.
 """
@@ -30,7 +31,7 @@ from .codec import encode, to_decimal_string, to_record
 from .errors import UbninError, ValidationError
 from .graphs import consistency_threshold, sparsity_threshold
 from .metrics import _reports
-from .stats import PermutationWorkspace, one_way_anova, permutation_test
+from .stats import one_way_anova, permutation_test
 from .subjects import (
     CLINICAL_FIELDS,
     DEFAULT_BIN_EDGES,
@@ -112,6 +113,8 @@ class RunConfig:
 def sweep_values(start: float, stop: float, step: float) -> tuple[float, ...]:
     """Sparsity levels start, start+step, ... up to and including stop.
 
+    A level is the fraction of possible edges that a network keeps, so mean
+    clustering rises with it; the paper's levels may be the fraction removed.
     Each level is rounded to 10 decimals; a step so small that two levels
     round to the same value is rejected.
     """
@@ -355,22 +358,18 @@ def _plan_group(table: CohortTable, group: str, sweep, config: RunConfig) -> _Gr
         except UbninError as exc:
             association_errors.append(exc)
     # The cohorts keep one edge count per level, so each level's batch shares reference draws.
-    tasks = [partial(_report_task, [sparsity_threshold(a, s) for a in associations], config)
-             for s in sweep]
+    tasks = [partial(_reports, [sparsity_threshold(a, s) for a in associations],
+                     config.n_rand, config.seed, config.swaps_per_edge) for s in sweep]
     tasks += [partial(_permutation_task, a, b, sweep, config)
               for a, b in combinations(analyzed, 2)]
     return _GroupPlan(group, members, cohorts, analyzed, association_errors, tasks)
 
 
-def _report_task(networks, config: RunConfig, workspace) -> list:
-    return _reports(networks, config.n_rand, config.seed, config.swaps_per_edge)
-
-
-def _permutation_task(cohort_a, cohort_b, sweep, config: RunConfig, workspace):
+def _permutation_task(cohort_a, cohort_b, sweep, config: RunConfig):
     """The test's result, or the UbninError it raised."""
     try:
         return permutation_test(cohort_a, cohort_b, sweep, iterations=config.iterations,
-                                seed=config.seed, workspace=workspace)
+                                seed=config.seed)
     except UbninError as exc:
         return exc
 
@@ -383,35 +382,33 @@ def _workers(tasks: int) -> int:
     return min(len(os.sched_getaffinity(0)), tasks)
 
 
-_worker: tuple = ()  # (tasks, workspace), set in a worker process of _run_tasks only
+_worker_tasks: list = []  # set in a worker process of _run_tasks only
 
 
 def _start_worker(tasks: list, cpus) -> None:
-    """Keep ``tasks`` and a workspace, and pin this worker to the next CPU of ``cpus``.
+    """Keep ``tasks``, and pin this worker to the next CPU of ``cpus``.
 
     Left alone, the scheduler may keep forked workers on their parent's CPU
     for a second or more, and then they take turns on it.
     """
-    global _worker
-    _worker = (tasks, PermutationWorkspace())
+    global _worker_tasks
+    _worker_tasks = tasks
     with suppress(OSError):  # an optimisation only
         os.sched_setaffinity(0, {cpus.get()})
 
 
 def _run_in_worker(index: int):
-    tasks, workspace = _worker
-    return tasks[index](workspace)
+    return _worker_tasks[index]()
 
 
 def _run_tasks(tasks: list) -> list:
-    """``task(workspace)`` of every task, in task order.
+    """``task()`` of every task, in task order.
 
     With two or more ``_workers`` and the ``fork`` start method, the tasks
     run in a pool of forked worker processes, each pinned to one of the
-    usable CPUs and with one ``PermutationWorkspace``. The workers inherit
-    ``tasks`` and are sent only indices, so a task need not pickle; each
-    result comes back pickled. Otherwise the tasks run here, on one
-    workspace. Every task draws from its own seed-keyed streams, so the
+    usable CPUs. The workers inherit ``tasks`` and are sent only indices, so
+    a task need not pickle; each result comes back pickled. Otherwise the
+    tasks run here. Every task draws from its own seed-keyed streams, so the
     results are the same either way. A task's exception propagates with
     its type, and a worker that dies raises ``BrokenProcessPool``; either
     way the pool is shut down, its pending tasks cancelled and its
@@ -437,8 +434,7 @@ def _run_tasks(tasks: list) -> list:
             finally:
                 pool.shutdown(cancel_futures=True)
                 cpus.close()
-    workspace = PermutationWorkspace()
-    return [task(workspace) for task in tasks]
+    return [task() for task in tasks]
 
 
 def run_cohort(config: RunConfig) -> dict:

@@ -23,11 +23,9 @@ before left below its cut (``ranked``); a repeated edge count partitions
 nothing. Each level's mean goes to the column of its place in
 ``sparsities``, so the order of the levels given changes no value.
 
-The work arrays live in a ``PermutationWorkspace``. A caller that makes many
-tests creates one and passes it to each, so its arrays are allocated once for
-those tests rather than once per test: ``pipeline.run_cohort`` keeps one in
-each worker process, or one for the run when its tests run in one process.
-A test called without one creates its own.
+The work arrays are views of buffers that each thread keeps and reuses for
+all its tests (``_work_array``); not one set per process, because numpy
+releases the GIL, so threads that test at once need arrays of their own.
 
 ``one_way_anova`` takes its tail probability from ``scipy.special``, which
 it imports on its first call, so importing ``ubnin`` loads no scipy and a
@@ -37,6 +35,7 @@ run that makes no ANOVA (``pipeline.run_fingerprint``) never pays for it.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from itertools import chain, islice
 from typing import ClassVar
@@ -56,8 +55,7 @@ from .subjects import _pearson_network  # noqa: F401
 # ran a cohort-permutation round equally fast; larger blocks only add memory.
 _BLOCK_BYTES = 256 << 10
 
-__all__ = ["PermutationResult", "PermutationWorkspace", "permutation_test",
-           "AnovaResult", "one_way_anova"]
+__all__ = ["PermutationResult", "permutation_test", "AnovaResult", "one_way_anova"]
 
 
 @dataclass(frozen=True)
@@ -95,31 +93,28 @@ class PermutationResult:
         }
 
 
-class PermutationWorkspace:
-    """Work arrays that ``permutation_test`` calls reuse, one call at a time.
+_thread = threading.local()  # per thread: ``vars(_thread)`` maps names to flat buffers
 
-    Each array is a view of a flat buffer of its own, which grows to the
-    largest size a call has asked for and is then kept: calls of one shape
-    get the same memory every time, and a smaller call a prefix of it. Freed
-    arrays of a few hundred KiB go back to the system, so fresh ones for
-    every test cost a page fault per 4 KiB page on every call.
+
+def _work_array(name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
+    """A C-ordered array of ``shape`` on this thread's buffer ``name``; contents undefined.
+
+    Each buffer grows to the largest size a call in this thread has asked for
+    and is then kept: calls of one shape get the same memory every time, and a
+    smaller call a prefix of it. Freed arrays of a few hundred KiB go back to
+    the system, so fresh ones for every test cost a page fault per 4 KiB page
+    on every call.
     """
-
-    def __init__(self):
-        self._buffers: dict[str, np.ndarray] = {}
-
-    def array(self, name: str, shape: tuple[int, ...], dtype=np.float64) -> np.ndarray:
-        """A C-ordered array of ``shape`` on the buffer ``name``; contents undefined."""
-        size = math.prod(shape)
-        buffer = self._buffers.get(name)
-        if buffer is None or buffer.dtype != dtype or buffer.size < size:
-            buffer = self._buffers[name] = np.empty(size, dtype)
-        return buffer[:size].reshape(shape)
+    buffers = vars(_thread)
+    size = math.prod(shape)
+    buffer = buffers.get(name)
+    if buffer is None or buffer.dtype != dtype or buffer.size < size:
+        buffer = buffers[name] = np.empty(size, dtype)
+    return buffer[:size].reshape(shape)
 
 
 def permutation_test(group_a: CohortTable, group_b: CohortTable, sparsities,
-                     iterations: int = 1000, seed: int = 0,
-                     workspace: PermutationWorkspace | None = None) -> PermutationResult:
+                     iterations: int = 1000, seed: int = 0) -> PermutationResult:
     """Nonparametric permutation test of a group mean-clustering difference.
 
     The observed statistic, per sparsity level, is the mean clustering of the
@@ -132,8 +127,8 @@ def permutation_test(group_a: CohortTable, group_b: CohortTable, sparsities,
     Iteration t relabels the subjects with ``np.random.default_rng([seed, t])``,
     so equal inputs, iterations and seed give an equal result. The statistics
     are computed for a block of splits at a time, whatever the block size: the
-    observed split first, then the iterations in order. ``workspace`` holds the
-    work arrays; the result does not depend on what earlier calls left in it.
+    observed split first, then the iterations in order. Nor does the result
+    depend on what earlier calls left in the work arrays.
     """
     if group_a.region_labels != group_b.region_labels:
         raise ValidationError("cohorts must share identical region labels")
@@ -163,8 +158,7 @@ def permutation_test(group_a: CohortTable, group_b: CohortTable, sparsities,
     # iterations below then sums in the same order as over a list of rows.
     stat = np.empty((iterations + 1, len(sparsities)))
     block = max(1, _BLOCK_BYTES // (8 * r * r))
-    kernel = _BlockKernel(pool, n_a, labels, edges, min(block, iterations + 1),
-                          workspace or PermutationWorkspace())
+    kernel = _BlockKernel(pool, n_a, labels, edges, min(block, iterations + 1))
     for start in range(0, iterations + 1, block):
         rows = np.array(list(islice(splits, block)))
         stat[start:start + len(rows)] = kernel.statistic(rows)
@@ -183,7 +177,7 @@ def permutation_test(group_a: CohortTable, group_b: CohortTable, sparsities,
 
 
 class _BlockKernel:
-    """The statistic of a block of splits at a time, on the arrays of a workspace.
+    """The statistic of a block of splits at a time, on this thread's work arrays.
 
     ``rows`` is the most splits a block holds; the arrays are sized for it.
     The gathers pass ``mode="clip"`` to ``np.take``, which then writes to
@@ -191,7 +185,7 @@ class _BlockKernel:
     Every index is in range, so the mode changes no value.
     """
 
-    def __init__(self, pool, n_a, labels, edges, rows, workspace):
+    def __init__(self, pool, n_a, labels, edges, rows):
         n_total, r = pool.shape
         self.pool, self.n_a, self.labels, self.edges = pool, n_a, labels, edges
         self.upper_cells = _upper_flat(r)
@@ -200,15 +194,15 @@ class _BlockKernel:
         self.ascending = sorted(range(len(edges)), key=edges.__getitem__)
         # The gathered and the centred volumes of one group of a block.
         size = rows * max(n_a, n_total - n_a) * r
-        self.volumes = workspace.array("volumes", (size,))
-        self.centred = workspace.array("centred", (size,))
-        self.corr = workspace.array("corr", (rows, r, r))
+        self.volumes = _work_array("volumes", (size,))
+        self.centred = _work_array("centred", (size,))
+        self.corr = _work_array("corr", (rows, r, r))
         # The symmetrized correlations (c + c.T) / 2 of every network, A's then B's.
-        self.weights = workspace.array("weights", (2 * rows, r, r))
+        self.weights = _work_array("weights", (2 * rows, r, r))
         # Their upper triangles, in an order that each level's partition changes.
-        self.upper = workspace.array("upper", (2 * rows, self.upper_cells.size))
-        self.adjacency = workspace.array("adjacency", (2 * rows, r, r), np.float32)
-        self.walks = workspace.array("walks", (2 * rows, r, r), np.float32)
+        self.upper = _work_array("upper", (2 * rows, self.upper_cells.size))
+        self.adjacency = _work_array("adjacency", (2 * rows, r, r), np.float32)
+        self.walks = _work_array("walks", (2 * rows, r, r), np.float32)
 
     def statistic(self, splits) -> np.ndarray:
         """Mean clustering of A minus that of B, per split (row) and level (column).

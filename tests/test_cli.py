@@ -505,6 +505,25 @@ class TestCohortCommand:
             assert all(p >= 1 / 20 for p in doc["p_value"])
         assert "analyzed 3/5 cohorts" in out
 
+    def test_mean_clustering_rises_with_the_level(self, tmp_path):
+        # A level is the fraction of possible edges kept, not removed (README).
+        data = tmp_path / "subjects.csv"
+        data.write_text(subjects_csv_text(120, 90, 4))
+        config = pipeline.RunConfig(input=str(data), out_dir=str(tmp_path / "out"),
+                                    sweep_start=0.1, sweep_stop=0.9, sweep_step=0.1,
+                                    iterations=1, n_rand=0)
+        doc = pipeline.run_cohort(config)
+        by_cohort = {}
+        for row in doc["metrics"]:
+            by_cohort.setdefault((row["group"], row["cohort"]), []).append(
+                (row["sparsity"], row["mean_clustering"]))
+        assert len(by_cohort) == 10
+        for levels in by_cohort.values():
+            assert [s for s, _ in levels] == list(doc["sweep"])
+            clustering = [c for _, c in levels]
+            assert all(lo < hi for lo, hi in zip(clustering, clustering[1:]))
+            assert clustering[0] < 0.4 and clustering[-1] > 0.8
+
     def test_one_subject_bins_all_skipped_exit_zero(self, tmp_path, capsys):
         data = cohort_csv(tmp_path, [30, 35, 45, 55, 65])
         out_dir = tmp_path / "out"
@@ -675,6 +694,25 @@ class TestRunCohortErrors:
         assert "G/A vs B: zero-variance regions: r1" in doc["warnings"]
         assert [row["cohort"] for row in doc["metrics"]] == ["B"]
         assert (tmp_path / "out" / "results.json").is_file()
+
+    def test_level_of_one_edge_is_a_warning(self, tmp_path):
+        # At 30 regions, level 0.003 keeps 1 of the 435 possible edges: no
+        # swap can rewire it, so no reference can be drawn.
+        data = tmp_path / "subjects.csv"
+        data.write_text(subjects_csv_text(80, 30, 9))
+        config = pipeline.RunConfig(input=str(data), out_dir=str(tmp_path / "out"),
+                                    sweep_start=0.003, sweep_stop=0.006, sweep_step=0.003,
+                                    iterations=5, n_rand=1)
+        doc = pipeline.run_cohort(config)
+        cohorts = [(c["group"], c["cohort"]) for c in doc["cohorts"]]
+        assert len(cohorts) == 10 and all(c["n_subjects"] >= 3 for c in doc["cohorts"])
+        rows = [(row["group"], row["cohort"], row["sparsity"]) for row in doc["metrics"]]
+        assert rows == [(g, c, s) for g, c in cohorts for s in (0.003, 0.006)]
+        assert all(row["sigma"] is None and row["mean_degree"] == 2 / 30
+                   for row in doc["metrics"] if row["sparsity"] == 0.003)
+        assert [w for w in doc["warnings"] if " 0.003: " in w] == \
+            [f"{g}/{c} sparsity 0.003: rewiring needs at least 2 edges, got 1" for g, c in cohorts]
+        assert len(doc["permutation"]) == 2 * 10
 
     def test_programming_error_propagates(self, tmp_path, monkeypatch):
         def broken(*args, **kwargs):

@@ -8,7 +8,10 @@ rejected input must raise the oracle's exception type and message, whatever
 the number of splits per block.
 """
 
+import sys
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -344,8 +347,18 @@ def zero_span_pool(r, n_a, n_b, seed):
     return volumes
 
 
-def test_one_workspace_serves_a_sequence_of_calls():
-    workspace = stats.PermutationWorkspace()
+def in_new_thread(fn, *args, **kwargs):
+    """``fn(*args, **kwargs)`` in a thread of its own, so on work buffers that start empty."""
+    with ThreadPoolExecutor(1) as pool:
+        return pool.submit(fn, *args, **kwargs).result(timeout=120)
+
+
+def buffer_addresses():
+    """The address of each work buffer of this thread, by name."""
+    return {name: buffer.ctypes.data for name, buffer in vars(stats._thread).items()}
+
+
+def test_kept_buffers_serve_a_sequence_of_calls():
     calls = []
     for r, n_a, n_b in ((12, 9, 14), (56, 20, 7), (90, 11, 23)):
         rng = np.random.default_rng([r, n_a, n_b])
@@ -364,48 +377,84 @@ def test_one_workspace_serves_a_sequence_of_calls():
     else:
         pytest.fail("no seed rejects a split after the first block")
     calls.insert(13, (cohorts(volumes, 4), (0.5,), 6))
+
+    def sequence():
+        kept = []
+        for (a, b), levels, iterations in calls:
+            seed = failing_seed if iterations == 6 else iterations
+            kept.append(outcome(permutation_test, a, b, levels, iterations, seed))
+        return kept
+
     raised = 0
-    for (a, b), levels, iterations in calls:
+    for kept, ((a, b), levels, iterations) in zip(in_new_thread(sequence), calls):
         seed = failing_seed if iterations == 6 else iterations
-        kept = outcome(permutation_test, a, b, levels, iterations, seed, workspace)
-        assert kept == assert_same(a, b, levels, iterations, seed)
+        assert kept == in_new_thread(outcome, permutation_test, a, b, levels, iterations, seed)
+        assert kept == outcome(permutation_test_objects, a, b, levels, iterations, seed)
         raised += isinstance(kept, tuple)
     assert raised == 1
 
 
-def test_same_shaped_calls_reuse_the_workspace_buffers():
-    workspace = stats.PermutationWorkspace()
+def test_same_shaped_calls_reuse_the_buffers():
     rng = np.random.default_rng(3)
     a, b = cohorts(rng.normal(600.0, 40.0, (30, 56)), 14)
     c, d = cohorts(rng.normal(600.0, 40.0, (30, 56)), 14)
 
-    def addresses():
-        return {name: buffer.ctypes.data for name, buffer in workspace._buffers.items()}
+    def calls():
+        first = permutation_test(a, b, (0.4, 0.8), iterations=24, seed=1)
+        used = buffer_addresses()
+        assert set(used) == {"volumes", "centred", "corr", "weights", "upper", "adjacency",
+                             "walks"}
+        second = permutation_test(c, d, (0.4, 0.8), iterations=24, seed=2)
+        assert buffer_addresses() == used
+        # a call of fewer splits uses a prefix of the same buffers
+        third = permutation_test(a, b, (0.4, 0.8), iterations=1, seed=1)
+        assert buffer_addresses() == used
+        return first, second, third
 
-    first = permutation_test(a, b, (0.4, 0.8), iterations=24, seed=1, workspace=workspace)
-    used = addresses()
-    assert set(used) == {"volumes", "centred", "corr", "weights", "upper", "adjacency", "walks"}
-    second = permutation_test(c, d, (0.4, 0.8), iterations=24, seed=2, workspace=workspace)
-    assert addresses() == used
-    # a call of fewer splits uses a prefix of the same buffers
-    assert permutation_test(a, b, (0.4, 0.8), iterations=1, seed=1,
-                            workspace=workspace) == permutation_test(a, b, (0.4, 0.8), 1, 1)
-    assert addresses() == used
-    assert first == permutation_test(a, b, (0.4, 0.8), iterations=24, seed=1)
-    assert second == permutation_test(c, d, (0.4, 0.8), iterations=24, seed=2)
+    first, second, third = in_new_thread(calls)
+    assert first == in_new_thread(permutation_test, a, b, (0.4, 0.8), iterations=24, seed=1)
+    assert second == in_new_thread(permutation_test, c, d, (0.4, 0.8), iterations=24, seed=2)
+    assert third == in_new_thread(permutation_test, a, b, (0.4, 0.8), iterations=1, seed=1)
 
 
-def test_workspace_grows_only_to_the_largest_call():
-    workspace = stats.PermutationWorkspace()
+def test_buffers_grow_only_to_the_largest_call():
     rng = np.random.default_rng(4)
     a, b = cohorts(rng.normal(600.0, 40.0, (20, 90)), 10)
-    permutation_test(a, b, (0.6,), iterations=1, seed=0, workspace=workspace)
+
+    def sizes(iterations):
+        permutation_test(a, b, (0.6,), iterations=iterations, seed=0)
+        buffers = vars(stats._thread)
+        return buffers["corr"].size, buffers["volumes"].size
+
     # iterations=1 has two splits, fewer than a block of 90 regions holds
     assert block_rows(90) > 2
-    assert workspace._buffers["corr"].size == 2 * 90 * 90
-    assert workspace._buffers["volumes"].size == 2 * 10 * 90
-    permutation_test(a, b, (0.6,), iterations=24, seed=0, workspace=workspace)
-    assert workspace._buffers["corr"].size == block_rows(90) * 90 * 90
+    assert in_new_thread(lambda: [sizes(1), sizes(24), sizes(1)]) == [
+        (2 * 90 * 90, 2 * 10 * 90),
+        (block_rows(90) * 90 * 90, block_rows(90) * 10 * 90),
+        (block_rows(90) * 90 * 90, block_rows(90) * 10 * 90),
+    ]
+
+
+def test_threads_testing_at_once_give_the_serial_results():
+    pairs = [cohorts(np.random.default_rng(r).normal(600.0, 40.0, (40, r)), 18)
+             for r in (56, 90)]
+    serial = [permutation_test(a, b, LEVELS, iterations=24, seed=r)
+              for r, (a, b) in zip((56, 90), pairs)]
+    start = threading.Barrier(2)
+
+    def repeat(a, b, seed):
+        start.wait(timeout=60)
+        return [permutation_test(a, b, LEVELS, iterations=24, seed=seed) for _ in range(4)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(2) as pool:
+            futures = [pool.submit(repeat, a, b, r) for r, (a, b) in zip((56, 90), pairs)]
+            results = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert results == [[want] * 4 for want in serial]
 
 
 @pytest.mark.parametrize("n_a,value,seed", [(3, 0.1, 0), (4, 7.0, 2)])

@@ -12,13 +12,16 @@ import os
 import signal
 import subprocess
 import sys
+import threading
 from concurrent.futures.process import BrokenProcessPool
+from functools import partial
 from pathlib import Path
 
 import pytest
 
-from ubnin import pipeline
-from ubnin.stats import PermutationWorkspace
+from ubnin import pipeline, stats
+from ubnin.pipeline import RunConfig, run_cohort
+from synth import make_null_pair, subjects_csv_text
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
@@ -48,36 +51,68 @@ def workers(monkeypatch):
     return force
 
 
-def pid_and_workspace(index):
-    return lambda workspace: (index, os.getpid(), id(workspace))
+def pid_of(index):
+    return lambda: (index, os.getpid())
+
+
+def buffers_after_a_test(seed):
+    """A task: run a small permutation test, then give this process's id and
+    the address of each work buffer of this thread."""
+    a, b = make_null_pair(seed, n_subjects=8, n_regions=30)
+    stats.permutation_test(a, b, (0.3, 0.6), iterations=5, seed=seed)
+    return os.getpid(), {name: buffer.ctypes.data
+                         for name, buffer in vars(stats._thread).items()}
 
 
 def test_results_in_task_order_from_worker_processes(workers):
     workers(3)
-    results = pipeline._run_tasks([pid_and_workspace(i) for i in range(12)])
-    assert [index for index, _, _ in results] == list(range(12))
-    pids = {pid for _, pid, _ in results}
+    results = pipeline._run_tasks([pid_of(i) for i in range(12)])
+    assert [index for index, _ in results] == list(range(12))
+    pids = {pid for _, pid in results}
     assert os.getpid() not in pids and 1 <= len(pids) <= 3
-    # one workspace per worker process
-    assert len({(pid, ws) for _, pid, ws in results}) == len(pids)
+
+
+def test_each_worker_reuses_its_own_buffers(workers):
+    workers(2)
+    results = pipeline._run_tasks([partial(buffers_after_a_test, seed) for seed in range(8)])
+    by_pid = {}
+    for pid, addresses in results:
+        by_pid.setdefault(pid, []).append(addresses)
+    assert os.getpid() not in by_pid
+    for kept in by_pid.values():
+        assert len(kept[0]) == 7 and kept == [kept[0]] * len(kept)
+
+
+def test_pooled_run_leaves_no_buffers_here(tmp_path, monkeypatch, workers):
+    data = tmp_path / "subjects.csv"
+    data.write_text(subjects_csv_text(60, 12, 3))
+    config = RunConfig(input=str(data), out_dir=str(tmp_path / "out"), sweep_start=0.3,
+                       sweep_stop=0.6, sweep_step=0.3, iterations=5, n_rand=1)
+    for count, held in ((2, False), (1, True)):
+        monkeypatch.setattr(stats, "_thread", threading.local())
+        workers(count)
+        run_cohort(config)
+        assert bool(vars(stats._thread)) is held
 
 
 def test_each_worker_pinned_to_its_own_usable_cpu(workers):
     usable = os.sched_getaffinity(0)
     workers(2)
-    results = pipeline._run_tasks([lambda ws: (os.getpid(), os.sched_getaffinity(0))] * 8)
+    results = pipeline._run_tasks([lambda: (os.getpid(), os.sched_getaffinity(0))] * 8)
     pinned = dict(results)
     assert all(len(cpus) == 1 and cpus <= usable for cpus in pinned.values())
     assert len(set().union(*pinned.values())) == min(len(pinned), len(usable))
     assert os.sched_getaffinity(0) == usable
 
 
-def test_one_worker_runs_here_on_one_workspace(workers):
+def test_one_worker_runs_here_and_reuses_this_threads_buffers(workers):
     workers(1)
-    results = pipeline._run_tasks([pid_and_workspace(i) for i in range(4)])
-    assert [index for index, _, _ in results] == list(range(4))
-    assert {pid for _, pid, _ in results} == {os.getpid()}
-    assert len({ws for _, _, ws in results}) == 1
+    assert pipeline._run_tasks([pid_of(i) for i in range(4)]) == \
+        [(i, os.getpid()) for i in range(4)]
+    results = pipeline._run_tasks([partial(buffers_after_a_test, seed) for seed in range(4)])
+    assert {pid for pid, _ in results} == {os.getpid()}
+    assert len(results[0][1]) == 7 and [addresses for _, addresses in results] == \
+        [results[0][1]] * 4
 
 
 def test_worker_count_is_the_usable_cpus_and_at_most_one_per_task():
@@ -88,39 +123,33 @@ def test_worker_count_is_the_usable_cpus_and_at_most_one_per_task():
 
 @pytest.mark.parametrize("count", [1, 3])
 def test_exception_propagates_with_its_type(workers, count):
-    def broken(workspace):
+    def broken():
         raise TypeError("broken task")
 
     workers(count)
-    tasks = [pid_and_workspace(0), broken] + [pid_and_workspace(i) for i in range(2, 8)]
+    tasks = [pid_of(0), broken] + [pid_of(i) for i in range(2, 8)]
     with pytest.raises(TypeError, match="broken task"):
         pipeline._run_tasks(tasks)
 
 
 def test_first_failing_task_in_order_raises(workers):
     def fail(message):
-        def task(workspace):
+        def task():
             raise ValueError(message)
         return task
 
     workers(3)
     with pytest.raises(ValueError, match="task 1"):
-        pipeline._run_tasks([pid_and_workspace(0), fail("task 1"), fail("task 2")])
+        pipeline._run_tasks([pid_of(0), fail("task 1"), fail("task 2")])
 
 
 def test_dead_worker_raises_in_the_parent(workers):
-    def die(workspace):
+    def die():
         os._exit(3)
 
     workers(2)
     with pytest.raises(BrokenProcessPool):
-        pipeline._run_tasks([pid_and_workspace(0), die] + [pid_and_workspace(i) for i in range(6)])
-
-
-def test_workspace_is_a_permutation_workspace(workers):
-    workers(2)
-    kinds = pipeline._run_tasks([lambda ws: type(ws).__name__] * 3)
-    assert kinds == [PermutationWorkspace.__name__] * 3
+        pipeline._run_tasks([pid_of(0), die] + [pid_of(i) for i in range(6)])
 
 
 def test_import_loads_no_process_pool():
