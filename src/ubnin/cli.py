@@ -31,7 +31,7 @@ from .errors import (
     ValidationError,
 )
 from .graphs import format_binary_matrix, load_binary_matrix
-from .pipeline import MIN_COHORT_SIZE, RunConfig, parse_threshold_spec, run_cohort, run_fingerprint
+from .pipeline import MIN_COHORT_SIZE, RunConfig, run_cohort, run_fingerprint
 
 EXIT_VALIDATION = 1
 EXIT_DEGENERATE = 2
@@ -67,7 +67,7 @@ def cmd_decode(code_text, nodes, out_path):
     except OSError:  # a code literal longer than any file name
         is_file = False
     if is_file:
-        text = path.read_text().strip()
+        text = path.read_text(encoding="utf-8").strip()
     if text.lstrip().startswith("{"):
         code = from_record(text)
         if nodes is not None and nodes != code.n:
@@ -78,7 +78,7 @@ def cmd_decode(code_text, nodes, out_path):
         code = parse_decimal_string(text, nodes)
     matrix = format_binary_matrix(decode(code))
     if out_path:
-        Path(out_path).write_text(matrix)
+        Path(out_path).write_text(matrix, encoding="utf-8")
     else:
         click.echo(matrix, nl=False)
 
@@ -90,8 +90,6 @@ def _config_options(fn):
                      help="Separate demographics CSV joined on subject id."),
         click.option("--residualize", default=None,
                      help="Covariate to regress out of every region volume, e.g. gender."),
-        click.option("--seed", type=int, default=0, show_default=True,
-                     help="Master seed for every stochastic stage."),
         click.option("--out-dir", required=True, help="Directory for output files."),
     ]
     for dec in reversed(decorators):
@@ -99,19 +97,39 @@ def _config_options(fn):
     return fn
 
 
+def parse_threshold_spec(text: str) -> tuple[float, str]:
+    """Parse a --threshold value into (fraction, strategy): 'sparsity:<f>' and
+    'consistency:<f>' both mean per-subject, and only 'consistency' takes a strategy."""
+    names = ("sparsity", "consistency")
+    parts = text.split(":")
+    if parts[0] not in names:
+        raise ValidationError(f"threshold mode must be one of {names}, got {parts[0]!r}")
+    if len(parts) < 2:
+        raise ValidationError("threshold spec needs a fraction, e.g. sparsity:0.3")
+    try:
+        fraction = float(parts[1])
+    except ValueError:
+        raise ValidationError(f"invalid threshold fraction {parts[1]!r}") from None
+    if len(parts) > 2 and parts[0] != "consistency":
+        raise ValidationError("only consistency thresholds take a strategy")
+    if len(parts) > 3:
+        raise ValidationError(f"malformed threshold spec {text!r}")
+    return fraction, parts[2] if len(parts) > 2 else "per-subject"
+
+
 @cli.command("fingerprint")
 @_config_options
 @click.option("--threshold", default="consistency:0.3:per-subject", show_default=True,
               help="Binarization: sparsity:<f> or consistency:<f>:<strategy>, where "
-                   "strategy is per-subject or group-mask; group-mask applies one shared "
+                   "strategy is per-subject or group-mask. sparsity:<f> is "
+                   "consistency:<f>:per-subject; group-mask applies one shared "
                    "mask, so every subject gets the same network and code.")
-def cmd_fingerprint(input_path, demographics, residualize, seed, out_dir, threshold):
+def cmd_fingerprint(input_path, demographics, residualize, out_dir, threshold):
     """Encode each subject's similarity network; write the code registry."""
-    mode, fraction, strategy = parse_threshold_spec(threshold)
+    fraction, strategy = parse_threshold_spec(threshold)
     config = RunConfig(
         input=input_path, out_dir=out_dir, demographics=demographics,
-        threshold_mode=mode, threshold_fraction=fraction, threshold_strategy=strategy,
-        residualize=residualize, seed=seed,
+        threshold_fraction=fraction, threshold_strategy=strategy, residualize=residualize,
     )
     doc = run_fingerprint(config)
     for ids in doc["duplicates"]:
@@ -124,6 +142,8 @@ def cmd_fingerprint(input_path, demographics, residualize, seed, out_dir, thresh
 
 @cli.command("cohort")
 @_config_options
+@click.option("--seed", type=int, default=0, show_default=True,
+              help="Master seed for every stochastic stage.")
 @click.option("--sweep", default="0.6:0.9:0.03", show_default=True,
               help="Sparsity sweep start:stop:step; a level is the fraction of possible "
                    "edges kept (the paper's levels may be the fraction removed).")

@@ -16,7 +16,7 @@ import math
 import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -315,18 +315,43 @@ def consistency_threshold(stack: Sequence[WeightedNetwork], keep: float,
 # ---------------------------------------------------------------------------
 # Matrix CSV format: first row is the node labels, then n rows of n values.
 # Binary matrices use 0/1 entries. Weighted input is validated for symmetry
-# at absolute tolerance SYMMETRY_ATOL, then symmetrized exactly.
+# at absolute tolerance SYMMETRY_ATOL, then symmetrized exactly. The subjects
+# readers read their rows through the same _csv_rows.
 # ---------------------------------------------------------------------------
 
+def _csv_rows(path, fh) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
+    """The stripped header of an open CSV file, and an iterator over its
+    later rows as (row number, cells).
+
+    Blank lines are skipped and not counted: the header is row 1, and the
+    n-th non-empty row after it is row n + 1. Rows are read as they are
+    reached, so none is held after the caller moves on. A row that the
+    ``csv`` module cannot read, such as one with a cell over its field size
+    limit, raises ``ValidationError`` naming the file and the row.
+    """
+    rows = _numbered_rows(path, fh)
+    first = next(rows, None)
+    if first is None:
+        raise ValidationError(f"{path}: empty file")
+    return [cell.strip() for cell in first[1]], rows
+
+
+def _numbered_rows(path, fh) -> Iterator[tuple[int, list[str]]]:
+    r = 0
+    try:
+        for row in filter(None, csv.reader(fh)):
+            r += 1
+            yield r, row
+    except csv.Error as exc:
+        raise ValidationError(f"{path}: row {r + 1}: {exc}") from None
+
+
 def _read_matrix_rows(path) -> tuple[tuple[str, ...], list[list[str]]]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [row for row in reader if row]
-    if not rows:
-        raise ValidationError(f"{path}: empty matrix file")
-    labels = tuple(cell.strip() for cell in rows[0])
+    with open(path, newline="", encoding="utf-8") as fh:
+        header, rows = _csv_rows(path, fh)
+        body = [row for _, row in rows]
+    labels = tuple(header)
     n = len(labels)
-    body = rows[1:]
     if len(body) != n:
         raise ValidationError(f"{path}: expected {n} data rows for {n} labels, got {len(body)}")
     for r, row in enumerate(body, start=1):
@@ -398,8 +423,8 @@ def format_weighted_matrix(w: WeightedNetwork) -> str:
 
 
 def save_binary_matrix(b: BinaryNetwork, path) -> None:
-    Path(path).write_text(format_binary_matrix(b))
+    Path(path).write_text(format_binary_matrix(b), encoding="utf-8")
 
 
 def save_weighted_matrix(w: WeightedNetwork, path) -> None:
-    Path(path).write_text(format_weighted_matrix(w))
+    Path(path).write_text(format_weighted_matrix(w), encoding="utf-8")

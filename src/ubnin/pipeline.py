@@ -23,7 +23,7 @@ from collections.abc import Iterator
 from contextlib import suppress
 from dataclasses import dataclass, asdict
 from functools import partial
-from itertools import combinations
+from itertools import chain, combinations
 from pathlib import Path
 
 from . import __version__
@@ -47,7 +47,6 @@ from .subjects import (
 # Not called here: kept only because perfbench/tracing.py WRAPPED looks it up.
 from .metrics import metrics_report  # noqa: F401
 
-THRESHOLD_MODES = ("sparsity", "consistency")
 THRESHOLD_STRATEGIES = ("per-subject", "group-mask")
 MIN_COHORT_SIZE = 3  # correlation across fewer subjects is meaningless
 MAX_SWEEP_LEVELS = 10_000
@@ -60,7 +59,6 @@ class RunConfig:
     input: str
     out_dir: str
     demographics: str | None = None
-    threshold_mode: str = "consistency"
     threshold_fraction: float = 0.3
     threshold_strategy: str = "per-subject"
     sweep_start: float = 0.6
@@ -78,12 +76,8 @@ class RunConfig:
         self.bin_edges = _check_bin_edges(self.bin_edges)
         if self.anova_fields is not None:
             self.anova_fields = tuple(self.anova_fields)
-        if self.threshold_mode not in THRESHOLD_MODES:
-            raise ValidationError(f"threshold mode must be one of {THRESHOLD_MODES}")
         if self.threshold_strategy not in THRESHOLD_STRATEGIES:
             raise ValidationError(f"threshold strategy must be one of {THRESHOLD_STRATEGIES}")
-        if self.threshold_mode != "consistency" and self.threshold_strategy != "per-subject":
-            raise ValidationError("only consistency thresholds take a strategy")
         if not 0 < self.threshold_fraction <= 1:
             raise ValidationError("threshold fraction must lie in (0, 1]")
         for name in ("iterations", "seed", "n_rand", "swaps_per_edge"):
@@ -149,27 +143,6 @@ def sweep_values(start: float, stop: float, step: float) -> tuple[float, ...]:
     return tuple(vals)
 
 
-def parse_threshold_spec(text: str) -> tuple[str, float, str]:
-    """Parse 'sparsity:<f>' or 'consistency:<f>[:<strategy>]' flag values."""
-    parts = text.split(":")
-    if parts[0] not in THRESHOLD_MODES:
-        raise ValidationError(f"threshold mode must be one of {THRESHOLD_MODES}, got {parts[0]!r}")
-    if len(parts) < 2:
-        raise ValidationError("threshold spec needs a fraction, e.g. sparsity:0.3")
-    try:
-        fraction = float(parts[1])
-    except ValueError:
-        raise ValidationError(f"invalid threshold fraction {parts[1]!r}") from None
-    strategy = "per-subject"
-    if len(parts) > 2:
-        if parts[0] != "consistency":
-            raise ValidationError("only consistency thresholds take a strategy")
-        strategy = parts[2]
-    if len(parts) > 3:
-        raise ValidationError(f"malformed threshold spec {text!r}")
-    return parts[0], fraction, strategy
-
-
 def _provenance_lines(config: RunConfig) -> str:
     return (
         f"# version: {__version__}\n"
@@ -183,7 +156,7 @@ def _write_csv(path: Path, config: RunConfig, header: list[str], rows: list[dict
     writer.writerow(header)
     for row in rows:
         writer.writerow(["" if row.get(k) is None else _cell(row.get(k)) for k in header])
-    path.write_text(_provenance_lines(config) + buf.getvalue())
+    _replace_file(path, (_provenance_lines(config), buf.getvalue()))
 
 
 def _cell(v) -> str:
@@ -192,20 +165,24 @@ def _cell(v) -> str:
 
 def _write_json(path: Path, doc: dict) -> None:
     """Write ``doc`` as ``json.dump(doc, fh, indent=2)`` writes it, plus a
-    newline, into a file that replaces ``path``.
+    newline, into a file that replaces ``path`` (``_replace_file``).
 
     The text is written a piece at a time, as ``json.dump`` writes it, and a
     value of ``doc`` that is an iterator is written as a list, an item at a
     time: so the whole text is never held as one string, and the iterator
-    may drop each item once it has yielded it. The pieces go to a temporary
-    file next to ``path``, which is renamed over it once complete: a write
-    that fails leaves no partial file and whatever ``path`` held before.
+    may drop each item once it has yielded it.
     """
+    _replace_file(path, chain(_json_pieces(doc), "\n"))
+
+
+def _replace_file(path: Path, pieces) -> None:
+    """Write the text ``pieces`` as UTF-8 into a temporary file next to
+    ``path``, and rename it over ``path`` once complete: a write that fails
+    leaves no partial file and whatever ``path`` held before."""
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
-        with open(tmp, "w") as fh:
-            fh.writelines(_json_pieces(doc))
-            fh.write("\n")
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.writelines(pieces)
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)  # gone already unless the write failed
@@ -263,8 +240,7 @@ def _subject_codes(config: RunConfig):
     network; those are dropped once the mask is applied.
     """
     keep = config.threshold_fraction
-    # Per-subject consistency is each network's sparsity threshold; a mask needs 2+ networks.
-    mask = (config.threshold_mode, config.threshold_strategy) == ("consistency", "group-mask")
+    mask = config.threshold_strategy == "group-mask"  # a mask needs 2+ networks
     if config.residualize or mask:
         table = _load_table(config)
         labels, subjects = table.region_labels, table.subjects

@@ -68,7 +68,7 @@ class PermutationResult:
     p_value: tuple[float, ...]
     iterations: int
     seed: int
-    tail: str = "two-tailed"
+    tail: ClassVar[str] = "two-tailed"
     metric_name: ClassVar[str] = "mean_clustering"
 
     def __post_init__(self):

@@ -8,7 +8,6 @@ volumes across the subjects of a cohort.
 
 from __future__ import annotations
 
-import csv
 import math
 import types
 from bisect import bisect_left
@@ -18,7 +17,7 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 
 from .errors import DegenerateDesignError, ValidationError
-from .graphs import WeightedNetwork, _built, _check_labels
+from .graphs import WeightedNetwork, _built, _check_labels, _csv_rows
 
 CLINICAL_FIELDS = ("updrs_off", "updrs_on", "hy_stage", "age_at_onset")
 REQUIRED_COLUMNS = ("id", "age", "gender", "group")
@@ -292,33 +291,6 @@ def age_binning(table: CohortTable, edges: Sequence[float] = DEFAULT_BIN_EDGES) 
 # (id,<regions>), looked up by id row by row.
 # ---------------------------------------------------------------------------
 
-def _csv_rows(path, fh) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
-    """The stripped header of an open CSV file, and an iterator over its
-    later rows as (row number, cells).
-
-    Blank lines are skipped and not counted: the header is row 1, and the
-    n-th non-empty row after it is row n + 1. Rows are read as they are
-    reached, so none is held after the caller moves on. A row that the
-    ``csv`` module cannot read, such as one with a cell over its field size
-    limit, raises ``ValidationError`` naming the file and the row.
-    """
-    rows = _numbered_rows(path, fh)
-    first = next(rows, None)
-    if first is None:
-        raise ValidationError(f"{path}: empty file")
-    return [cell.strip() for cell in first[1]], rows
-
-
-def _numbered_rows(path, fh) -> Iterator[tuple[int, list[str]]]:
-    r = 0
-    try:
-        for row in filter(None, csv.reader(fh)):
-            r += 1
-            yield r, row
-    except csv.Error as exc:
-        raise ValidationError(f"{path}: row {r + 1}: {exc}") from None
-
-
 def _check_regions(path, regions) -> None:
     if len(regions) < 2:
         raise ValidationError(f"{path}: need at least 2 region columns, got {len(regions)}")
@@ -429,7 +401,7 @@ def stream_subjects_csv(path, demographics_path=None
 
 def _subject_rows(path, demographics_path):
     """Yield the region labels, then each valid subject; see ``stream_subjects_csv``."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         header, body = _csv_rows(path, fh)
         if demographics_path is None:
             clinical_cols, regions = _split_header(path, header)
@@ -486,7 +458,7 @@ def _subject_rows(path, demographics_path):
 
 def _load_demographics(path) -> dict:
     """Map each subject id of a demographics CSV to its parsed fields."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         header, body = _csv_rows(path, fh)
         body = list(body)
     if header[:1] != ["id"]:

@@ -58,6 +58,9 @@ package's ``_pearson_stack``, which ``tests/test_subjects.py`` pins to the
 bytes of ``np.corrcoef``. ``run_fingerprint_lists`` is the earlier
 ``run_fingerprint``, which built every subject's weighted network, then every
 binary network, before it encoded the first, and returned every record.
+``parse_threshold_spec_with_mode`` is the earlier ``--threshold`` parser,
+which returned a threshold mode as well: ``sparsity`` or ``consistency``,
+where only consistency with the ``group-mask`` strategy applied a mask.
 """
 
 from __future__ import annotations
@@ -1051,7 +1054,7 @@ def run_fingerprint_lists(config: RunConfig) -> dict:
     if not table.subjects:
         raise ValidationError("no subjects to fingerprint")
     networks = [individual_network(s, table.region_labels) for s in table.subjects]
-    mask = (config.threshold_mode, config.threshold_strategy) == ("consistency", "group-mask")
+    mask = config.threshold_strategy == "group-mask"
     if mask and len(networks) > 1:
         binarized = consistency_threshold(networks, config.threshold_fraction, "group-mask")
     else:
@@ -1079,3 +1082,27 @@ def run_fingerprint_lists(config: RunConfig) -> dict:
     _write_json(registry, doc)
     doc["registry_path"] = str(registry)
     return doc
+
+
+THRESHOLD_MODES = ("sparsity", "consistency")
+
+
+def parse_threshold_spec_with_mode(text: str) -> tuple[str, float, str]:
+    """Parse 'sparsity:<f>' or 'consistency:<f>[:<strategy>]' flag values."""
+    parts = text.split(":")
+    if parts[0] not in THRESHOLD_MODES:
+        raise ValidationError(f"threshold mode must be one of {THRESHOLD_MODES}, got {parts[0]!r}")
+    if len(parts) < 2:
+        raise ValidationError("threshold spec needs a fraction, e.g. sparsity:0.3")
+    try:
+        fraction = float(parts[1])
+    except ValueError:
+        raise ValidationError(f"invalid threshold fraction {parts[1]!r}") from None
+    strategy = "per-subject"
+    if len(parts) > 2:
+        if parts[0] != "consistency":
+            raise ValidationError("only consistency thresholds take a strategy")
+        strategy = parts[2]
+    if len(parts) > 3:
+        raise ValidationError(f"malformed threshold spec {text!r}")
+    return parts[0], fraction, strategy

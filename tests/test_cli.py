@@ -1,6 +1,12 @@
+import dataclasses
 import json
 import multiprocessing
+import os
 import re
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,11 +27,15 @@ from ubnin import (
     sweep_values,
     to_record,
 )
-from ubnin.cli import main
+from ubnin.cli import main, parse_threshold_spec
 from ubnin.graphs import format_binary_matrix
 from ubnin import pipeline
-from ubnin.pipeline import parse_threshold_spec
-from oracles import metrics_report_one_loop, run_fingerprint_lists, to_decimal_string_int
+from oracles import (
+    metrics_report_one_loop,
+    parse_threshold_spec_with_mode,
+    run_fingerprint_lists,
+    to_decimal_string_int,
+)
 from synth import (
     complete_graph,
     csv_text,
@@ -36,6 +46,7 @@ from synth import (
     table_fields,
 )
 
+SRC = Path(__file__).resolve().parent.parent / "src"
 K10_DECIMAL = "511.999999999985448084771633148193359375"
 NAN, INF = float("nan"), float("inf")
 NON_FINITE_SWEEPS = [(0.6, 0.9, NAN), (NAN, 0.9, 0.03), (0.6, NAN, 0.03), (0.6, INF, 0.03),
@@ -153,30 +164,64 @@ class TestSweepAndThresholdParsing:
         assert all(type(x) is float for x in config.bin_edges)
 
     def test_threshold_spec_forms(self):
-        assert parse_threshold_spec("sparsity:0.3") == ("sparsity", 0.3, "per-subject")
-        assert parse_threshold_spec("consistency:0.25:group-mask") == (
-            "consistency", 0.25, "group-mask",
-        )
+        assert parse_threshold_spec("sparsity:0.3") == (0.3, "per-subject")
+        assert parse_threshold_spec("consistency:0.3") == (0.3, "per-subject")
+        assert parse_threshold_spec("consistency:0.25:group-mask") == (0.25, "group-mask")
 
-    @pytest.mark.parametrize("spec", ["sparsity", "median:0.5", "sparsity:x", "sparsity:0.5:mask"])
-    def test_bad_threshold_specs_rejected(self, spec):
+    @pytest.mark.parametrize("spec", [
+        # accepted by the parser
+        "sparsity:0.3", "consistency:0.3", "consistency:0.3:per-subject",
+        "consistency:0.25:group-mask", "sparsity:1.0", "sparsity:1", "consistency:.5",
+        "sparsity: 0.3 ", "sparsity:1e-1", "sparsity:nan", "sparsity:2", "sparsity:-0.3",
+        "consistency:0.3:bogus", "consistency:0.3:", "consistency:0.3:Group-Mask",
+        # rejected by the parser
+        "", ":", "sparsity", "consistency", "median:0.5", "Sparsity:0.3", " sparsity:0.3",
+        "sparsity:", "sparsity:x", "consistency:0,3", "sparsity:0.5:mask",
+        "sparsity:0.3:group-mask", "sparsity:0.3:per-subject", "sparsity:0.3:",
+        "sparsity:0.3:a:b", "consistency:0.3:group-mask:x", "consistency:x:group-mask",
+        "consistency:0.3::",
+    ])
+    def test_spec_means_what_it_meant_with_a_mode(self, spec):
+        """Each spelling gives the earlier parser's fraction and strategy, or
+        its error; only consistency with group-mask meant a mask, so the
+        strategy alone now carries the meaning."""
         from ubnin import ValidationError
 
-        with pytest.raises(ValidationError):
-            parse_threshold_spec(spec)
+        try:
+            mode, fraction, strategy = parse_threshold_spec_with_mode(spec)
+        except ValidationError as exc:
+            with pytest.raises(ValidationError) as err:
+                parse_threshold_spec(spec)
+            assert str(err.value) == str(exc)
+            return
+        got = parse_threshold_spec(spec)
+        assert repr(got) == repr((fraction, strategy))  # repr: nan == nan
+        assert (got[1] == "group-mask") == ((mode, strategy) == ("consistency", "group-mask"))
 
-    def test_config_rejects_what_the_spec_rejects(self):
+    def test_strategy_is_checked_by_the_spec_and_the_config(self):
         from ubnin import ValidationError
 
         with pytest.raises(ValidationError, match="only consistency thresholds take a strategy"):
             parse_threshold_spec("sparsity:0.3:group-mask")
-        with pytest.raises(ValidationError, match="only consistency thresholds take a strategy"):
-            pipeline.RunConfig(input="in.csv", out_dir="out", threshold_mode="sparsity",
-                               threshold_strategy="group-mask")
+        with pytest.raises(ValidationError, match="^threshold strategy must be one of "):
+            pipeline.RunConfig(input="in.csv", out_dir="out", threshold_strategy="mask")
         for strategy in ("per-subject", "group-mask"):
-            pipeline.RunConfig(input="in.csv", out_dir="out", threshold_mode="consistency",
-                               threshold_strategy=strategy)
-        pipeline.RunConfig(input="in.csv", out_dir="out", threshold_mode="sparsity")
+            pipeline.RunConfig(input="in.csv", out_dir="out", threshold_strategy=strategy)
+
+    def test_settings_on_which_nothing_depends_are_gone(self, capsys):
+        from ubnin import PermutationResult
+
+        assert [f.name for f in dataclasses.fields(pipeline.RunConfig)] == [
+            "input", "out_dir", "demographics", "threshold_fraction", "threshold_strategy",
+            "sweep_start", "sweep_stop", "sweep_step", "bin_edges", "iterations", "seed",
+            "residualize", "n_rand", "swaps_per_edge", "anova_fields"]
+        code, help_text, _ = run(capsys, "fingerprint", "--help")
+        assert code == 0 and "--threshold" in help_text and "--seed" not in help_text
+        assert "--seed" in run(capsys, "cohort", "--help")[1]
+        with pytest.raises(TypeError):
+            PermutationResult((0.5,), (0.1,), (0.0,), (1.0,), 9, 0, tail="two-tailed")
+        assert PermutationResult((0.5,), (0.1,), (0.0,), (1.0,), 9, 0).to_dict()["tail"] == (
+            "two-tailed")
 
     @pytest.mark.parametrize("field, value", [
         ("swaps_per_edge", 1.5), ("n_rand", 1.5), ("iterations", 2.5), ("seed", 1.5),
@@ -415,8 +460,25 @@ class TestFingerprintCommand:
         )
         assert code == 0, err
         doc = json.loads((out_dir / "fingerprints.json").read_text())
-        assert doc["config"]["threshold_mode"] == "sparsity"
+        assert doc["config"]["threshold_fraction"] == 0.5
+        assert doc["config"]["threshold_strategy"] == "per-subject"
         assert doc["config"]["residualize"] == "gender"
+
+    @pytest.mark.parametrize("fraction", ["0.3", "0.05"])
+    def test_per_subject_spellings_write_one_registry(self, tmp_path, capsys, fraction):
+        data = tmp_path / "subjects.csv"
+        data.write_text(subjects_csv_text(9, 12, seed=9))
+        out_dir = tmp_path / "out"
+        registries = []
+        for spec in (f"sparsity:{fraction}", f"consistency:{fraction}",
+                     f"consistency:{fraction}:per-subject"):
+            code, _, err = run(capsys, "fingerprint", "--input", str(data),
+                               "--out-dir", str(out_dir), "--threshold", spec)
+            assert code == 0, err
+            registries.append((out_dir / "fingerprints.json").read_bytes())
+        assert registries[0] == registries[1] == registries[2]
+        assert list(json.loads(registries[0])["config"]) == [
+            f.name for f in dataclasses.fields(pipeline.RunConfig)]
 
     def test_group_mask_consistency(self, tmp_path, capsys):
         data = tmp_path / "subjects.csv"
@@ -829,6 +891,70 @@ class TestCsvFieldLimit:
         assert (code, out) == (1, "")
         assert err == f"error: {path}: row 3: field larger than field limit (131072)\n"
         assert not (tmp_path / "out").exists()
+
+    def test_matrix_csv_error_names_the_file_and_row(self, tmp_path, capsys):
+        path = tmp_path / "m.csv"
+        path.write_text(f"a,b,c\n0,1,0\n\n1,0,{'0' * 200_000}\n0,0,0\n")
+        assert run(capsys, "encode", "--input", str(path)) == (
+            1, "", f"error: {path}: row 3: field larger than field limit (131072)\n")
+
+
+def run_in_child(args, env=None, limit=None):
+    """``ubnin`` with ``args`` in a child process; ``limit`` caps the size of
+    any file it writes (RLIMIT_FSIZE), and a write past it fails with EFBIG."""
+    code = textwrap.dedent(f"""
+        import resource, signal, sys
+        sys.path.insert(0, {str(SRC)!r})
+        from ubnin.cli import main
+        if {limit!r} is not None:
+            signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+            resource.setrlimit(resource.RLIMIT_FSIZE, ({limit!r}, {limit!r}))
+        sys.exit(main({list(args)!r}))
+    """)
+    env = dict(env or os.environ, PYTHONDONTWRITEBYTECODE="1")
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
+class TestOutputFiles:
+    OUTPUTS = ("metrics.csv", "significance.csv", "anova.csv", "results.json")
+
+    def test_failed_rerun_leaves_the_earlier_files(self, tmp_path, capsys):
+        data = cohort_csv(tmp_path, [28, 29, 30, 31, 38, 39, 40, 41, 48, 49, 50, 51])
+        out_dir = tmp_path / "out"
+        args = ["cohort", "--input", str(data), "--out-dir", str(out_dir),
+                "--sweep", "0.7:0.8:0.05", "--iterations", "19", "--n-rand", "2"]
+        assert run(capsys, *args)[0] == 0
+        before = {name: (out_dir / name).read_bytes() for name in self.OUTPUTS}
+        limit = len(before["metrics.csv"]) - 100
+        done = run_in_child(args + ["--seed", "4"], limit=limit)
+        assert done.returncode == 1
+        assert "File too large" in done.stderr
+        assert sorted(os.listdir(out_dir)) == sorted(self.OUTPUTS)
+        assert {name: (out_dir / name).read_bytes() for name in self.OUTPUTS} == before
+
+    @pytest.mark.parametrize("command", ["fingerprint", "cohort", "encode"])
+    def test_same_bytes_under_an_ascii_locale(self, tmp_path, capsys, command):
+        if command == "encode":
+            data = tmp_path / "m.csv"
+            data.write_text("région1,b,c\n0,1,1\n1,0,0\n1,0,0\n", encoding="utf-8")
+            args = ["encode", "--input", str(data)]
+        else:
+            text = subjects_csv_text(30, 12, 5, groups=("Contrôle", "PD"))
+            data = tmp_path / "subjects.csv"
+            data.write_text(text.replace(",r1,", ",région1,", 1), encoding="utf-8")
+            args = [command, "--input", str(data), "--out-dir", str(tmp_path / "out")]
+        if command == "cohort":
+            args += ["--sweep", "0.5:0.5:0.1", "--iterations", "5", "--n-rand", "0"]
+        code, out, _ = run(capsys, *args)
+        assert code == 0
+        files = {p.name: p.read_bytes() for p in sorted((tmp_path / "out").glob("*"))}
+        ascii_env = dict(os.environ, LC_ALL="C", PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        done = run_in_child(args, env=ascii_env)
+        assert (done.returncode, done.stdout) == (0, out), done.stderr
+        assert {p.name: p.read_bytes() for p in sorted((tmp_path / "out").glob("*"))} == files
+        if command == "cohort":
+            assert "Contrôle".encode() in files["metrics.csv"]
 
 
 class TestTopLevel:

@@ -66,20 +66,19 @@ INPUTS = {
     "two-regions": lambda: subjects_csv_text(5, 2, 4),
     "duplicates": lambda: with_duplicates(subjects_csv_text(7, 10, 5)),
 }
-THRESHOLDS = [("sparsity", 0.3, "per-subject"), ("consistency", 0.3, "per-subject"),
-              ("consistency", 0.25, "group-mask"), ("sparsity", 1.0, "per-subject"),
-              ("consistency", 0.05, "group-mask")]
+THRESHOLDS = [(0.3, "per-subject"), (0.25, "group-mask"), (1.0, "per-subject"),
+              (0.05, "group-mask")]
 
 
 class TestMatchesListBasedRun:
     """run_fingerprint against the earlier list-based run in oracles.py."""
 
     @pytest.mark.parametrize("name", INPUTS)
-    @pytest.mark.parametrize("mode,keep,strategy", THRESHOLDS)
-    def test_identical_registry(self, tmp_path, name, mode, keep, strategy):
+    @pytest.mark.parametrize("keep,strategy", THRESHOLDS)
+    def test_identical_registry(self, tmp_path, name, keep, strategy):
         data = tmp_path / "subjects.csv"
         data.write_text(INPUTS[name]())
-        config = RunConfig(input=str(data), out_dir=str(tmp_path / "out"), threshold_mode=mode,
+        config = RunConfig(input=str(data), out_dir=str(tmp_path / "out"),
                            threshold_fraction=keep, threshold_strategy=strategy)
         registry, doc = assert_same_as_lists(config)
         assert doc["subjects"] == len(json.loads(registry)["records"]) > 0
