@@ -20,9 +20,10 @@ from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import ValidationError, _check_fraction
 
 SYMMETRY_ATOL = 1e-12  # tolerance applied when loading weighted matrices from CSV
+THRESHOLD_STRATEGIES = ("per-subject", "group-mask")  # of consistency_threshold
 
 
 def default_labels(n: int) -> tuple[str, ...]:
@@ -191,8 +192,7 @@ def target_edge_count(keep: float, total_edges: int) -> int:
     ratio p/q; a float product can cross the half boundary and misround
     (e.g. keep 0.06 of 325 edges).
     """
-    if not 0 < keep <= 1:
-        raise ValueError(f"keep fraction must be in (0, 1], got {keep}")
+    _check_fraction("keep fraction", keep)
     p, q = keep.as_integer_ratio()
     # a Python int, so a numpy integer count cannot wrap around in the product
     total_edges = operator.index(total_edges)
@@ -276,6 +276,12 @@ def sparsity_threshold(w: WeightedNetwork, keep: float) -> BinaryNetwork:
     return _built(BinaryNetwork, a[0], w.labels)
 
 
+def _check_strategy(strategy) -> None:
+    if strategy not in THRESHOLD_STRATEGIES:
+        raise ValidationError(
+            f"threshold strategy must be one of {THRESHOLD_STRATEGIES}, got {strategy!r}")
+
+
 def consistency_threshold(stack: Sequence[WeightedNetwork], keep: float,
                           strategy: str = "per-subject") -> list[BinaryNetwork]:
     """Binarize a stack of same-shaped weighted networks.
@@ -296,10 +302,9 @@ def consistency_threshold(stack: Sequence[WeightedNetwork], keep: float,
             raise ValidationError(
                 f"network {idx} does not match network 1 (labels or dimensions differ)"
             )
+    _check_strategy(strategy)
     if strategy == "per-subject":
         return [sparsity_threshold(w, keep) for w in stack]
-    if strategy != "group-mask":
-        raise ValueError(f"unknown strategy {strategy!r}; use 'per-subject' or 'group-mask'")
 
     n = first.n
     flat = _upper_flat(n)
@@ -349,15 +354,23 @@ def _numbered_rows(path, fh) -> Iterator[tuple[int, list[str]]]:
 def _read_matrix_rows(path) -> tuple[tuple[str, ...], list[list[str]]]:
     with open(path, newline="", encoding="utf-8") as fh:
         header, rows = _csv_rows(path, fh)
-        body = [row for _, row in rows]
+        numbered = list(rows)
     labels = tuple(header)
     n = len(labels)
-    if len(body) != n:
-        raise ValidationError(f"{path}: expected {n} data rows for {n} labels, got {len(body)}")
-    for r, row in enumerate(body, start=1):
+    if len(numbered) != n:
+        raise ValidationError(f"{path}: expected {n} data rows for {n} labels, got {len(numbered)}")
+    for r, row in numbered:
         if len(row) != n:
             raise ValidationError(f"{path}: row {r} has {len(row)} values, expected {n}")
-    return labels, body
+    return labels, [row for _, row in numbered]
+
+
+def _network(path, cls, matrix, labels):
+    """``cls(matrix, labels)``, with ``path`` before the message of what it raises."""
+    try:
+        return cls(matrix, labels)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def load_weighted_matrix(path) -> WeightedNetwork:
@@ -383,7 +396,7 @@ def load_weighted_matrix(path) -> WeightedNetwork:
         )
     w = (w + w.T) / 2.0
     np.fill_diagonal(w, 0.0)
-    return WeightedNetwork(w, labels)
+    return _network(path, WeightedNetwork, w, labels)
 
 
 def load_binary_matrix(path) -> BinaryNetwork:
@@ -396,11 +409,7 @@ def load_binary_matrix(path) -> BinaryNetwork:
         raise ValidationError(
             f"{path}: invalid binary value {body[i][j]!r} at ({i + 1},{j + 1}); expected 0 or 1"
         )
-    e = cells == "1"
-    try:
-        return BinaryNetwork(e, labels)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+    return _network(path, BinaryNetwork, cells == "1", labels)
 
 
 def _format_matrix(labels, rows) -> str:

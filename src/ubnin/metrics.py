@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotEstimableError, UndefinedMetricError, ValidationError
+from .errors import NotEstimableError, UndefinedMetricError, ValidationError, _check_count
 from .graphs import BinaryNetwork, _built, edge_count
 
 __all__ = [
@@ -125,12 +125,6 @@ _CHUNK = 4096
 """Attempts whose draws ``_rewire`` converts to lists at a time."""
 
 
-def _check_count(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is an integer (a Python or numpy int, not a bool)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 def random_reference(b: BinaryNetwork, seed, swaps_per_edge: int = 10) -> BinaryNetwork:
     """Degree-preserving randomization by repeated double-edge swaps.
 
@@ -177,8 +171,8 @@ def _rewire(networks, seed, swaps_per_edge: int) -> list[BinaryNetwork]:
     m, = counts
     if m < 2:
         raise ValidationError(f"rewiring needs at least 2 edges, got {m}")
-    if swaps_per_edge < 0:
-        raise ValueError("swaps_per_edge must be nonnegative")
+    # Its bound only now: a network too small to rewire says so first.
+    _check_count("swaps_per_edge", swaps_per_edge, 0)
     states = []
     for b in networks:
         rows, cols = np.nonzero(np.triu(b.edges, 1))
@@ -245,22 +239,16 @@ def small_world_index(b: BinaryNetwork, n_rand: int = 100, seed: int = 0,
 
     Raises
     ------
+    ValidationError
+        Before any work, unless n_rand >= 1 and seed >= 0 are integers.
     NotEstimableError
         If the network has fewer than 2 edges to rewire, or a reference has
         undefined path length or zero clustering: it is too sparse to compare.
     """
-    _check_references(n_rand, seed)
+    _check_count("n_rand", n_rand, 1)
+    _check_count("seed", seed, 0)
     report = metrics_report(b, n_rand=n_rand, seed=seed, swaps_per_edge=swaps_per_edge)
     return SmallWorldResult(sigma=report.small_world_sigma, gamma=report.gamma, lam=report.lam)
-
-
-def _check_references(n_rand, seed) -> None:
-    _check_count("n_rand", n_rand)
-    _check_count("seed", seed)
-    if n_rand < 1:
-        raise ValueError("n_rand must be >= 1")
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
 
 
 @dataclass(frozen=True)
@@ -318,7 +306,7 @@ def metrics_report(b: BinaryNetwork, n_rand: int = 100, seed: int = 0,
     n_rand 0 the sigma/gamma/lam fields stay empty; otherwise
     NotEstimableError propagates when references fail or cannot be drawn
     (fewer than 2 edges). A negative or non-integer n_rand, or a non-integer
-    seed, raises ValueError before any work.
+    seed, raises ValidationError before any work.
     """
     ((report, error),) = _reports([b], n_rand, seed, swaps_per_edge)
     if error is not None:
@@ -338,10 +326,8 @@ def _reports(networks, n_rand: int, seed: int, swaps_per_edge: int) -> list[tupl
     UndefinedMetricError) when its own path length is undefined. Argument
     errors, and those of ``_rewire``, raise.
     """
-    _check_count("n_rand", n_rand)
+    _check_count("n_rand", n_rand, 0)
     _check_count("seed", seed)
-    if n_rand < 0:
-        raise ValueError("n_rand must be >= 0")
     observed = []  # per network: its report's fields, or the error of its path length
     for b in networks:
         nodal = nodal_clustering(b)
@@ -360,7 +346,7 @@ def _reports(networks, n_rand: int, seed: int, swaps_per_edge: int) -> list[tupl
     live = [k for k, fields in enumerate(observed) if isinstance(fields, dict)]
     failed = {}
     if n_rand > 0 and live:
-        _check_references(n_rand, seed)
+        _check_count("seed", seed, 0)
         _check_count("swaps_per_edge", swaps_per_edge)
         for k in live:
             m = edge_count(networks[k])

@@ -28,8 +28,8 @@ from pathlib import Path
 
 from . import __version__
 from .codec import encode, to_decimal_string, to_record
-from .errors import UbninError, ValidationError
-from .graphs import consistency_threshold, sparsity_threshold
+from .errors import UbninError, ValidationError, _check_count, _check_fraction
+from .graphs import _check_strategy, consistency_threshold, sparsity_threshold
 from .metrics import _reports
 from .stats import one_way_anova, permutation_test
 from .subjects import (
@@ -47,14 +47,16 @@ from .subjects import (
 # Not called here: kept only because perfbench/tracing.py WRAPPED looks it up.
 from .metrics import metrics_report  # noqa: F401
 
-THRESHOLD_STRATEGIES = ("per-subject", "group-mask")
 MIN_COHORT_SIZE = 3  # correlation across fewer subjects is meaningless
 MAX_SWEEP_LEVELS = 10_000
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
-    """Effective settings of one pipeline run; serialized into every output."""
+    """Effective settings of one pipeline run; serialized into every output.
+
+    Checked once, when made, and then fixed: a field cannot be reassigned.
+    """
 
     input: str
     out_dir: str
@@ -73,23 +75,15 @@ class RunConfig:
     anova_fields: tuple[str, ...] | None = None
 
     def __post_init__(self):
-        self.bin_edges = _check_bin_edges(self.bin_edges)
+        object.__setattr__(self, "bin_edges", _check_bin_edges(self.bin_edges))
         if self.anova_fields is not None:
-            self.anova_fields = tuple(self.anova_fields)
-        if self.threshold_strategy not in THRESHOLD_STRATEGIES:
-            raise ValidationError(f"threshold strategy must be one of {THRESHOLD_STRATEGIES}")
-        if not 0 < self.threshold_fraction <= 1:
-            raise ValidationError("threshold fraction must lie in (0, 1]")
-        for name in ("iterations", "seed", "n_rand", "swaps_per_edge"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise ValidationError(f"{name} must be an integer, got {value!r}")
-        if self.iterations < 1:
-            raise ValidationError("iterations must be >= 1")
-        if self.seed < 0:
-            raise ValidationError("seed must be nonnegative")
-        if self.n_rand < 0 or self.swaps_per_edge < 0:
-            raise ValidationError("n_rand and swaps_per_edge must be nonnegative")
+            object.__setattr__(self, "anova_fields", tuple(self.anova_fields))
+        _check_strategy(self.threshold_strategy)
+        _check_fraction("threshold fraction", self.threshold_fraction)
+        # Python ints only: the config is written as JSON, which takes no numpy integer.
+        for name, minimum in (("iterations", 1), ("seed", 0), ("n_rand", 0),
+                              ("swaps_per_edge", 0)):
+            _check_count(name, getattr(self, name), minimum, int)
         bad = [f for f in (self.anova_fields or ()) if f not in CLINICAL_FIELDS]
         if bad:
             raise ValidationError(
@@ -133,8 +127,8 @@ def sweep_values(start: float, stop: float, step: float) -> tuple[float, ...]:
             break
         vals.append(v)
         i += 1
-    if not vals or any(not 0 < v <= 1 for v in vals):
-        raise ValidationError("sweep levels must lie in (0, 1]")
+    for v in vals:  # the first may round to 0, the last above 1
+        _check_fraction("sweep level", v)
     repeated = next((v for v, w in zip(vals, vals[1:]) if v == w), None)
     if repeated is not None:
         raise ValidationError(

@@ -42,9 +42,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DegenerateDesignError, ValidationError
+from .errors import DegenerateDesignError, ValidationError, _check_count
 from .graphs import _keep_strongest, _upper_flat, target_edge_count
-from .metrics import _check_count, _clustering
+from .metrics import _clustering
 from .subjects import CohortTable, _pearson_rejection, _pearson_stack
 # Not called here: kept only because perfbench/tracing.py WRAPPED looks them up.
 from .graphs import sparsity_threshold  # noqa: F401
@@ -135,20 +135,17 @@ def permutation_test(group_a: CohortTable, group_b: CohortTable, sparsities,
     if len(group_a) < 3 or len(group_b) < 3:
         raise DegenerateDesignError("permutation test needs >= 3 subjects per cohort")
     sparsities = tuple(float(s) for s in sparsities)
-    if not sparsities or any(not 0 < s <= 1 for s in sparsities):
-        raise ValueError("sparsity levels must be a non-empty subset of (0, 1]")
-    _check_count("iterations", iterations)
-    if iterations < 1:
-        raise ValueError("iterations must be >= 1")
-    _check_count("seed", seed)
-    if seed < 0:
-        raise ValueError("seed must be nonnegative")
-    iterations, seed = int(iterations), int(seed)
+    if not sparsities:
+        raise ValidationError("permutation test needs at least one sparsity level")
     labels = group_a.region_labels
+    r = len(labels)
+    edges = [target_edge_count(s, r * (r - 1) // 2) for s in sparsities]  # checks each level
+    _check_count("iterations", iterations, 1)
+    _check_count("seed", seed, 0)
+    iterations, seed = int(iterations), int(seed)
     pool = np.vstack([group_a.volume_matrix(), group_b.volume_matrix()])
     n_a = len(group_a)
-    n_total, r = pool.shape
-    edges = [target_edge_count(s, r * (r - 1) // 2) for s in sparsities]
+    n_total = len(pool)
     splits = chain(
         [np.arange(n_total)],  # the observed split
         (np.random.default_rng([seed, t]).permutation(n_total) for t in range(iterations)),

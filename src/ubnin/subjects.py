@@ -56,6 +56,12 @@ class SubjectRecord:
         object.__setattr__(self, "volumes", v)
         object.__setattr__(self, "clinical", types.MappingProxyType(clinical))
 
+    def __reduce__(self):
+        # Through the constructor: a mappingproxy does not pickle, and an
+        # unpickled array would be writable.
+        return SubjectRecord, (self.id, self.age, self.gender, self.group, self.volumes,
+                               dict(self.clinical))
+
 
 @dataclass(frozen=True, eq=False)
 class CohortTable:

@@ -239,8 +239,8 @@ class TestSweepAndThresholdParsing:
         for kwargs, message in [
             ({"iterations": 0}, "iterations must be >= 1"),
             ({"seed": -1}, "seed must be nonnegative"),
-            ({"n_rand": -1}, "n_rand and swaps_per_edge must be nonnegative"),
-            ({"swaps_per_edge": -1}, "n_rand and swaps_per_edge must be nonnegative"),
+            ({"n_rand": -1}, "n_rand must be nonnegative"),
+            ({"swaps_per_edge": -1}, "swaps_per_edge must be nonnegative"),
         ]:
             with pytest.raises(ValidationError, match=f"^{message}$"):
                 pipeline.RunConfig(input="in.csv", out_dir="out", **kwargs)
@@ -897,6 +897,26 @@ class TestCsvFieldLimit:
         path.write_text(f"a,b,c\n0,1,0\n\n1,0,{'0' * 200_000}\n0,0,0\n")
         assert run(capsys, "encode", "--input", str(path)) == (
             1, "", f"error: {path}: row 3: field larger than field limit (131072)\n")
+
+
+@pytest.mark.parametrize("args, message", [
+    (["cohort", "--iterations", "0"], "iterations must be >= 1"),
+    (["cohort", "--n-rand", "-1"], "n_rand must be nonnegative"),
+    (["cohort", "--swaps-per-edge", "-1"], "swaps_per_edge must be nonnegative"),
+    (["fingerprint", "--threshold", "sparsity:1.5"],
+     "threshold fraction must lie in (0, 1], got 1.5"),
+    (["fingerprint", "--threshold", "consistency:0.3:bogus"],
+     "threshold strategy must be one of ('per-subject', 'group-mask'), got 'bogus'"),
+])
+def test_bad_argument_exits_one_with_one_error_line(tmp_path, args, message):
+    out = tmp_path / "out"
+    done = subprocess.run(
+        [sys.executable, "-m", "ubnin", *args, "--input", str(tmp_path / "none.csv"),
+         "--out-dir", str(out)],
+        capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1"))
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", f"error: {message}\n")
+    assert not out.exists()
 
 
 def run_in_child(args, env=None, limit=None):

@@ -674,3 +674,26 @@ class TestMatrixCsv:
         path.write_text("a,b,c\n0,1,0\n1,0,0\n")
         with pytest.raises(ValidationError, match="expected 3 data rows"):
             load_binary_matrix(path)
+
+    # Rows are numbered as the file's non-blank lines, the header being row 1.
+    @pytest.mark.parametrize("text, message", [
+        ("a,b\n0,1,1\n1,0\n", "row 2 has 3 values, expected 2"),
+        ("a,b\n0,1\n\n1\n", "row 3 has 1 values, expected 2"),
+    ])
+    @pytest.mark.parametrize("load", [load_binary_matrix, load_weighted_matrix])
+    def test_row_error_numbers_the_row_as_the_file_does(self, tmp_path, load, text, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(text)
+        with pytest.raises(ValidationError) as err:
+            load(path)
+        assert str(err.value) == f"{path}: {message}"
+
+    @pytest.mark.parametrize("header, message", [("a,a", "node labels must be unique"),
+                                                 ("a,", "node labels must be non-empty")])
+    @pytest.mark.parametrize("load", [load_binary_matrix, load_weighted_matrix])
+    def test_label_errors_name_the_file(self, tmp_path, load, header, message):
+        path = tmp_path / "bad.csv"
+        path.write_text(f"{header}\n0,1\n1,0\n")
+        with pytest.raises(ValidationError) as err:
+            load(path)
+        assert str(err.value) == f"{path}: {message}"

@@ -476,7 +476,7 @@ def assert_same_as_separate(b, n_rand, seed, swaps):
     if not isinstance(n_rand, int):
         # The earlier pair compared a non-integer n_rand as a number; both
         # functions now reject it before any work, whatever the network.
-        want = (ValueError, f"n_rand must be an integer, got {n_rand!r}")
+        want = (ValidationError, f"n_rand must be an integer, got {n_rand!r}")
         assert outcome(metrics_report, b, n_rand=n_rand, seed=seed, swaps_per_edge=swaps) == want
         assert outcome(small_world_index, b, n_rand=n_rand, seed=seed,
                        swaps_per_edge=swaps) == want
@@ -484,28 +484,32 @@ def assert_same_as_separate(b, n_rand, seed, swaps):
     if n_rand < 0:
         # The earlier metrics_report returned a report without small-world
         # fields for a negative n_rand; it now rejects it before any work.
-        want = (ValueError, "n_rand must be >= 0")
+        want = (ValidationError, "n_rand must be nonnegative")
         assert outcome(metrics_report, b, n_rand=n_rand, seed=seed, swaps_per_edge=swaps) == want
         assert outcome(small_world_index, b, n_rand=n_rand, seed=seed, swaps_per_edge=swaps) == \
-            outcome(small_world_index_separate, b, n_rand, seed, swaps)
+            as_package(outcome(small_world_index_separate, b, n_rand, seed, swaps))
         return want
-    want = not_estimable(outcome(metrics_report_separate, b, n_rand, seed, swaps))
+    want = as_package(outcome(metrics_report_separate, b, n_rand, seed, swaps))
     assert outcome(metrics_report, b, n_rand=n_rand, seed=seed, swaps_per_edge=swaps) == want
     assert outcome(small_world_index, b, n_rand=n_rand, seed=seed, swaps_per_edge=swaps) == \
-        not_estimable(outcome(small_world_index_separate, b, n_rand, seed, swaps))
+        as_package(outcome(small_world_index_separate, b, n_rand, seed, swaps))
     return want
 
 
-def not_estimable(kept):
+def as_package(kept):
     """An oracle outcome as the package now gives it.
 
     The oracles' rewiring raised ValidationError for a network of fewer than
     2 edges. The package reports such a network as not estimable, with the
-    same message, as it does a reference that fails.
+    same message, as it does a reference that fails. The oracles raise a bad
+    argument as a plain ValueError, the package as a ValidationError, which
+    is also a ValueError, with the same message.
     """
     if (isinstance(kept, tuple) and kept[0] is ValidationError
             and kept[1].startswith("rewiring needs at least 2 edges")):
         return NotEstimableError, kept[1]
+    if isinstance(kept, tuple) and kept[0] is ValueError:
+        return ValidationError, kept[1]
     return kept
 
 
@@ -550,10 +554,10 @@ class TestReportMatchesSeparateLoops:
             (one_edge(), 2, 0, 10, (NotEstimableError, "rewiring needs at least 2 edges, got 1")),
             (two_disjoint_edges(), 3, 0, 10, (NotEstimableError,
              "random reference 0 has zero clustering")),
-            (path_graph(5), 2, -1, 10, (ValueError, "seed must be nonnegative")),
-            (path_graph(5), 0.5, 0, 10, (ValueError, "n_rand must be an integer, got 0.5")),
-            (path_graph(5), -1, 0, 10, (ValueError, "n_rand must be >= 0")),
-            (path_graph(5), 2, 0, -1, (ValueError, "swaps_per_edge must be nonnegative")),
+            (path_graph(5), 2, -1, 10, (ValidationError, "seed must be nonnegative")),
+            (path_graph(5), 0.5, 0, 10, (ValidationError, "n_rand must be an integer, got 0.5")),
+            (path_graph(5), -1, 0, 10, (ValidationError, "n_rand must be nonnegative")),
+            (path_graph(5), 2, 0, -1, (ValidationError, "swaps_per_edge must be nonnegative")),
         ]
         for b, n_rand, seed, swaps, raised in cases:
             assert assert_same_as_separate(b, n_rand, seed, swaps) == raised
@@ -562,11 +566,12 @@ class TestReportMatchesSeparateLoops:
         edgeless = empty_graph(5)
         assert outcome(metrics_report, edgeless, n_rand=5, seed=-1) == \
             (UndefinedMetricError, "no reachable node pairs; path length is undefined")
-        assert outcome(metrics_report, edgeless, n_rand=-1) == (ValueError, "n_rand must be >= 0")
+        assert outcome(metrics_report, edgeless, n_rand=-1) == (
+            ValidationError, "n_rand must be nonnegative")
         assert outcome(small_world_index, edgeless, seed=-1) == \
-            (ValueError, "seed must be nonnegative")
+            (ValidationError, "seed must be nonnegative")
         assert outcome(small_world_index, edgeless, n_rand=0) == \
-            (ValueError, "n_rand must be >= 1")
+            (ValidationError, "n_rand must be >= 1")
 
     @pytest.mark.parametrize("n_rand", [0, 1, 2, 4])
     def test_measures_the_network_once(self, monkeypatch, n_rand):
@@ -652,7 +657,7 @@ def separate_outcome(b, n_rand, seed, swaps):
     try:
         report = metrics_report_separate(b, n_rand, seed, swaps)
     except (NotEstimableError, ValidationError) as exc:
-        return metrics_report_separate(b, 0), not_estimable((type(exc), str(exc)))
+        return metrics_report_separate(b, 0), as_package((type(exc), str(exc)))
     except UndefinedMetricError as exc:
         return None, (UndefinedMetricError, str(exc))
     assert outcome(metrics_report_one_loop, b, n_rand, seed, swaps) == report
