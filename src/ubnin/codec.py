@@ -40,7 +40,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import MalformedCodeError
+from .errors import MalformedCodeError, _check_count
 from .graphs import BinaryNetwork, _adjacency, _built, _check_labels
 
 __all__ = [
@@ -347,8 +347,8 @@ def complete_graph_code(n: int) -> UbninCode:
     Unrolling the recurrence with every column code at its maximum gives
     2^(n-1) - 2^-T where T = (n-2)(n-1)/2, and exactly 1 for n = 2.
     """
-    if n < 2:
-        raise ValueError(f"node count must be >= 2, got {n}")
+    _check_count("node count", n, 2)
+    n = int(n)  # a numpy integer would wrap in the shift below
     if n == 2:
         return UbninCode(2, 1, 0)
     t = _triangular(n - 2)

@@ -16,7 +16,7 @@ import math
 import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -306,15 +306,28 @@ def consistency_threshold(stack: Sequence[WeightedNetwork], keep: float,
     if strategy == "per-subject":
         return [sparsity_threshold(w, keep) for w in stack]
 
-    n = first.n
-    flat = _upper_flat(n)
-    vals = np.stack([w.weights.take(flat) for w in stack])
-    mean = vals.mean(axis=0)
-    std = vals.std(axis=0)
+    return [_group_mask(stack, len(stack), keep, first.labels)] * len(stack)
+
+
+def _group_mask(stack: Iterable[WeightedNetwork], count: int, keep: float,
+                labels: tuple[str, ...]) -> BinaryNetwork:
+    """The one network that ``group-mask`` thresholding gives every network
+    of a stack of ``count`` networks over ``labels``.
+
+    Only each network's upper triangle is kept, one row of a (count, m)
+    array, as the stack is read: a caller that makes each network as it is
+    read holds one n x n network at a time.
+    """
+    flat = _upper_flat(len(labels))
+    weights = np.empty((count, flat.size))
+    for row, w in zip(weights, stack):
+        w.weights.take(flat, out=row)
+    mean = weights.mean(axis=0)
+    std = weights.std(axis=0)
     score = np.where(std == 0, np.inf, mean / np.where(std == 0, 1.0, std))
     k = target_edge_count(keep, mean.size)
     sel = np.lexsort((-mean, -score))[:k]  # stable: ties stay in (row, col) order
-    return [_built(BinaryNetwork, _adjacency(n, flat[sel]), first.labels)] * len(stack)
+    return _built(BinaryNetwork, _adjacency(len(labels), flat[sel]), labels)
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,14 @@ files embed the effective configuration and package version, carry no
 timestamps, and are byte-identical across repeated runs.
 
 ``run_cohort`` runs its small-world reference batches and permutation tests
-in forked worker processes, one per usable CPU (``_run_tasks``), and writes
-the same bytes for any number of workers. Each task is a call of no
-arguments, which the workers inherit by fork. ``multiprocessing`` and
-``concurrent.futures`` are imported only when a pool starts, so importing
-``ubnin`` and ``run_fingerprint`` never load them.
+in worker processes, one per usable CPU, that ``_run_tasks`` forks once the
+run is planned, and writes the same bytes for any number of workers. Each
+task is a call of no arguments, which the workers inherit by fork: they are
+sent only task indices, through one index pipe, and send each result back
+pickled through a result pipe of their own. No thread is started, and every
+worker is reaped before ``_run_tasks`` returns or raises. No
+``multiprocessing`` or ``concurrent.futures`` module is loaded, except to
+raise ``BrokenProcessPool`` when a worker dies.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import io
 import json
 import math
 import os
+import pickle
 from collections.abc import Iterator
 from contextlib import suppress
 from dataclasses import dataclass, asdict
@@ -29,7 +33,7 @@ from pathlib import Path
 from . import __version__
 from .codec import encode, to_decimal_string, to_record
 from .errors import UbninError, ValidationError, _check_count, _check_fraction
-from .graphs import _check_strategy, consistency_threshold, sparsity_threshold
+from .graphs import _check_strategy, _group_mask, sparsity_threshold
 from .metrics import _reports
 from .stats import one_way_anova, permutation_test
 from .subjects import (
@@ -44,7 +48,8 @@ from .subjects import (
     residualize_covariate,
     stream_subjects_csv,
 )
-# Not called here: kept only because perfbench/tracing.py WRAPPED looks it up.
+# Not called here: kept only because perfbench/tracing.py WRAPPED looks them up.
+from .graphs import consistency_threshold  # noqa: F401
 from .metrics import metrics_report  # noqa: F401
 
 MIN_COHORT_SIZE = 3  # correlation across fewer subjects is meaningless
@@ -230,8 +235,9 @@ def _subject_codes(config: RunConfig):
     next subject starts. Without residualization or a group mask, rows are
     read as they are reached (``stream_subjects_csv``), so no row is held
     once its subject is encoded. Residualization needs every subject's
-    volumes at once, and a group mask over 2 or more subjects every weighted
-    network; those are dropped once the mask is applied.
+    volumes at once, and a group mask over 2 or more subjects the upper
+    triangle of every subject's weighted network (``graphs._group_mask``),
+    dropped once the one code that every subject shares is made.
     """
     keep = config.threshold_fraction
     mask = config.threshold_strategy == "group-mask"  # a mask needs 2+ networks
@@ -239,11 +245,10 @@ def _subject_codes(config: RunConfig):
         table = _load_table(config)
         labels, subjects = table.region_labels, table.subjects
         if mask and len(subjects) > 1:
-            stack = [individual_network(s, labels) for s in subjects]
-            shared = consistency_threshold(stack, keep, "group-mask")
-            del stack
-            for subject, net in zip(subjects, shared):
-                yield subject.id, encode(net)
+            networks = (individual_network(s, labels) for s in subjects)
+            code = encode(_group_mask(networks, len(subjects), keep, labels))
+            for subject in subjects:
+                yield subject.id, code
             return
     else:
         labels, subjects = stream_subjects_csv(config.input, config.demographics)
@@ -352,59 +357,142 @@ def _workers(tasks: int) -> int:
     return min(len(os.sched_getaffinity(0)), tasks)
 
 
-_worker_tasks: list = []  # set in a worker process of _run_tasks only
-
-
-def _start_worker(tasks: list, cpus) -> None:
-    """Keep ``tasks``, and pin this worker to the next CPU of ``cpus``.
-
-    Left alone, the scheduler may keep forked workers on their parent's CPU
-    for a second or more, and then they take turns on it.
-    """
-    global _worker_tasks
-    _worker_tasks = tasks
-    with suppress(OSError):  # an optimisation only
-        os.sched_setaffinity(0, {cpus.get()})
-
-
-def _run_in_worker(index: int):
-    return _worker_tasks[index]()
+_INDEX = 4  # bytes of one task index on the index pipe
+_LENGTH = 8  # bytes of the length before each pickled outcome on a result pipe
 
 
 def _run_tasks(tasks: list) -> list:
     """``task()`` of every task, in task order.
 
-    With two or more ``_workers`` and the ``fork`` start method, the tasks
-    run in a pool of forked worker processes, each pinned to one of the
-    usable CPUs. The workers inherit ``tasks`` and are sent only indices, so
-    a task need not pickle; each result comes back pickled. Otherwise the
-    tasks run here. Every task draws from its own seed-keyed streams, so the
-    results are the same either way. A task's exception propagates with
-    its type, and a worker that dies raises ``BrokenProcessPool``; either
-    way the pool is shut down, its pending tasks cancelled and its
-    processes joined before this returns or raises.
+    With two or more ``_workers`` and ``os.fork``, the tasks run in that many
+    worker processes forked from this one, each pinned to one of the usable
+    CPUs. The workers inherit ``tasks``, so no task is pickled. They take
+    task indices from one index pipe, which this process keeps topped up
+    with at most two indices per worker, so it never fills; each worker
+    sends ``(index, ok, result or exception)`` back pickled on a result pipe
+    of its own, read here with ``selectors``. No thread is started.
+    Otherwise the tasks run here. Every task draws from its own seed-keyed
+    streams, so the results are the same either way.
+
+    The first failing task in task order raises its exception, with its type;
+    a result that does not pickle raises the pickling error. A worker that
+    ends before the tasks are done raises ``BrokenProcessPool``. However this
+    returns or raises, an interrupt included, every worker still running is
+    killed and every worker is reaped first.
     """
     workers = _workers(len(tasks))
-    if workers > 1:
-        import multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
+    if workers < 2 or not hasattr(os, "fork"):
+        return [task() for task in tasks]
+    import selectors
+    import signal
 
-        if "fork" in multiprocessing.get_all_start_methods():
-            context = multiprocessing.get_context("fork")
-            usable = sorted(os.sched_getaffinity(0))
-            cpus = context.SimpleQueue()  # one CPU for each worker to take
-            for i in range(workers):
-                cpus.put(usable[i % len(usable)])
-            # A fork-context pool forks every worker before it starts its own threads.
-            pool = ProcessPoolExecutor(workers, context, initializer=_start_worker,
-                                       initargs=(tasks, cpus))
-            try:
-                futures = [pool.submit(_run_in_worker, i) for i in range(len(tasks))]
-                return [f.result() for f in futures]
-            finally:
-                pool.shutdown(cancel_futures=True)
-                cpus.close()
-    return [task() for task in tasks]
+    usable = sorted(os.sched_getaffinity(0))
+    count = len(tasks)
+    outcomes: list = [None] * count  # (ok, result or exception) per task
+    done = sent = 0  # tasks whose outcome is in, in order; indices sent
+    index_r, index_w = os.pipe()
+    opened = {index_r, index_w}  # this process's pipe ends
+    running = {}  # result pipe's read end -> its worker's pid, until reaped
+
+    def close(fd):
+        opened.discard(fd)
+        os.close(fd)
+
+    def send_next():
+        nonlocal sent
+        os.write(index_w, sent.to_bytes(_INDEX, "little"))
+        sent += 1
+        if sent == count:
+            close(index_w)  # the workers leave once they read to its end
+
+    try:
+        for w in range(workers):
+            result_r, result_w = os.pipe()
+            opened |= {result_r, result_w}
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    for fd in opened - {index_r, result_w}:
+                        os.close(fd)
+                    # Left alone, the scheduler may keep forked workers on this
+                    # CPU for a second or more, and then they take turns on it.
+                    with suppress(OSError):  # an optimisation only
+                        os.sched_setaffinity(0, {usable[w % len(usable)]})
+                    _work(tasks, index_r, result_w)
+                    status = 0
+                finally:
+                    os._exit(status)
+            running[result_r] = pid
+            close(result_w)
+        for _ in range(min(2 * workers, count)):
+            send_next()
+        with selectors.DefaultSelector() as selector:
+            for fd in running:
+                selector.register(fd, selectors.EVENT_READ, bytearray())
+            while selector.get_map():
+                for key, _ in selector.select():
+                    chunk = os.read(key.fd, 1 << 16)
+                    if not chunk:  # the worker has left
+                        selector.unregister(key.fd)
+                        close(key.fd)
+                        _, status = os.waitpid(running.pop(key.fd), 0)
+                        if status and done < count:
+                            raise _broken(f"a worker ended with exit code "
+                                          f"{os.waitstatus_to_exitcode(status)}")
+                        continue
+                    pending = key.data
+                    pending += chunk
+                    while len(pending) >= _LENGTH:
+                        end = _LENGTH + int.from_bytes(pending[:_LENGTH], "little")
+                        if len(pending) < end:
+                            break
+                        index, ok, value = pickle.loads(pending[_LENGTH:end])
+                        del pending[:end]
+                        outcomes[index] = (ok, value)
+                        if sent < count:
+                            send_next()
+                    while done < count and outcomes[done] is not None:
+                        ok, value = outcomes[done]
+                        if not ok:
+                            raise value
+                        outcomes[done] = value
+                        done += 1
+        if done < count:
+            raise _broken("the workers ended before the tasks were done")
+        return outcomes
+    finally:
+        for fd in opened:
+            os.close(fd)
+        for pid in running.values():
+            os.kill(pid, signal.SIGKILL)
+        for pid in running.values():
+            os.waitpid(pid, 0)
+
+
+def _work(tasks: list, indices: int, results: int) -> None:
+    """A worker's loop: for each task index read from the pipe ``indices``
+    until it ends, run the task and write ``(index, ok, result or exception)``
+    to the pipe ``results``, pickled after its length."""
+    while record := os.read(indices, _INDEX):  # a write of one index is atomic
+        index = int.from_bytes(record, "little")
+        try:
+            outcome = (index, True, tasks[index]())
+        except Exception as exc:
+            outcome = (index, False, exc)
+        try:
+            payload = pickle.dumps(outcome, pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:  # the result does not pickle
+            payload = pickle.dumps((index, False, exc), pickle.HIGHEST_PROTOCOL)
+        view = memoryview(len(payload).to_bytes(_LENGTH, "little") + payload)
+        while view:
+            view = view[os.write(results, view):]
+
+
+def _broken(reason: str):
+    from concurrent.futures.process import BrokenProcessPool
+
+    return BrokenProcessPool(reason)
 
 
 def run_cohort(config: RunConfig) -> dict:

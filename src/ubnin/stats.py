@@ -264,9 +264,9 @@ def one_way_anova(groups) -> AnovaResult:
     """
     arrays = [np.asarray(g, dtype=np.float64) for g in groups]
     if len(arrays) < 2:
-        raise ValueError("need at least 2 groups")
+        raise ValidationError("need at least 2 groups")
     if any(a.ndim != 1 or a.size == 0 for a in arrays):
-        raise ValueError("every group must be a non-empty flat sequence")
+        raise ValidationError("every group must be a non-empty flat sequence")
     if any(not np.all(np.isfinite(a)) for a in arrays):
         raise ValidationError("non-finite value in ANOVA input")
     sizes = np.array([a.size for a in arrays])

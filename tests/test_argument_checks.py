@@ -20,11 +20,14 @@ from ubnin import (
     CohortTable,
     RunConfig,
     ValidationError,
+    codec,
+    complete_graph_code,
     consistency_threshold,
     graphs,
     load_subjects_csv,
     metrics,
     metrics_report,
+    one_way_anova,
     permutation_test,
     pipeline,
     random_reference,
@@ -168,6 +171,20 @@ REJECTED = {
                                 "keep fraction must lie in (0, 1], got 1.5", []),
     "consistency-strategy": (lambda: consistency_threshold(STACK, 0.3, "mask"),
                              STRATEGIES + "'mask'", THRESHOLD),
+    "anova-one-group": (lambda: one_way_anova([[1.0, 2.0]]), "need at least 2 groups", []),
+    "anova-empty-group": (lambda: one_way_anova([[1.0], []]),
+                          "every group must be a non-empty flat sequence", []),
+    "complete-graph-code-1": (lambda: complete_graph_code(1), "node count must be >= 2",
+                              [(codec, "_triangular")]),
+    "complete-graph-code-float": (lambda: complete_graph_code(2.5),
+                                  "node count must be an integer, got 2.5",
+                                  [(codec, "_triangular")]),
+    "complete-graph-code-whole-float": (lambda: complete_graph_code(3.0),
+                                        "node count must be an integer, got 3.0",
+                                        [(codec, "_triangular")]),
+    "complete-graph-code-bool": (lambda: complete_graph_code(True),
+                                 "node count must be an integer, got True",
+                                 [(codec, "_triangular")]),
     "sweep-level-rounds-to-0": (lambda: sweep_values(1e-11, 0.5, 0.1),
                                 "sweep level must lie in (0, 1], got 0.0", []),
     "sweep-level-rounds-above-1": (lambda: sweep_values(1 + 5e-10, 1 + 5e-10, 0.1),

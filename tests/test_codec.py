@@ -113,6 +113,9 @@ class TestEncode:
     def test_matches_closed_form_complete_graph(self, n):
         assert encode(complete_graph(n)) == complete_graph_code(n)
 
+    def test_closed_form_takes_a_numpy_node_count(self):
+        assert complete_graph_code(np.int64(100)) == encode(complete_graph(100))
+
     def test_closed_form_k5(self):
         code = complete_graph_code(5)
         assert code.value == Fraction(1023, 64)

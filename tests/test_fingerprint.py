@@ -169,10 +169,10 @@ def test_three_calls_per_subject_in_turn_then_two(tmp_path, monkeypatch):
                      + ["to_decimal_string", "to_record"] * 3)
 
 
-def traced_peak(tmp_path, n_subjects):
+def traced_peak(tmp_path, n_subjects, **fields):
     data = tmp_path / f"subjects-{n_subjects}.csv"
     data.write_text(subjects_csv_text(n_subjects, 90, 10))
-    config = RunConfig(input=str(data), out_dir=str(tmp_path / f"out-{n_subjects}"))
+    config = RunConfig(input=str(data), out_dir=str(tmp_path / f"out-{n_subjects}"), **fields)
     tracemalloc.start()
     try:
         run_fingerprint(config)
@@ -188,6 +188,14 @@ def test_memory_grows_by_under_1_5_kb_per_subject(tmp_path):
     # holding every subject's float64 weights adds 64,800 bytes.
     growth = traced_peak(tmp_path, 1500) - traced_peak(tmp_path, 150)
     assert growth < 1350 * 1536
+
+
+def test_group_mask_holds_one_upper_triangle_per_subject(tmp_path):
+    # 400 subjects' upper triangles at 90 regions are 12.8 MB, and the
+    # standard deviation across them takes as much again. Holding every
+    # subject's weighted network as well peaked at 52.3 MB.
+    triangles = 400 * (90 * 89 // 2) * 8
+    assert traced_peak(tmp_path, 400, threshold_strategy="group-mask") < 2.5 * triangles
 
 
 def test_registry_text_is_never_held_whole(tmp_path):

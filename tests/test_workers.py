@@ -1,14 +1,14 @@
 """``run_cohort``'s tasks in worker processes: order, errors, and no process left.
 
-``pipeline._run_tasks`` runs a list of tasks in a pool of forked worker
-processes, or in this process with one worker. These tests force the worker
-count through the private ``pipeline._workers``, so the pool runs whatever
-the CPU count of the machine, and check after every test that no child
-process is left, not even one waiting to be reaped.
+``pipeline._run_tasks`` runs a list of tasks in forked worker processes, or
+in this process with one worker. These tests force the worker count through
+the private ``pipeline._workers``, so the workers run whatever the CPU count
+of the machine. ``conftest.py`` checks after every test that no child process
+is left, not even one waiting to be reaped.
 """
 
-import multiprocessing
 import os
+import pickle
 import signal
 import subprocess
 import sys
@@ -27,8 +27,8 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 @pytest.fixture(autouse=True)
-def no_child_left():
-    """Fail a test that hangs for 60 s, or that leaves a child process behind."""
+def no_hang():
+    """Fail a test that hangs for 60 s."""
     def hung(signum, frame):
         raise TimeoutError("test still running after 60 s")
 
@@ -39,9 +39,6 @@ def no_child_left():
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
-    assert multiprocessing.active_children() == []
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
 
 
 @pytest.fixture
@@ -161,3 +158,51 @@ def test_import_loads_no_process_pool():
                           env=env, timeout=60)
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "[]"
+
+
+def test_more_tasks_than_the_index_pipe_holds_come_back_in_order(workers):
+    # 80,000 bytes of indices: more than a 64 KiB pipe holds. Sent all at
+    # once, they would fill the index pipe while the results of the first
+    # few thousand fill the result pipes, and nothing would move.
+    workers(2)
+    count = 20_000
+    results = pipeline._run_tasks([partial(format, i, "0100") for i in range(count)])
+    assert list(map(int, results)) == list(range(count))
+
+
+def test_result_bigger_than_a_pipe_buffer_comes_back_whole(workers):
+    big = bytes(range(256)) * 4096  # 1 MiB
+    workers(2)
+    assert pipeline._run_tasks([lambda: big, partial(int, 1), lambda: big]) == [big, 1, big]
+
+
+def test_worker_killed_mid_run_raises_in_the_parent(workers):
+    def killed():
+        os.kill(os.getpid(), signal.SIGKILL)
+
+    workers(2)
+    with pytest.raises(BrokenProcessPool):
+        pipeline._run_tasks([pid_of(i) for i in range(4)] + [killed]
+                            + [pid_of(i) for i in range(5, 12)])
+
+
+def test_result_that_does_not_pickle_raises_the_pickling_error(workers):
+    with pytest.raises(Exception) as expected:
+        pickle.dumps(threading.Lock())
+    workers(2)
+    with pytest.raises(expected.type, match="pickle"):
+        pipeline._run_tasks([pid_of(0), threading.Lock, pid_of(2), pid_of(3)])
+
+
+def test_pooled_run_starts_no_thread_and_loads_no_process_pool():
+    code = ("import os, sys, threading; from ubnin import pipeline; "
+            "pipeline._workers = lambda tasks: min(2, tasks); "
+            "pids = pipeline._run_tasks([os.getpid] * 8); "
+            "assert os.getpid() not in pids, pids; "
+            "print(threading.active_count(), sorted(m for m in sys.modules "
+            "if m.split('.')[0] in ('multiprocessing', 'concurrent')))")
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "1 []"
