@@ -41,7 +41,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import MalformedCodeError, _check_count
-from .graphs import BinaryNetwork, _adjacency, _built, _check_labels
+from .graphs import BinaryNetwork, _built, _check_labels
 
 __all__ = [
     "UbninCode",
@@ -139,10 +139,20 @@ def _lower_flat(n: int) -> np.ndarray:
     return flat
 
 
-def _packed_numerator(b: BinaryNetwork) -> int:
-    """Numerator of the code at scale ``max_scale(b.n)``: the lower triangle as bits."""
-    bits = np.packbits(b.edges.take(_lower_flat(b.n)), bitorder="little")
-    return int.from_bytes(bits.tobytes(), "little")
+def _packed_numerators(edges: np.ndarray) -> list[int]:
+    """Numerator at scale ``max_scale(n)`` of each adjacency of a (b, n, n)
+    stack: its lower triangle as bits, every row packed by one ``packbits``."""
+    b, n = edges.shape[:2]
+    lower = edges.reshape(b, n * n).take(_lower_flat(n), axis=1)
+    rows = np.packbits(lower, axis=1, bitorder="little")
+    return [int.from_bytes(row.tobytes(), "little") for row in rows]
+
+
+def _encode_stack(edges: np.ndarray) -> list[UbninCode]:
+    """The code of each adjacency of a (b, n, n) stack, as :func:`encode`
+    gives it."""
+    n = edges.shape[1]
+    return [UbninCode.canonical(n, num, max_scale(n)) for num in _packed_numerators(edges)]
 
 
 def encode(b: BinaryNetwork) -> UbninCode:
@@ -150,26 +160,29 @@ def encode(b: BinaryNetwork) -> UbninCode:
 
     Packs the lower triangle into the numerator at scale ``max_scale(n)``,
     then strips factors of two for the canonical form. Exact at every
-    network size.
+    network size. The one-network case of ``_encode_stack``.
     """
-    return UbninCode.canonical(b.n, _packed_numerator(b), max_scale(b.n))
+    return _encode_stack(b.edges[None])[0]
 
 
 def decode(code: UbninCode, labels=None) -> BinaryNetwork:
     """Reconstruct the binary network encoded by ``code``.
 
-    Shifts the numerator back to scale ``max_scale(n)`` and unpacks its bits
-    into the lower triangle. Inverse of :func:`encode` for every valid network;
-    the bounds :class:`UbninCode` enforces make every code decodable, and the
-    unpacked matrix is a valid adjacency by construction, so only the labels
-    are checked.
+    Shifts the numerator back to scale ``max_scale(n)``, unpacks its bits
+    straight into the lower triangle and mirrors them. Inverse of
+    :func:`encode` for every valid network; the bounds :class:`UbninCode`
+    enforces make every code decodable, and the unpacked matrix is a valid
+    adjacency by construction, so only the labels are checked.
     """
     n = code.n
     pairs = n * (n - 1) // 2
     num = code.numerator << (max_scale(n) - code.scale)
     raw = np.frombuffer(num.to_bytes((pairs + 7) // 8, "little"), dtype=np.uint8)
-    bits = np.unpackbits(raw, count=pairs, bitorder="little").view(bool)
-    return _built(BinaryNetwork, _adjacency(n, _lower_flat(n)[bits]), _check_labels(labels, n))
+    e = np.zeros(n * n, dtype=bool)
+    e[_lower_flat(n)] = np.unpackbits(raw, count=pairs, bitorder="little").view(bool)
+    e = e.reshape(n, n)
+    e |= e.T
+    return _built(BinaryNetwork, e, _check_labels(labels, n))
 
 
 # CPython refuses int/str conversions beyond sys.get_int_max_str_digits()
@@ -332,7 +345,7 @@ def encode_float64_emulation(b: BinaryNetwork) -> float:
     double-precision pipeline, including non-finite results for complete
     graphs beyond 1024 nodes.
     """
-    num = _packed_numerator(b)
+    num, = _packed_numerators(b.edges[None])
     u = _int_to_float64(num & 1)
     for power in range(1, b.n - 1):
         d = (num >> _triangular(power)) & ((1 << (power + 1)) - 1)

@@ -306,22 +306,23 @@ def consistency_threshold(stack: Sequence[WeightedNetwork], keep: float,
     if strategy == "per-subject":
         return [sparsity_threshold(w, keep) for w in stack]
 
-    return [_group_mask(stack, len(stack), keep, first.labels)] * len(stack)
+    mask = _group_mask((w.weights for w in stack), len(stack), keep, first.labels)
+    return [mask] * len(stack)
 
 
-def _group_mask(stack: Iterable[WeightedNetwork], count: int, keep: float,
+def _group_mask(stack: Iterable[np.ndarray], count: int, keep: float,
                 labels: tuple[str, ...]) -> BinaryNetwork:
     """The one network that ``group-mask`` thresholding gives every network
-    of a stack of ``count`` networks over ``labels``.
+    of a stack of ``count`` weight matrices over ``labels``.
 
-    Only each network's upper triangle is kept, one row of a (count, m)
-    array, as the stack is read: a caller that makes each network as it is
-    read holds one n x n network at a time.
+    Only each matrix's upper triangle is kept, one row of a (count, m)
+    array, as the stack is read: a caller that makes each matrix as it is
+    read holds only as many n x n matrices as it makes at a time.
     """
     flat = _upper_flat(len(labels))
     weights = np.empty((count, flat.size))
     for row, w in zip(weights, stack):
-        w.weights.take(flat, out=row)
+        w.take(flat, out=row)
     mean = weights.mean(axis=0)
     std = weights.std(axis=0)
     score = np.where(std == 0, np.inf, mean / np.where(std == 0, 1.0, std))

@@ -27,23 +27,32 @@ from collections.abc import Iterator
 from contextlib import suppress
 from dataclasses import dataclass, asdict
 from functools import partial
-from itertools import chain, combinations
+from itertools import chain, combinations, islice
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
-from .codec import encode, to_decimal_string, to_record
+from .codec import _encode_stack, encode, to_decimal_string, to_record
 from .errors import UbninError, ValidationError, _check_count, _check_fraction
-from .graphs import _check_strategy, _group_mask, sparsity_threshold
+from .graphs import (
+    _check_strategy,
+    _group_mask,
+    _keep_strongest,
+    _upper_flat,
+    sparsity_threshold,
+    target_edge_count,
+)
 from .metrics import _reports
-from .stats import one_way_anova, permutation_test
+from .stats import _BLOCK_BYTES, one_way_anova, permutation_test
 from .subjects import (
     CLINICAL_FIELDS,
     DEFAULT_BIN_EDGES,
     CohortTable,
     _check_bin_edges,
+    _similarity_stack,
     age_binning,
     group_association_matrix,
-    individual_network,
     load_subjects_csv,
     residualize_covariate,
     stream_subjects_csv,
@@ -51,6 +60,7 @@ from .subjects import (
 # Not called here: kept only because perfbench/tracing.py WRAPPED looks them up.
 from .graphs import consistency_threshold  # noqa: F401
 from .metrics import metrics_report  # noqa: F401
+from .subjects import individual_network  # noqa: F401
 
 MIN_COHORT_SIZE = 3  # correlation across fewer subjects is meaningless
 MAX_SWEEP_LEVELS = 10_000
@@ -166,10 +176,11 @@ def _write_json(path: Path, doc: dict) -> None:
     """Write ``doc`` as ``json.dump(doc, fh, indent=2)`` writes it, plus a
     newline, into a file that replaces ``path`` (``_replace_file``).
 
-    The text is written a piece at a time, as ``json.dump`` writes it, and a
-    value of ``doc`` that is an iterator is written as a list, an item at a
-    time: so the whole text is never held as one string, and the iterator
-    may drop each item once it has yielded it.
+    The text is written a piece at a time, as ``json.dump`` writes it. A
+    value of ``doc`` that is an iterator stands for a list, and yields the
+    ``json.dumps(item, indent=2)`` text of each of its items, which is
+    written as given: so the whole text is never held as one string, and
+    the iterator may drop each item once it has yielded its text.
     """
     _replace_file(path, chain(_json_pieces(doc), "\n"))
 
@@ -197,7 +208,8 @@ def _json_pieces(doc: dict):
     Each value is encoded on its own, a piece at a time as ``json.dump``
     encodes it, and indented one level further by padding the newlines in
     its pieces: a JSON string holds no raw newline, so every newline in the
-    text starts a line of indentation.
+    text starts a line of indentation. An iterator value yields the text of
+    each item of a list (``_write_json``), padded the same way.
     """
     mark = "{"
     for key, value in doc.items():
@@ -205,9 +217,9 @@ def _json_pieces(doc: dict):
         mark = ","
         if isinstance(value, Iterator):
             item_mark = "["
-            for item in value:
+            for text in value:
                 yield f"{item_mark}\n    "
-                yield from _indented(item, "\n    ")
+                yield text.replace("\n", "\n    ")
                 item_mark = ","
             yield "[]" if item_mark == "[" else "\n  ]"
         else:
@@ -230,14 +242,15 @@ def _load_table(config: RunConfig):
 def _subject_codes(config: RunConfig):
     """Yield each subject's id and code, in row order.
 
-    Per subject, and in group-mask mode with a single subject, one subject's
-    weighted and binary networks are built, encoded and dropped before the
-    next subject starts. Without residualization or a group mask, rows are
-    read as they are reached (``stream_subjects_csv``), so no row is held
-    once its subject is encoded. Residualization needs every subject's
-    volumes at once, and a group mask over 2 or more subjects the upper
-    triangle of every subject's weighted network (``graphs._group_mask``),
-    dropped once the one code that every subject shares is made.
+    With per-subject thresholds, and with a group mask over a single
+    subject, each block of subjects (``_blocks``) is built, thresholded and
+    encoded at once (``_block_codes``), and its arrays dropped before the
+    next block is read. Without residualization or a group mask, rows are read as they
+    are reached (``stream_subjects_csv``), so no row is held once its
+    block is encoded. Residualization needs every subject's volumes at
+    once, and a group mask over 2 or more subjects the upper triangle of
+    every subject's weighted network (``graphs._group_mask``), dropped once
+    the one code that every subject shares is made.
     """
     keep = config.threshold_fraction
     mask = config.threshold_strategy == "group-mask"  # a mask needs 2+ networks
@@ -245,23 +258,55 @@ def _subject_codes(config: RunConfig):
         table = _load_table(config)
         labels, subjects = table.region_labels, table.subjects
         if mask and len(subjects) > 1:
-            networks = (individual_network(s, labels) for s in subjects)
-            code = encode(_group_mask(networks, len(subjects), keep, labels))
+            weights = (w for _, volumes in _blocks(subjects, len(labels))
+                       for w in _similarity_stack(volumes))
+            code = encode(_group_mask(weights, len(subjects), keep, labels))
             for subject in subjects:
                 yield subject.id, code
             return
     else:
         labels, subjects = stream_subjects_csv(config.input, config.demographics)
-    for subject in subjects:
-        yield subject.id, encode(sparsity_threshold(individual_network(subject, labels), keep))
+    for ids, volumes in _blocks(subjects, len(labels)):
+        yield from zip(ids, _block_codes(volumes, keep))
+
+
+def _blocks(subjects, regions: int):
+    """Yield the ids and the (b, regions) volumes of consecutive subjects,
+    reading ``subjects`` a block at a time: as many subjects as the block's
+    float64 (b, regions, regions) similarity stack fits ``stats._BLOCK_BYTES``
+    for, and at least one."""
+    size = max(1, _BLOCK_BYTES // (8 * regions * regions))
+    subjects = iter(subjects)
+    while block := list(islice(subjects, size)):
+        yield [s.id for s in block], np.array([s.volumes for s in block])
+
+
+def _block_codes(volumes: np.ndarray, keep: float) -> list:
+    """``encode(sparsity_threshold(individual_network(v), keep))`` of each
+    row ``v`` of a (b, r) block of volumes: one similarity stack, one
+    ``_keep_strongest`` call and one ``packbits`` for the whole block."""
+    weights = _similarity_stack(volumes)
+    b, r = volumes.shape
+    flat = _upper_flat(r)
+    edges = _keep_strongest(weights, weights.reshape(b, r * r).take(flat, axis=1),
+                            target_edge_count(keep, flat.size), np.empty((b, r, r), bool))
+    return _encode_stack(edges)
 
 
 def _records(held: list):
-    """Yield the registry record of each held (id, code), dropping the code
-    (and the digits it caches) from ``held`` once its record is made."""
+    """Yield the registry record of each held (id, code) as the text of
+    ``json.dumps(record, indent=2)``, dropping the code (and the digits it
+    caches) from ``held`` once its record is made.
+
+    Only the id needs JSON's escaping: the node count and scale are ints,
+    and the value and numerator digit strings.
+    """
     for i, (sid, code) in enumerate(held):
         held[i] = None
-        yield {"id": sid, "n": code.n, "value": to_decimal_string(code)} | to_record(code)
+        record = to_record(code)
+        yield (f'{{\n  "id": {json.dumps(sid)},\n  "n": {record["n"]},\n'
+               f'  "value": "{to_decimal_string(code)}",\n'
+               f'  "numerator": "{record["numerator"]}",\n  "scale": {record["scale"]}\n}}')
 
 
 def run_fingerprint(config: RunConfig) -> dict:
@@ -269,12 +314,13 @@ def run_fingerprint(config: RunConfig) -> dict:
 
     Returns the registry document without its records, plus
     ``registry_path``: the records (one per subject, in row order) are only
-    in the file. Only each subject's id and code are held until the registry
-    is written, and each record is rendered as the file reaches it.
+    in the file. Subjects are encoded a block at a time (``_subject_codes``),
+    only each subject's id and code are held until the registry is written,
+    and each record is rendered as the file reaches it.
 
     Output is all-or-nothing: any subject that fails validation aborts the run
     before the registry file is created. A streamed run (``_subject_codes``)
-    encodes subjects before it reaches an invalid row further down, but it
+    encodes blocks of subjects before it reaches an invalid row further down, but it
     raises the same error as a run that loads every row first: the loader
     lists every invalid row after the last one, and no network or encoding
     step can fail on a subject that the loader accepted (finite volumes, at

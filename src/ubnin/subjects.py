@@ -156,18 +156,29 @@ def individual_network(subject, region_labels=None) -> WeightedNetwork:
 
     weight(i, j) = 1 / ((v_i - v_j)^2 + 1), a value in [0, 1] that is 1
     exactly when the two volumes are equal. Finite volumes give finite,
-    exactly symmetric weights, so only the labels are checked.
+    exactly symmetric weights, so only the labels are checked. The
+    one-subject case of ``_similarity_stack``.
     """
     volumes = subject.volumes if isinstance(subject, SubjectRecord) else np.asarray(subject, float)
     if volumes.ndim != 1 or volumes.shape[0] < 2:
         raise ValidationError("need a flat vector of at least 2 volumes")
     if not np.all(np.isfinite(volumes)):
         raise ValidationError("non-finite volume value")
-    diff = volumes[:, None] - volumes[None, :]
-    w = 1.0 / (diff * diff + 1.0)
-    np.fill_diagonal(w, 0.0)
-    n = len(volumes)
-    return _built(WeightedNetwork, w, _check_labels(region_labels, n))
+    labels = _check_labels(region_labels, len(volumes))
+    return _built(WeightedNetwork, _similarity_stack(volumes[None])[0], labels)
+
+
+def _similarity_stack(volumes: np.ndarray) -> np.ndarray:
+    """The ``individual_network`` weights of each row of a (b, r) block of
+    finite volumes, as one (b, r, r) array: the same floats, computed for
+    the whole block at once."""
+    b, r = volumes.shape
+    w = volumes[:, :, None] - volumes[:, None, :]
+    w *= w
+    w += 1.0
+    np.divide(1.0, w, out=w)
+    w.reshape(b, r * r)[:, ::r + 1] = 0.0  # the diagonals, through a view of C-ordered w
+    return w
 
 
 _TINY = np.finfo(np.float64).tiny  # the smallest normal float64

@@ -57,7 +57,12 @@ matrix (with numpy's warnings on), where the package now runs them through
 package's ``_pearson_stack``, which ``tests/test_subjects.py`` pins to the
 bytes of ``np.corrcoef``. ``run_fingerprint_lists`` is the earlier
 ``run_fingerprint``, which built every subject's weighted network, then every
-binary network, before it encoded the first, and returned every record.
+binary network, before it encoded the first, and returned every record;
+it builds, thresholds and encodes one subject at a time through
+``individual_network_pairwise`` and ``encode_take``, the ``individual_network``
+and ``encode`` from before both became the one-row case of the block helpers
+that the fingerprint run calls (``subjects._similarity_stack`` and
+``codec._encode_stack``).
 ``parse_threshold_spec_with_mode`` is the earlier ``--threshold`` parser,
 which returned a threshold mode as well: ``sparsity`` or ``consistency``,
 where only consistency with the ``group-mask`` strategy applied a mask.
@@ -97,7 +102,7 @@ from ubnin import (
 from ubnin.codec import (
     _digits_to_int,
     _int_to_digits,
-    encode,
+    _lower_flat,
     max_scale,
     to_decimal_string,
     to_record,
@@ -116,7 +121,6 @@ from ubnin.subjects import (
     CLINICAL_FIELDS,
     REQUIRED_COLUMNS,
     _pearson_stack,
-    individual_network,
 )
 
 
@@ -572,6 +576,12 @@ def encode_tril(b) -> UbninCode:
     bits = np.packbits(b.edges[np.tril_indices(b.n, -1)], bitorder="little")
     num = int.from_bytes(bits.tobytes(), "little")
     return UbninCode.canonical(b.n, num, max_scale(b.n))
+
+
+def encode_take(b) -> UbninCode:
+    """The lower triangle, read through flat ``take`` indices, packed as the numerator."""
+    bits = np.packbits(b.edges.take(_lower_flat(b.n)), bitorder="little")
+    return UbninCode.canonical(b.n, int.from_bytes(bits.tobytes(), "little"), max_scale(b.n))
 
 
 def decode_tril(code, labels=None) -> BinaryNetwork:
@@ -1048,12 +1058,27 @@ def permutation_test_objects(group_a: CohortTable, group_b: CohortTable, sparsit
     )
 
 
+def individual_network_pairwise(subject, region_labels=None) -> WeightedNetwork:
+    """One subject's similarity network from its own matrix of differences."""
+    volumes = np.asarray(getattr(subject, "volumes", subject), dtype=float)
+    diff = volumes[:, None] - volumes[None, :]
+    w = 1.0 / (diff * diff + 1.0)
+    np.fill_diagonal(w, 0.0)
+    return WeightedNetwork(w, () if region_labels is None else region_labels)
+
+
+def subject_code(subject, region_labels, keep: float) -> UbninCode:
+    """A subject's code, built, thresholded and encoded on its own."""
+    return encode_take(sparsity_threshold(individual_network_pairwise(subject, region_labels),
+                                          keep))
+
+
 def run_fingerprint_lists(config: RunConfig) -> dict:
     """The fingerprint run with every subject's networks held in lists."""
     table = _load_table(config)
     if not table.subjects:
         raise ValidationError("no subjects to fingerprint")
-    networks = [individual_network(s, table.region_labels) for s in table.subjects]
+    networks = [individual_network_pairwise(s, table.region_labels) for s in table.subjects]
     mask = config.threshold_strategy == "group-mask"
     if mask and len(networks) > 1:
         binarized = consistency_threshold(networks, config.threshold_fraction, "group-mask")
@@ -1062,7 +1087,7 @@ def run_fingerprint_lists(config: RunConfig) -> dict:
     records = []
     by_code: dict = {}
     for subject, net in zip(table.subjects, binarized):
-        code = encode(net)
+        code = encode_take(net)
         records.append(
             {"id": subject.id, "n": code.n, "value": to_decimal_string(code)} | to_record(code)
         )

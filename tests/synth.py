@@ -114,8 +114,13 @@ def make_null_pair(seed, n_subjects=20, n_regions=56):
     return a, b
 
 
-def subjects_csv_text(n_subjects, n_regions, seed, groups=("PD", "HC"), clinical=True) -> str:
-    """Combined-format subjects CSV with ages spread across the default bins."""
+def subjects_csv_text(n_subjects, n_regions, seed, groups=("PD", "HC"), clinical=True,
+                      decimals=6) -> str:
+    """Combined-format subjects CSV with ages spread across the default bins.
+
+    Volumes are written to ``decimals`` decimals: at 0 or 1, most subjects
+    have equal weights across the cut of a sparsity threshold.
+    """
     rng = np.random.default_rng(seed)
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -134,7 +139,7 @@ def subjects_csv_text(n_subjects, n_regions, seed, groups=("PD", "HC"), clinical
                 str(int(rng.integers(1, 4))),
                 f"{max(age - rng.uniform(2, 12), 10.0):.1f}",
             ]
-        row += [f"{v:.6f}" for v in rng.normal(600.0, 40.0, n_regions)]
+        row += [f"{v:.{decimals}f}" for v in rng.normal(600.0, 40.0, n_regions)]
         writer.writerow(row)
     return buf.getvalue()
 

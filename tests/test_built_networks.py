@@ -22,8 +22,8 @@ from ubnin import (
     random_reference,
     sparsity_threshold,
 )
-from ubnin.subjects import _pearson_network
-from oracles import sparsity_threshold_argsort
+from ubnin.subjects import _pearson_network, _similarity_stack
+from oracles import individual_network_pairwise, sparsity_threshold_argsort
 from synth import random_binary, random_weighted, region_labels
 
 SIZES = (2, 3, 4, 5, 8, 13, 30, 57, 90)
@@ -134,8 +134,14 @@ def test_individual_network(n):
         for labels in (None, region_labels(n)):
             with np.errstate(over="ignore"):
                 w = individual_network(volumes, labels)
+                want = individual_network_pairwise(volumes, labels)
             assert_checked_build(w, volumes)
             assert np.all((w.weights >= 0) & (w.weights <= 1))
+            assert w.weights.tobytes() == want.weights.tobytes()
+    with np.errstate(over="ignore"):
+        stack = _similarity_stack(np.stack(volume_sets))
+        rows = [individual_network(v).weights.tobytes() for v in volume_sets]
+    assert [w.tobytes() for w in stack] == rows
 
 
 @pytest.mark.parametrize("n", SIZES)

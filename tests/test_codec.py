@@ -24,7 +24,7 @@ from ubnin import (
     to_record,
 )
 from ubnin import codec
-from ubnin.codec import _lower_flat, max_scale
+from ubnin.codec import _encode_stack, _lower_flat, max_scale
 from oracles import (
     column_codes,
     decode_tril,
@@ -491,8 +491,12 @@ class TestMatchesIntArithmeticOracles:
             n = int(n)
             code = random_code(n, rng)
             b = decode(code)
-            assert b.edges.tolist() == decode_tril(code).edges.tolist()
+            assert b.edges.dtype == bool
+            assert b.edges.tobytes() == decode_tril(code).edges.tobytes()
             assert encode(b) == encode_tril(b) == code
+            codes = [code, random_code(n, rng), random_code(n, rng)]
+            stack = np.stack([decode(c).edges for c in codes])
+            assert _encode_stack(stack) == codes
             text = to_decimal_string(code)
             assert text == to_decimal_string_int(code)
             for literal in literal_variants(text, n):

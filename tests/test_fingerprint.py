@@ -1,7 +1,9 @@
-"""The fingerprint run: the same registry as the list-based run, one subject's
-row and matrices in memory at a time, only codes held until the registry is
-written, and no scipy on its way."""
+"""The fingerprint run: the same registry as the list-based run, one block of
+subjects' rows and matrices in memory at a time, only codes held until the
+registry is written, and no scipy on its way."""
 
+import csv
+import io
 import json
 import subprocess
 import sys
@@ -10,15 +12,18 @@ import textwrap
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ubnin import DegenerateDesignError, ValidationError, pipeline
+from ubnin import (DegenerateDesignError, ValidationError, encode, load_subjects_csv, pipeline,
+                   to_decimal_string, to_record)
+from ubnin.graphs import target_edge_count
 from ubnin.pipeline import RunConfig, run_fingerprint
-from oracles import run_fingerprint_lists
-from synth import csv_text, split_subject_rows, subjects_csv_text
+from oracles import run_fingerprint_lists, subject_code
+from synth import csv_text, random_binary, split_subject_rows, subjects_csv_text
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
@@ -130,43 +135,125 @@ class TestMatchesListBasedRun:
         assert assert_same_as_lists(config) == \
             (DegenerateDesignError, "residualization needs >= 3 subjects, got 2")
 
+    @pytest.mark.parametrize("regions", [10, 90])
     @pytest.mark.parametrize("strategy", ["per-subject", "group-mask"])
-    def test_first_failing_subject_and_error_unchanged(self, tmp_path, monkeypatch, strategy):
-        # The loader rejects every volume that individual_network would, so
-        # the network step fails here only by design: at subjects 3 and 5.
-        real = pipeline.individual_network
-
-        def failing(subject, labels=None):
-            if subject.id in ("s0003", "s0005"):
-                raise ValidationError(f"network of {subject.id} rejected")
-            return real(subject, labels)
-
-        monkeypatch.setattr(pipeline, "individual_network", failing)
-        monkeypatch.setattr(oracles, "individual_network", failing)
+    def test_first_failing_subject_and_error_unchanged(self, tmp_path, monkeypatch, strategy,
+                                                       regions):
+        # The loader rejects every volume that a network would, so the
+        # network step fails here only by design: at subjects 3 and 5. At 10
+        # regions both are in the first block; at 90, blocks hold 4 subjects.
         data = tmp_path / "subjects.csv"
-        data.write_text(subjects_csv_text(8, 10, 8))
+        data.write_text(subjects_csv_text(8, regions, 8))
+        rejected = {s.volumes.tobytes(): s.id for s in load_subjects_csv(data).subjects
+                    if s.id in ("s0003", "s0005")}
+
+        def check(volumes):
+            if volumes.tobytes() in rejected:
+                raise ValidationError(f"network of {rejected[volumes.tobytes()]} rejected")
+
+        def failing_block(volumes, _real=pipeline._similarity_stack):
+            for row in volumes:
+                check(row)
+            return _real(volumes)
+
+        def failing_one(subject, labels=None, _real=oracles.individual_network_pairwise):
+            check(subject.volumes)
+            return _real(subject, labels)
+
+        monkeypatch.setattr(pipeline, "_similarity_stack", failing_block)
+        monkeypatch.setattr(oracles, "individual_network_pairwise", failing_one)
         config = RunConfig(input=str(data), out_dir=str(tmp_path / "out"),
                            threshold_strategy=strategy)
         assert assert_same_as_lists(config) == (ValidationError, "network of s0003 rejected")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("residualize", [None, "gender"])
+    @pytest.mark.parametrize("decimals", [0, 1])
+    @pytest.mark.parametrize("regions,subjects", [(90, 14), (400, 5)])
+    def test_identical_with_ties_across_blocks(self, tmp_path, regions, subjects, decimals,
+                                               residualize):
+        # 3 blocks and 2 subjects more: blocks hold 4 subjects at 90 regions
+        # and 1 at 400. Whole-number and one-decimal volumes tie at the cut.
+        data = tmp_path / "subjects.csv"
+        data.write_text(subjects_csv_text(subjects, regions, 14, decimals=decimals))
+        config = RunConfig(input=str(data), out_dir=str(tmp_path / "out"),
+                           residualize=residualize)
+        assert isinstance(assert_same_as_lists(config)[0], bytes)
 
-def test_three_calls_per_subject_in_turn_then_two(tmp_path, monkeypatch):
-    # perfbench/tracing.py times these calls through pipeline's names. Codes
-    # are made as rows are read; records as the registry is written.
-    calls = []
-    for name in ("individual_network", "sparsity_threshold", "encode", "to_decimal_string",
-                 "to_record"):
-        def logged(*args, _name=name, _original=getattr(pipeline, name), **kwargs):
-            calls.append(_name)
-            return _original(*args, **kwargs)
 
-        monkeypatch.setattr(pipeline, name, logged)
+def ties_at_cut(volumes, keep):
+    """Whether equal weights straddle the cut of ``sparsity_threshold``."""
+    diff = volumes[:, None] - volumes[None, :]
+    upper = np.sort((1.0 / (diff * diff + 1.0))[np.triu_indices(len(volumes), 1)])[::-1]
+    k = target_edge_count(keep, upper.size)
+    return upper[k - 1] == upper[k]
+
+
+@pytest.mark.parametrize("decimals", [0, 1])
+@pytest.mark.parametrize("regions,block", [(90, 4), (400, 1)])
+def test_block_codes_equal_per_subject_codes(tmp_path, regions, block, decimals):
     data = tmp_path / "subjects.csv"
-    data.write_text(subjects_csv_text(3, 6, 9))
+    data.write_text(subjects_csv_text(3 * block + 2, regions, 15, decimals=decimals))
+    table = load_subjects_csv(data)
+    assert sum(ties_at_cut(s.volumes, 0.3) for s in table.subjects) > len(table) / 2
+    for count in sorted({1, block - 1, block, block + 1, 3 * block + 2} - {0}):
+        subjects = table.subjects[:count]
+        blocks = list(pipeline._blocks(subjects, regions))
+        assert [len(ids) for ids, _ in blocks] == \
+            [block] * (count // block) + [count % block] * (count % block > 0)
+        codes = [code for _, volumes in blocks for code in pipeline._block_codes(volumes, 0.3)]
+        assert codes == [subject_code(s, table.region_labels, 0.3) for s in subjects]
+
+
+@pytest.mark.parametrize("sid", ['say "hi"', "back\\slash", "Contrôle-ß-日本", "bell\x07\ttab",
+                                 "s0001"])
+def test_record_text_is_json_dumps_text(sid):
+    code = encode(random_binary(90, 0.3, np.random.default_rng(16)))
+    held = [(sid, code)]
+    text, = pipeline._records(held)
+    assert held == [None]
+    record = {"id": sid, "n": code.n, "value": to_decimal_string(code)} | to_record(code)
+    assert text == json.dumps(record, indent=2)
+
+
+def test_registry_of_one_subject_with_an_id_to_escape(tmp_path):
+    header, row = subjects_csv_text(1, 12, 17).splitlines()
+    sid = 'Contrôle "1" \\ \x07'
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([sid] + row.split(",")[1:])
+    data = tmp_path / "subjects.csv"
+    data.write_text(f"{header}\n{buf.getvalue()}", encoding="utf-8")
+    registry, _ = assert_same_as_lists(RunConfig(input=str(data), out_dir=str(tmp_path / "out")))
+    doc = json.loads(registry)
+    assert [r["id"] for r in doc["records"]] == [sid]
+    assert registry.decode() == json.dumps(doc, indent=2) + "\n"
+
+
+def test_codes_made_as_rows_are_read_a_block_at_a_time(tmp_path, monkeypatch):
+    # Codes are made as rows are read, at most one block (4 subjects at 90
+    # regions) behind the reader; records as the registry is written.
+    events = []
+
+    def stream(*args, _real=pipeline.stream_subjects_csv):
+        labels, subjects = _real(*args)
+        return labels, (events.append("row") or s for s in subjects)
+
+    def block_codes(volumes, keep, _real=pipeline._block_codes):
+        events.append(len(volumes))
+        return _real(volumes, keep)
+
+    def render(code, _real=pipeline.to_decimal_string):
+        events.append("render")
+        return _real(code)
+
+    monkeypatch.setattr(pipeline, "stream_subjects_csv", stream)
+    monkeypatch.setattr(pipeline, "_block_codes", block_codes)
+    monkeypatch.setattr(pipeline, "to_decimal_string", render)
+    data = tmp_path / "subjects.csv"
+    data.write_text(subjects_csv_text(10, 90, 9))
     run_fingerprint(RunConfig(input=str(data), out_dir=str(tmp_path / "out")))
-    assert calls == (["individual_network", "sparsity_threshold", "encode"] * 3
-                     + ["to_decimal_string", "to_record"] * 3)
+    assert events == (["row"] * 4 + [4] + ["row"] * 4 + [4] + ["row"] * 2 + [2]
+                      + ["render"] * 10)
 
 
 def traced_peak(tmp_path, n_subjects, **fields):
@@ -214,25 +301,27 @@ def test_failed_registry_write_leaves_no_file(tmp_path, monkeypatch):
     out = tmp_path / "out"
     config = RunConfig(input=str(data), out_dir=str(out))
     registry = out / "fingerprints.json"
-    real = pipeline.to_record
+    real = pipeline.to_decimal_string
     calls = []
 
-    def unserializable_last(code):
+    def failing_last(code):
         calls.append(code)
-        return real(code) | ({"bad": object()} if len(calls) == 5 else {})
+        if len(calls) == 5:
+            raise RuntimeError("the last record failed")
+        return real(code)
 
-    monkeypatch.setattr(pipeline, "to_record", unserializable_last)
-    with pytest.raises(TypeError, match="not JSON serializable"):
+    monkeypatch.setattr(pipeline, "to_decimal_string", failing_last)
+    with pytest.raises(RuntimeError, match="the last record failed"):
         run_fingerprint(config)
     assert list(out.iterdir()) == []
     # A registry from an earlier run stays as it was.
     registry.write_text("earlier\n")
     calls.clear()
-    with pytest.raises(TypeError, match="not JSON serializable"):
+    with pytest.raises(RuntimeError, match="the last record failed"):
         run_fingerprint(config)
     assert [p.name for p in out.iterdir()] == ["fingerprints.json"]
     assert registry.read_text() == "earlier\n"
-    monkeypatch.setattr(pipeline, "to_record", real)
+    monkeypatch.setattr(pipeline, "to_decimal_string", real)
     run_fingerprint_lists(config)
     want = registry.read_bytes()
     run_fingerprint(config)
@@ -249,8 +338,10 @@ JSON_VALUES = st.recursive(
 @settings(max_examples=100, deadline=None)
 @given(st.dictionaries(st.text(max_size=3), JSON_VALUES, max_size=4), st.data())
 def test_written_json_is_json_dump_text(doc, data):
-    # Any list value may be handed over as an iterator, and is written the same.
-    streamed = {k: iter(v) if isinstance(v, list) and data.draw(st.booleans()) else v
+    # Any list value may be handed over as an iterator of its items' JSON
+    # texts, and is written the same.
+    streamed = {k: iter([json.dumps(x, indent=2) for x in v])
+                if isinstance(v, list) and data.draw(st.booleans()) else v
                 for k, v in doc.items()}
     with tempfile.TemporaryDirectory() as where:
         path = Path(where) / "doc.json"
