@@ -3,13 +3,15 @@
 Every option can also be set through an environment variable named
 UBNIN_<COMMAND>_<OPTION>, e.g. UBNIN_COHORT_ITERATIONS=500. Exit codes:
 0 success, 1 validation or malformed-input error, 2 degenerate-statistics
-error.
+error, 3 internal error: a fault of the program, not of its input, reported
+on one ``internal error:`` line.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+import traceback
 from pathlib import Path
 
 import click
@@ -35,6 +37,7 @@ from .pipeline import MIN_COHORT_SIZE, RunConfig, run_cohort, run_fingerprint
 
 EXIT_VALIDATION = 1
 EXIT_DEGENERATE = 2
+EXIT_INTERNAL = 3
 
 
 @click.group()
@@ -97,9 +100,10 @@ def _config_options(fn):
     return fn
 
 
-def parse_threshold_spec(text: str) -> tuple[float, str]:
-    """Parse a --threshold value into (fraction, strategy): 'sparsity:<f>' and
-    'consistency:<f>' both mean per-subject, and only 'consistency' takes a strategy."""
+def parse_threshold_spec(text: str) -> float:
+    """Parse a --threshold value into its keep fraction: 'sparsity:<f>',
+    'consistency:<f>' and 'consistency:<f>:per-subject' all threshold each
+    subject's network on its own."""
     names = ("sparsity", "consistency")
     parts = text.split(":")
     if parts[0] not in names:
@@ -114,22 +118,25 @@ def parse_threshold_spec(text: str) -> tuple[float, str]:
         raise ValidationError("only consistency thresholds take a strategy")
     if len(parts) > 3:
         raise ValidationError(f"malformed threshold spec {text!r}")
-    return fraction, parts[2] if len(parts) > 2 else "per-subject"
+    if parts[2:] == ["group-mask"]:
+        raise ValidationError("the group-mask threshold strategy was removed: it gave every "
+                              "subject the same network and code")
+    if parts[2:] not in ([], ["per-subject"]):
+        raise ValidationError(f"threshold strategy must be 'per-subject', got {parts[2]!r}")
+    return fraction
 
 
 @cli.command("fingerprint")
 @_config_options
 @click.option("--threshold", default="consistency:0.3:per-subject", show_default=True,
-              help="Binarization: sparsity:<f> or consistency:<f>:<strategy>, where "
-                   "strategy is per-subject or group-mask. sparsity:<f> is "
-                   "consistency:<f>:per-subject; group-mask applies one shared "
-                   "mask, so every subject gets the same network and code.")
+              help="Binarization: keep the fraction <f> of each subject's strongest "
+                   "edges. sparsity:<f>, consistency:<f> and "
+                   "consistency:<f>:per-subject are the same.")
 def cmd_fingerprint(input_path, demographics, residualize, out_dir, threshold):
     """Encode each subject's similarity network; write the code registry."""
-    fraction, strategy = parse_threshold_spec(threshold)
     config = RunConfig(
         input=input_path, out_dir=out_dir, demographics=demographics,
-        threshold_fraction=fraction, threshold_strategy=strategy, residualize=residualize,
+        threshold_fraction=parse_threshold_spec(threshold), residualize=residualize,
     )
     doc = run_fingerprint(config)
     for ids in doc["duplicates"]:
@@ -200,12 +207,17 @@ def main(argv=None) -> int:
     except click.Abort:
         click.echo("aborted", err=True)
         return EXIT_VALIDATION
-    except (ValidationError, MalformedCodeError, ValueError, OSError) as exc:
+    except (ValidationError, MalformedCodeError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_VALIDATION
     except (DegenerateDesignError, UndefinedMetricError, NotEstimableError) as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_DEGENERATE
+    except Exception as exc:  # a fault of the program: name its type and where it was raised
+        where = traceback.extract_tb(exc.__traceback__)[-1]
+        click.echo(f"internal error: {type(exc).__name__} at "
+                   f"{Path(where.filename).name}:{where.lineno}: {exc}", err=True)
+        return EXIT_INTERNAL
     return 0
 
 

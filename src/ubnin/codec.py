@@ -344,6 +344,13 @@ def encode_float64_emulation(b: BinaryNetwork) -> float:
     a zero factor) past 2^1023. Reproduces the numeric behavior of the
     double-precision pipeline, including non-finite results for complete
     graphs beyond 1024 nodes.
+
+    It rounds at every step, so it can differ from ``to_float64``, the exact
+    value rounded once, by 1 ulp. From 55 nodes the last column code can
+    have 54 or more significant bits and is rounded on its own before it is
+    added: on random graphs of density 0.3, 7-20 of 200 differ at each size
+    from 55 to 61. Below 55 nodes only a sum rounded at an earlier step can
+    differ: at most 1 of 200 at a size, at some sizes from 12 to 23.
     """
     num, = _packed_numerators(b.edges[None])
     u = _int_to_float64(num & 1)

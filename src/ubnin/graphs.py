@@ -16,14 +16,13 @@ import math
 import operator
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .errors import ValidationError, _check_fraction
 
 SYMMETRY_ATOL = 1e-12  # tolerance applied when loading weighted matrices from CSV
-THRESHOLD_STRATEGIES = ("per-subject", "group-mask")  # of consistency_threshold
 
 
 def default_labels(n: int) -> tuple[str, ...]:
@@ -208,14 +207,6 @@ def _upper_flat(n: int) -> np.ndarray:
     return flat
 
 
-def _adjacency(n: int, flat_idx: np.ndarray) -> np.ndarray:
-    """Symmetric n x n boolean adjacency with the cells ``flat_idx`` of one triangle."""
-    e = np.zeros(n * n, dtype=bool)
-    e[flat_idx] = True
-    e = e.reshape(n, n)
-    return e | e.T
-
-
 def _keep_strongest(weights: np.ndarray, upper: np.ndarray, k: int,
                     out: np.ndarray, ranked: int | None = None) -> np.ndarray:
     """The k strongest edges of each network of a stack, as adjacency ``out``.
@@ -276,23 +267,12 @@ def sparsity_threshold(w: WeightedNetwork, keep: float) -> BinaryNetwork:
     return _built(BinaryNetwork, a[0], w.labels)
 
 
-def _check_strategy(strategy) -> None:
-    if strategy not in THRESHOLD_STRATEGIES:
-        raise ValidationError(
-            f"threshold strategy must be one of {THRESHOLD_STRATEGIES}, got {strategy!r}")
+def consistency_threshold(stack: Sequence[WeightedNetwork], keep: float) -> list[BinaryNetwork]:
+    """Binarize a stack of same-shaped weighted networks, each on its own.
 
-
-def consistency_threshold(stack: Sequence[WeightedNetwork], keep: float,
-                          strategy: str = "per-subject") -> list[BinaryNetwork]:
-    """Binarize a stack of same-shaped weighted networks.
-
-    ``per-subject`` thresholds each network independently at the given keep
-    fraction (the default, preserving between-subject differences).
-    ``group-mask`` scores every edge by mean/stddev of its weight across the
-    stack (stddev 0 scores +inf; ties resolved by mean descending, then by
-    (row, col) ascending), keeps the top fraction as a single mask, and applies
-    that mask to every network, so every subject gets the same network: the
-    returned list holds one shared network ``len(stack)`` times.
+    Every network is thresholded independently at the given keep fraction
+    (``sparsity_threshold``), which preserves between-subject differences.
+    The stack must hold at least 2 networks with the same labels.
     """
     if len(stack) < 2:
         raise ValidationError("consistency thresholding needs at least 2 networks")
@@ -302,33 +282,7 @@ def consistency_threshold(stack: Sequence[WeightedNetwork], keep: float,
             raise ValidationError(
                 f"network {idx} does not match network 1 (labels or dimensions differ)"
             )
-    _check_strategy(strategy)
-    if strategy == "per-subject":
-        return [sparsity_threshold(w, keep) for w in stack]
-
-    mask = _group_mask((w.weights for w in stack), len(stack), keep, first.labels)
-    return [mask] * len(stack)
-
-
-def _group_mask(stack: Iterable[np.ndarray], count: int, keep: float,
-                labels: tuple[str, ...]) -> BinaryNetwork:
-    """The one network that ``group-mask`` thresholding gives every network
-    of a stack of ``count`` weight matrices over ``labels``.
-
-    Only each matrix's upper triangle is kept, one row of a (count, m)
-    array, as the stack is read: a caller that makes each matrix as it is
-    read holds only as many n x n matrices as it makes at a time.
-    """
-    flat = _upper_flat(len(labels))
-    weights = np.empty((count, flat.size))
-    for row, w in zip(weights, stack):
-        w.take(flat, out=row)
-    mean = weights.mean(axis=0)
-    std = weights.std(axis=0)
-    score = np.where(std == 0, np.inf, mean / np.where(std == 0, 1.0, std))
-    k = target_edge_count(keep, mean.size)
-    sel = np.lexsort((-mean, -score))[:k]  # stable: ties stay in (row, col) order
-    return _built(BinaryNetwork, _adjacency(len(labels), flat[sel]), labels)
+    return [sparsity_threshold(w, keep) for w in stack]
 
 
 # ---------------------------------------------------------------------------

@@ -33,16 +33,9 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .codec import _encode_stack, encode, to_decimal_string, to_record
+from .codec import _encode_stack, to_decimal_string, to_record
 from .errors import UbninError, ValidationError, _check_count, _check_fraction
-from .graphs import (
-    _check_strategy,
-    _group_mask,
-    _keep_strongest,
-    _upper_flat,
-    sparsity_threshold,
-    target_edge_count,
-)
+from .graphs import _keep_strongest, _upper_flat, sparsity_threshold, target_edge_count
 from .metrics import _reports
 from .stats import _BLOCK_BYTES, one_way_anova, permutation_test
 from .subjects import (
@@ -58,6 +51,7 @@ from .subjects import (
     stream_subjects_csv,
 )
 # Not called here: kept only because perfbench/tracing.py WRAPPED looks them up.
+from .codec import encode  # noqa: F401
 from .graphs import consistency_threshold  # noqa: F401
 from .metrics import metrics_report  # noqa: F401
 from .subjects import individual_network  # noqa: F401
@@ -77,7 +71,6 @@ class RunConfig:
     out_dir: str
     demographics: str | None = None
     threshold_fraction: float = 0.3
-    threshold_strategy: str = "per-subject"
     sweep_start: float = 0.6
     sweep_stop: float = 0.9
     sweep_step: float = 0.03
@@ -93,7 +86,6 @@ class RunConfig:
         object.__setattr__(self, "bin_edges", _check_bin_edges(self.bin_edges))
         if self.anova_fields is not None:
             object.__setattr__(self, "anova_fields", tuple(self.anova_fields))
-        _check_strategy(self.threshold_strategy)
         _check_fraction("threshold fraction", self.threshold_fraction)
         # Python ints only: the config is written as JSON, which takes no numpy integer.
         for name, minimum in (("iterations", 1), ("seed", 0), ("n_rand", 0),
@@ -242,32 +234,19 @@ def _load_table(config: RunConfig):
 def _subject_codes(config: RunConfig):
     """Yield each subject's id and code, in row order.
 
-    With per-subject thresholds, and with a group mask over a single
-    subject, each block of subjects (``_blocks``) is built, thresholded and
-    encoded at once (``_block_codes``), and its arrays dropped before the
-    next block is read. Without residualization or a group mask, rows are read as they
-    are reached (``stream_subjects_csv``), so no row is held once its
-    block is encoded. Residualization needs every subject's volumes at
-    once, and a group mask over 2 or more subjects the upper triangle of
-    every subject's weighted network (``graphs._group_mask``), dropped once
-    the one code that every subject shares is made.
+    Each block of subjects (``_blocks``) is built, thresholded and encoded
+    at once (``_block_codes``), and its arrays dropped before the next
+    block is read. Without residualization, rows are read as they are
+    reached (``stream_subjects_csv``), so no row is held once its block is
+    encoded; residualization needs every subject's volumes at once.
     """
-    keep = config.threshold_fraction
-    mask = config.threshold_strategy == "group-mask"  # a mask needs 2+ networks
-    if config.residualize or mask:
+    if config.residualize:
         table = _load_table(config)
         labels, subjects = table.region_labels, table.subjects
-        if mask and len(subjects) > 1:
-            weights = (w for _, volumes in _blocks(subjects, len(labels))
-                       for w in _similarity_stack(volumes))
-            code = encode(_group_mask(weights, len(subjects), keep, labels))
-            for subject in subjects:
-                yield subject.id, code
-            return
     else:
         labels, subjects = stream_subjects_csv(config.input, config.demographics)
     for ids, volumes in _blocks(subjects, len(labels)):
-        yield from zip(ids, _block_codes(volumes, keep))
+        yield from zip(ids, _block_codes(volumes, config.threshold_fraction))
 
 
 def _blocks(subjects, regions: int):

@@ -64,8 +64,7 @@ and ``encode`` from before both became the one-row case of the block helpers
 that the fingerprint run calls (``subjects._similarity_stack`` and
 ``codec._encode_stack``).
 ``parse_threshold_spec_with_mode`` is the earlier ``--threshold`` parser,
-which returned a threshold mode as well: ``sparsity`` or ``consistency``,
-where only consistency with the ``group-mask`` strategy applied a mask.
+which returned a threshold mode and a strategy as well as the fraction.
 """
 
 from __future__ import annotations
@@ -107,13 +106,7 @@ from ubnin.codec import (
     to_decimal_string,
     to_record,
 )
-from ubnin.graphs import (
-    _adjacency,
-    _built,
-    _upper_flat,
-    consistency_threshold,
-    target_edge_count,
-)
+from ubnin.graphs import _built, _upper_flat, target_edge_count
 from ubnin import subjects as package_subjects
 from ubnin.metrics import _check_count
 from ubnin.pipeline import RunConfig, _load_table, _write_json
@@ -443,13 +436,9 @@ def metrics_report_one_loop(b, n_rand: int = 100, seed: int = 0,
     )
 
 
-def ranked_upper_triangle_lexsort(values, rows, cols, secondary=None):
+def ranked_upper_triangle_lexsort(values, rows, cols):
     """Indices sorting edge values descending, ties by (row, col) ascending."""
-    keys = [cols, rows]
-    if secondary is not None:
-        keys.append(-secondary)
-    keys.append(-values)
-    return np.lexsort(tuple(keys))
+    return np.lexsort((cols, rows, -values))
 
 
 def target_edge_count_fraction(keep: float, total_edges: int) -> int:
@@ -500,7 +489,10 @@ def sparsity_threshold_partition(w, keep: float) -> BinaryNetwork:
     t = np.partition(vals, m - k)[m - k]
     chosen = vals > t
     chosen[np.flatnonzero(vals == t)[:k - np.count_nonzero(chosen)]] = True
-    return _built(BinaryNetwork, _adjacency(n, flat[chosen]), w.labels)
+    e = np.zeros(n * n, dtype=bool)
+    e[flat[chosen]] = True
+    e = e.reshape(n, n)
+    return _built(BinaryNetwork, e | e.T, w.labels)
 
 
 def keep_strongest_full_partition(weights: np.ndarray, upper: np.ndarray, k: int,
@@ -1079,11 +1071,7 @@ def run_fingerprint_lists(config: RunConfig) -> dict:
     if not table.subjects:
         raise ValidationError("no subjects to fingerprint")
     networks = [individual_network_pairwise(s, table.region_labels) for s in table.subjects]
-    mask = config.threshold_strategy == "group-mask"
-    if mask and len(networks) > 1:
-        binarized = consistency_threshold(networks, config.threshold_fraction, "group-mask")
-    else:
-        binarized = [sparsity_threshold(w, config.threshold_fraction) for w in networks]
+    binarized = [sparsity_threshold(w, config.threshold_fraction) for w in networks]
     records = []
     by_code: dict = {}
     for subject, net in zip(table.subjects, binarized):

@@ -1,7 +1,7 @@
-"""Counts, seeds, kept fractions and threshold strategies, at every entry point.
+"""Counts, seeds, kept fractions and threshold spellings, at every entry point.
 
 Each rule is checked by one helper (``errors._check_count``,
-``errors._check_fraction``, ``graphs._check_strategy``), so a bad value gets
+``errors._check_fraction``, ``cli.parse_threshold_spec``), so a bad value gets
 the same error type, ``ValidationError``, which is also a ``ValueError``,
 whichever function it reaches. A value is rejected before the work it would
 feed: each case names the functions that must not run first, and replaces
@@ -37,20 +37,20 @@ from ubnin import (
     sweep_values,
     target_edge_count,
 )
+from ubnin.cli import parse_threshold_spec
 from synth import make_null_pair, path_graph, random_weighted, ring_lattice, subjects_csv_text
 
 NAN = float("nan")
 RING = ring_lattice(10, 4)
 COHORTS = make_null_pair(10, n_subjects=4, n_regions=8)
 STACK = [random_weighted(6, np.random.default_rng(k)) for k in range(3)]
-STRATEGIES = "threshold strategy must be one of ('per-subject', 'group-mask'), got "
 
 # What a call may not reach before its arguments are checked.
 MEASURE = [(metrics, "nodal_clustering")]
 DRAW = [(np.random, "default_rng")]
 EDGES = [(metrics, "edge_count")] + DRAW
 POOL = [(CohortTable, "volume_matrix"), (stats, "_BlockKernel")]
-THRESHOLD = [(graphs, "sparsity_threshold"), (graphs, "_upper_flat")]
+RANK = [(graphs, "_keep_strongest")]
 SWEEP = [(pipeline, "sweep_values")]  # RunConfig's last check
 
 
@@ -72,7 +72,6 @@ def permute(levels=(0.5,), iterations=5, seed=0):
 
 # (call, message, what it may not reach first)
 REJECTED = {
-    "config-strategy": (lambda: config(threshold_strategy="mask"), STRATEGIES + "'mask'", SWEEP),
     "config-fraction-0": (lambda: config(threshold_fraction=0.0),
                           "threshold fraction must lie in (0, 1], got 0.0", SWEEP),
     "config-fraction-1.5": (lambda: config(threshold_fraction=1.5),
@@ -95,9 +94,6 @@ REJECTED = {
                            "swaps_per_edge must be an integer, got 1.5", SWEEP),
     "config-swaps-negative": (lambda: config(swaps_per_edge=-1),
                               "swaps_per_edge must be nonnegative", SWEEP),
-    "config-strategy-before-fraction": (
-        lambda: config(threshold_strategy="mask", threshold_fraction=2.0),
-        STRATEGIES + "'mask'", SWEEP),
     "config-fraction-before-counts": (lambda: config(threshold_fraction=2.0, iterations=0),
                                       "threshold fraction must lie in (0, 1], got 2.0", SWEEP),
     "config-counts-before-anova": (lambda: config(seed=-1, anova_fields=("bogus",)),
@@ -169,8 +165,17 @@ REJECTED = {
                               "keep fraction must lie in (0, 1], got nan", []),
     "target-edge-count-numpy": (lambda: target_edge_count(np.float64(1.5), 10),
                                 "keep fraction must lie in (0, 1], got 1.5", []),
-    "consistency-strategy": (lambda: consistency_threshold(STACK, 0.3, "mask"),
-                             STRATEGIES + "'mask'", THRESHOLD),
+    "consistency-fraction-0": (lambda: consistency_threshold(STACK, 0.0),
+                               "keep fraction must lie in (0, 1], got 0.0", RANK),
+    "threshold-spec-strategy": (lambda: parse_threshold_spec("consistency:0.3:mask"),
+                                "threshold strategy must be 'per-subject', got 'mask'", []),
+    "threshold-spec-strategy-before-fraction": (
+        lambda: parse_threshold_spec("consistency:2.0:mask"),
+        "threshold strategy must be 'per-subject', got 'mask'", []),
+    "threshold-spec-group-mask": (
+        lambda: parse_threshold_spec("consistency:0.3:group-mask"),
+        "the group-mask threshold strategy was removed: it gave every subject the same "
+        "network and code", []),
     "anova-one-group": (lambda: one_way_anova([[1.0, 2.0]]), "need at least 2 groups", []),
     "anova-empty-group": (lambda: one_way_anova([[1.0], []]),
                           "every group must be a non-empty flat sequence", []),
@@ -211,7 +216,6 @@ ACCEPTED = {
     "config-bounds": lambda: config(iterations=1, seed=0, n_rand=0, swaps_per_edge=0,
                                     threshold_fraction=1.0),
     "config-tiny-fraction": lambda: config(threshold_fraction=5e-324),
-    "config-group-mask": lambda: config(threshold_strategy="group-mask"),
     "reports-no-references-any-seed": lambda: reports(n_rand=0, seed=-1, swaps="any"),
     "reports-numpy": lambda: reports(n_rand=np.int64(1), seed=np.int64(0), swaps=np.int64(0)),
     "small-world-bounds": lambda: small_world_index(RING, n_rand=1, seed=0, swaps_per_edge=0),
@@ -221,9 +225,10 @@ ACCEPTED = {
                                           seed=0),
     "target-edge-count-int-keep": lambda: target_edge_count(1, 10),
     "target-edge-count-numpy-keep": lambda: target_edge_count(np.float64(0.5), 10),
-    "consistency-per-subject": lambda: consistency_threshold(STACK, 1.0, "per-subject"),
-    "consistency-group-mask": lambda: consistency_threshold(STACK, 5e-324, "group-mask"),
+    "consistency-per-subject": lambda: consistency_threshold(STACK, 1.0),
+    "consistency-tiny-fraction": lambda: consistency_threshold(STACK, 5e-324),
     "sweep-to-1-plus-rounding": lambda: sweep_values(0.5, 1 + 1e-11, 0.5),
+    "threshold-spec-per-subject": lambda: parse_threshold_spec("consistency:5e-324:per-subject"),
 }
 
 
@@ -232,22 +237,14 @@ def test_good_value_accepted(case):
     ACCEPTED[case]()
 
 
-def test_threshold_strategies_are_one_tuple():
-    assert graphs.THRESHOLD_STRATEGIES == ("per-subject", "group-mask")
-    assert not hasattr(pipeline, "THRESHOLD_STRATEGIES")
-    for strategy in graphs.THRESHOLD_STRATEGIES:
-        config(threshold_strategy=strategy)
-        consistency_threshold(STACK, 0.3, strategy)
-
-
 def test_config_fields_cannot_be_reassigned(tmp_path):
     data = tmp_path / "subjects.csv"
     data.write_text(subjects_csv_text(6, 5, 0))
     c = RunConfig(input=str(data), out_dir=str(tmp_path / "out"))
-    for field, value in [("threshold_strategy", "bogus"), ("iterations", 0), ("seed", 1)]:
+    for field, value in [("threshold_fraction", 2.0), ("iterations", 0), ("seed", 1)]:
         with pytest.raises(dataclasses.FrozenInstanceError):
             setattr(c, field, value)
-    assert run_fingerprint(c)["config"]["threshold_strategy"] == "per-subject"
+    assert run_fingerprint(c)["config"]["threshold_fraction"] == 0.3
 
 
 @pytest.mark.parametrize("clone", [lambda t: pickle.loads(pickle.dumps(t)), copy.deepcopy],

@@ -72,20 +72,16 @@ def test_sparsity_threshold(n):
 
 
 @pytest.mark.parametrize("n", SIZES)
-def test_consistency_threshold_both_strategies(n):
+def test_consistency_threshold(n):
     rng = np.random.default_rng(100 + n)
     stack = [tie_heavy(n, rng) for _ in range(3)]
     weights = [w.weights for w in stack]
     for keep in keeps(n):
-        per_subject = consistency_threshold(stack, keep, "per-subject")
+        per_subject = consistency_threshold(stack, keep)
         assert len(per_subject) == len(stack)
         for w, b in zip(stack, per_subject):
             assert_checked_build(b, *weights)
             assert b == sparsity_threshold(w, keep)
-        group = consistency_threshold(stack, keep, "group-mask")
-        assert len(group) == len(stack)
-        assert all(b is group[0] for b in group)
-        assert_checked_build(group[0], *weights)
 
 
 @pytest.mark.parametrize("n", [4, 8, 30, 90])

@@ -27,6 +27,7 @@ from ubnin import (
     sweep_values,
     to_record,
 )
+from ubnin import cli
 from ubnin.cli import main, parse_threshold_spec
 from ubnin.graphs import format_binary_matrix
 from ubnin import pipeline
@@ -164,9 +165,9 @@ class TestSweepAndThresholdParsing:
         assert all(type(x) is float for x in config.bin_edges)
 
     def test_threshold_spec_forms(self):
-        assert parse_threshold_spec("sparsity:0.3") == (0.3, "per-subject")
-        assert parse_threshold_spec("consistency:0.3") == (0.3, "per-subject")
-        assert parse_threshold_spec("consistency:0.25:group-mask") == (0.25, "group-mask")
+        assert parse_threshold_spec("sparsity:0.3") == 0.3
+        assert parse_threshold_spec("consistency:0.3") == 0.3
+        assert parse_threshold_spec("consistency:0.25:per-subject") == 0.25
 
     @pytest.mark.parametrize("spec", [
         # accepted by the parser
@@ -182,39 +183,32 @@ class TestSweepAndThresholdParsing:
         "consistency:0.3::",
     ])
     def test_spec_means_what_it_meant_with_a_mode(self, spec):
-        """Each spelling gives the earlier parser's fraction and strategy, or
-        its error; only consistency with group-mask meant a mask, so the
-        strategy alone now carries the meaning."""
-        from ubnin import ValidationError
-
+        """Each spelling gives the earlier parser's fraction, or its error.
+        A strategy other than per-subject, which the config rejected or, for
+        group-mask, ran the removed mask, is now rejected by the parser."""
         try:
-            mode, fraction, strategy = parse_threshold_spec_with_mode(spec)
+            _, fraction, strategy = parse_threshold_spec_with_mode(spec)
         except ValidationError as exc:
             with pytest.raises(ValidationError) as err:
                 parse_threshold_spec(spec)
             assert str(err.value) == str(exc)
             return
-        got = parse_threshold_spec(spec)
-        assert repr(got) == repr((fraction, strategy))  # repr: nan == nan
-        assert (got[1] == "group-mask") == ((mode, strategy) == ("consistency", "group-mask"))
-
-    def test_strategy_is_checked_by_the_spec_and_the_config(self):
-        from ubnin import ValidationError
-
-        with pytest.raises(ValidationError, match="only consistency thresholds take a strategy"):
-            parse_threshold_spec("sparsity:0.3:group-mask")
-        with pytest.raises(ValidationError, match="^threshold strategy must be one of "):
-            pipeline.RunConfig(input="in.csv", out_dir="out", threshold_strategy="mask")
-        for strategy in ("per-subject", "group-mask"):
-            pipeline.RunConfig(input="in.csv", out_dir="out", threshold_strategy=strategy)
+        if strategy == "per-subject":
+            assert repr(parse_threshold_spec(spec)) == repr(fraction)  # repr: nan == nan
+            return
+        removed = strategy == "group-mask"
+        with pytest.raises(ValidationError, match=(
+                "^the group-mask threshold strategy was removed: " if removed
+                else f"^threshold strategy must be 'per-subject', got {strategy!r}$")):
+            parse_threshold_spec(spec)
 
     def test_settings_on_which_nothing_depends_are_gone(self, capsys):
         from ubnin import PermutationResult
 
         assert [f.name for f in dataclasses.fields(pipeline.RunConfig)] == [
-            "input", "out_dir", "demographics", "threshold_fraction", "threshold_strategy",
-            "sweep_start", "sweep_stop", "sweep_step", "bin_edges", "iterations", "seed",
-            "residualize", "n_rand", "swaps_per_edge", "anova_fields"]
+            "input", "out_dir", "demographics", "threshold_fraction", "sweep_start", "sweep_stop",
+            "sweep_step", "bin_edges", "iterations", "seed", "residualize", "n_rand",
+            "swaps_per_edge", "anova_fields"]
         code, help_text, _ = run(capsys, "fingerprint", "--help")
         assert code == 0 and "--threshold" in help_text and "--seed" not in help_text
         assert "--seed" in run(capsys, "cohort", "--help")[1]
@@ -461,7 +455,7 @@ class TestFingerprintCommand:
         assert code == 0, err
         doc = json.loads((out_dir / "fingerprints.json").read_text())
         assert doc["config"]["threshold_fraction"] == 0.5
-        assert doc["config"]["threshold_strategy"] == "per-subject"
+        assert "threshold_strategy" not in doc["config"]
         assert doc["config"]["residualize"] == "gender"
 
     @pytest.mark.parametrize("fraction", ["0.3", "0.05"])
@@ -480,18 +474,17 @@ class TestFingerprintCommand:
         assert list(json.loads(registries[0])["config"]) == [
             f.name for f in dataclasses.fields(pipeline.RunConfig)]
 
-    def test_group_mask_consistency(self, tmp_path, capsys):
+    def test_group_mask_consistency_is_removed(self, tmp_path, capsys):
+        # One shared mask gave every subject the same code.
         data = tmp_path / "subjects.csv"
         data.write_text(subjects_csv_text(6, 10, seed=8))
         out_dir = tmp_path / "out"
-        code, _, _ = run(
+        assert run(
             capsys, "fingerprint", "--input", str(data), "--out-dir", str(out_dir),
             "--threshold", "consistency:0.3:group-mask",
-        )
-        assert code == 0
-        doc = json.loads((out_dir / "fingerprints.json").read_text())
-        # one shared mask cannot separate subjects
-        assert doc["distinct_codes"] == 1
+        ) == (1, "", "error: the group-mask threshold strategy was removed: it gave every "
+                     "subject the same network and code\n")
+        assert not out_dir.exists()
 
     def test_demographics_join(self, tmp_path, capsys):
         vols = tmp_path / "volumes.csv"
@@ -906,7 +899,14 @@ class TestCsvFieldLimit:
     (["fingerprint", "--threshold", "sparsity:1.5"],
      "threshold fraction must lie in (0, 1], got 1.5"),
     (["fingerprint", "--threshold", "consistency:0.3:bogus"],
-     "threshold strategy must be one of ('per-subject', 'group-mask'), got 'bogus'"),
+     "threshold strategy must be 'per-subject', got 'bogus'"),
+    (["fingerprint", "--threshold", "consistency:0.3:group-mask"],
+     "the group-mask threshold strategy was removed: it gave every subject the same network "
+     "and code"),
+    (["fingerprint", "--threshold", "sparsity:0.3:per-subject"],
+     "only consistency thresholds take a strategy"),
+    (["fingerprint", "--threshold", "consistency:0.3:per-subject:x"],
+     "malformed threshold spec 'consistency:0.3:per-subject:x'"),
 ])
 def test_bad_argument_exits_one_with_one_error_line(tmp_path, args, message):
     out = tmp_path / "out"
@@ -917,6 +917,24 @@ def test_bad_argument_exits_one_with_one_error_line(tmp_path, args, message):
         env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1"))
     assert (done.returncode, done.stdout, done.stderr) == (1, "", f"error: {message}\n")
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command, target", [("fingerprint", "run_fingerprint"),
+                                             ("cohort", "run_cohort")])
+@pytest.mark.parametrize("error", [ValueError, KeyError, RuntimeError])
+def test_program_fault_exits_three_with_one_line(tmp_path, capsys, monkeypatch, command, target,
+                                                 error):
+    # A bare ValueError is an invariant of the program, not bad input.
+    def fault(config):
+        raise error("an invariant broke")
+
+    monkeypatch.setattr(cli, target, fault)
+    code, out, err = run(capsys, command, "--input", str(tmp_path / "none.csv"),
+                         "--out-dir", str(tmp_path / "out"))
+    assert (code, out) == (3, "")
+    assert re.fullmatch(rf"internal error: {error.__name__} at test_cli\.py:\d+: "
+                        rf"{re.escape(str(error('an invariant broke')))}\n", err)
+    assert not (tmp_path / "out").exists()
 
 
 def run_in_child(args, env=None, limit=None):

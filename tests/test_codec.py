@@ -406,12 +406,37 @@ class TestFloat64:
         code = complete_graph_code(n)
         assert encode_float64_emulation(complete_graph(n)) == to_float64(code)
 
-    def test_emulation_equals_exact_on_small_random_graphs(self):
-        rng = np.random.default_rng(11)
-        for _ in range(25):
-            n = int(rng.integers(2, 12))
-            b = graph_from_bitmask(n, random_bitmask(n * (n - 1) // 2, rng))
-            assert encode_float64_emulation(b) == to_float64(encode(b))
+    # Sizes at which some of the sample's random graphs (density 0.3, seed
+    # [7, n]) render differently, and how many: 200 graphs a size from 2 to
+    # 61 nodes, then 10 a size. Every difference is 1 ulp.
+    SAMPLE = [(range(2, 62), 200), ((64, 90, 128, 256, 512, 1024), 10)]
+    DIFFERING = {12: 1, 13: 1, 14: 1, 15: 1, 20: 1, 22: 1, 23: 1,
+                 55: 11, 56: 20, 57: 18, 58: 18, 59: 10, 60: 13, 61: 7, 64: 1}
+
+    def test_emulation_within_one_ulp_of_exact_rendering_up_to_1024_nodes(self):
+        differing = {}
+        for sizes, count in self.SAMPLE:
+            for n in sizes:
+                rng = np.random.default_rng([7, n])
+                for _ in range(count):
+                    b = random_binary(n, 0.3, rng)
+                    emulated, exact = encode_float64_emulation(b), to_float64(encode(b))
+                    if emulated != exact:
+                        assert math.nextafter(exact, emulated) == emulated
+                        differing[n] = differing.get(n, 0) + 1
+        assert differing == self.DIFFERING
+
+    @pytest.mark.parametrize("n", [55, 56, 90, 1024])
+    def test_last_column_code_rounded_on_its_own_from_55_nodes(self, n):
+        # D_n = 2^(n-2) + 2^(n-55) has 54 significant bits and lies halfway
+        # between two doubles: float() ties it down to even, while the exact
+        # value, a little above D_n, rounds up.
+        e = np.zeros((n, n), dtype=bool)
+        for i, j in ((1, 0), (n - 1, n - 2), (n - 1, n - 55)):
+            e[i, j] = e[j, i] = True
+        b = BinaryNetwork(e)
+        assert encode_float64_emulation(b) == math.ldexp(1.0, n - 2)
+        assert to_float64(encode(b)) == math.ldexp(1.0, n - 2) + math.ldexp(1.0, n - 54)
 
 
 class TestEmulationLimits:

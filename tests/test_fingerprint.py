@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import oracles
 from ubnin import (DegenerateDesignError, ValidationError, encode, load_subjects_csv, pipeline,
-                   to_decimal_string, to_record)
+                   residualize_covariate, to_decimal_string, to_record)
 from ubnin.graphs import target_edge_count
 from ubnin.pipeline import RunConfig, run_fingerprint
 from oracles import run_fingerprint_lists, subject_code
@@ -71,35 +71,33 @@ INPUTS = {
     "two-regions": lambda: subjects_csv_text(5, 2, 4),
     "duplicates": lambda: with_duplicates(subjects_csv_text(7, 10, 5)),
 }
-THRESHOLDS = [(0.3, "per-subject"), (0.25, "group-mask"), (1.0, "per-subject"),
-              (0.05, "group-mask")]
+KEEPS = [0.3, 0.25, 1.0, 0.05]
 
 
 class TestMatchesListBasedRun:
     """run_fingerprint against the earlier list-based run in oracles.py."""
 
     @pytest.mark.parametrize("name", INPUTS)
-    @pytest.mark.parametrize("keep,strategy", THRESHOLDS)
-    def test_identical_registry(self, tmp_path, name, keep, strategy):
+    @pytest.mark.parametrize("keep", KEEPS)
+    def test_identical_registry(self, tmp_path, name, keep):
         data = tmp_path / "subjects.csv"
         data.write_text(INPUTS[name]())
         config = RunConfig(input=str(data), out_dir=str(tmp_path / "out"),
-                           threshold_fraction=keep, threshold_strategy=strategy)
+                           threshold_fraction=keep)
         registry, doc = assert_same_as_lists(config)
         assert doc["subjects"] == len(json.loads(registry)["records"]) > 0
         if name == "duplicates":
             assert doc["duplicates"]
 
-    @pytest.mark.parametrize("strategy", ["per-subject", "group-mask"])
-    def test_identical_with_residualized_two_file_input(self, tmp_path, strategy):
+    @pytest.mark.parametrize("covariate", ["gender", "group"])
+    def test_identical_with_residualized_two_file_input(self, tmp_path, covariate):
         volumes, demographics = split_subject_rows(
             [row.split(",") for row in subjects_csv_text(12, 8, 6).splitlines()])
         (tmp_path / "volumes.csv").write_text(csv_text(volumes))
         (tmp_path / "demo.csv").write_text(csv_text(demographics))
         config = RunConfig(input=str(tmp_path / "volumes.csv"),
                            demographics=str(tmp_path / "demo.csv"),
-                           out_dir=str(tmp_path / "out"), residualize="gender",
-                           threshold_strategy=strategy)
+                           out_dir=str(tmp_path / "out"), residualize=covariate)
         assert isinstance(assert_same_as_lists(config)[0], bytes)
 
     @pytest.mark.parametrize("text,message", [
@@ -136,15 +134,19 @@ class TestMatchesListBasedRun:
             (DegenerateDesignError, "residualization needs >= 3 subjects, got 2")
 
     @pytest.mark.parametrize("regions", [10, 90])
-    @pytest.mark.parametrize("strategy", ["per-subject", "group-mask"])
-    def test_first_failing_subject_and_error_unchanged(self, tmp_path, monkeypatch, strategy,
+    @pytest.mark.parametrize("residualize", [None, "gender"])
+    def test_first_failing_subject_and_error_unchanged(self, tmp_path, monkeypatch, residualize,
                                                        regions):
         # The loader rejects every volume that a network would, so the
         # network step fails here only by design: at subjects 3 and 5. At 10
         # regions both are in the first block; at 90, blocks hold 4 subjects.
+        # Residualized volumes are the ones a network is built from there.
         data = tmp_path / "subjects.csv"
         data.write_text(subjects_csv_text(8, regions, 8))
-        rejected = {s.volumes.tobytes(): s.id for s in load_subjects_csv(data).subjects
+        table = load_subjects_csv(data)
+        if residualize:
+            table = residualize_covariate(table, residualize)
+        rejected = {s.volumes.tobytes(): s.id for s in table.subjects
                     if s.id in ("s0003", "s0005")}
 
         def check(volumes):
@@ -163,7 +165,7 @@ class TestMatchesListBasedRun:
         monkeypatch.setattr(pipeline, "_similarity_stack", failing_block)
         monkeypatch.setattr(oracles, "individual_network_pairwise", failing_one)
         config = RunConfig(input=str(data), out_dir=str(tmp_path / "out"),
-                           threshold_strategy=strategy)
+                           residualize=residualize)
         assert assert_same_as_lists(config) == (ValidationError, "network of s0003 rejected")
         assert not (tmp_path / "out").exists()
 
@@ -256,10 +258,10 @@ def test_codes_made_as_rows_are_read_a_block_at_a_time(tmp_path, monkeypatch):
                       + ["render"] * 10)
 
 
-def traced_peak(tmp_path, n_subjects, **fields):
+def traced_peak(tmp_path, n_subjects):
     data = tmp_path / f"subjects-{n_subjects}.csv"
     data.write_text(subjects_csv_text(n_subjects, 90, 10))
-    config = RunConfig(input=str(data), out_dir=str(tmp_path / f"out-{n_subjects}"), **fields)
+    config = RunConfig(input=str(data), out_dir=str(tmp_path / f"out-{n_subjects}"))
     tracemalloc.start()
     try:
         run_fingerprint(config)
@@ -275,14 +277,6 @@ def test_memory_grows_by_under_1_5_kb_per_subject(tmp_path):
     # holding every subject's float64 weights adds 64,800 bytes.
     growth = traced_peak(tmp_path, 1500) - traced_peak(tmp_path, 150)
     assert growth < 1350 * 1536
-
-
-def test_group_mask_holds_one_upper_triangle_per_subject(tmp_path):
-    # 400 subjects' upper triangles at 90 regions are 12.8 MB, and the
-    # standard deviation across them takes as much again. Holding every
-    # subject's weighted network as well peaked at 52.3 MB.
-    triangles = 400 * (90 * 89 // 2) * 8
-    assert traced_peak(tmp_path, 400, threshold_strategy="group-mask") < 2.5 * triangles
 
 
 def test_registry_text_is_never_held_whole(tmp_path):

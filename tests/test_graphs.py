@@ -116,9 +116,7 @@ class TestConsistencyThreshold:
     def test_identical_subjects_keep_all(self):
         rng = np.random.default_rng(5)
         w = random_weighted(5, rng)
-        for strategy in ("per-subject", "group-mask"):
-            outs = consistency_threshold([w, w], 1.0, strategy)
-            assert all(b == complete_graph(5) for b in outs)
+        assert all(b == complete_graph(5) for b in consistency_threshold([w, w], 1.0))
 
     def test_per_subject_edge_count_at_30_percent(self):
         rng = np.random.default_rng(6)
@@ -126,28 +124,12 @@ class TestConsistencyThreshold:
         for b in consistency_threshold(stack, 0.3):
             assert edge_count(b) == 462
 
-    def test_group_mask_outputs_share_one_edge_set(self):
-        rng = np.random.default_rng(7)
-        stack = [random_weighted(10, rng) for _ in range(4)]
-        outs = consistency_threshold(stack, 0.4, "group-mask")
-        assert all(edge_set(b) == edge_set(outs[0]) for b in outs)
-
     def test_per_subject_outputs_depend_only_on_own_input(self):
         rng = np.random.default_rng(8)
         stack = [random_weighted(8, rng) for _ in range(3)]
         changed = list(stack)
         changed[2] = random_weighted(8, rng)
         assert consistency_threshold(stack, 0.5)[0] == consistency_threshold(changed, 0.5)[0]
-
-    def test_group_mask_constant_edge_scores_infinite_first(self):
-        base = np.zeros((3, 3))
-        base[0, 1] = base[1, 0] = 0.2  # identical across subjects -> stddev 0
-        w1, w2 = base.copy(), base.copy()
-        w1[0, 2] = w1[2, 0] = 0.9
-        w2[0, 2] = w2[2, 0] = 0.95
-        stack = [WeightedNetwork(w1), WeightedNetwork(w2)]
-        outs = consistency_threshold(stack, 1 / 3, "group-mask")
-        assert edge_set(outs[0]) == {(0, 1)}
 
     def test_mismatched_inputs_rejected(self):
         rng = np.random.default_rng(9)
@@ -184,14 +166,6 @@ def tie_heavy(n, rng, values=TIE_VALUES):
     return upper_weights(n, rng.choice(values, size=n * (n - 1) // 2))
 
 
-def group_mask_keys(stack):
-    """Per upper-triangle edge: mean / stddev across the stack (inf at stddev 0), and mean."""
-    n = stack[0].n
-    vals = np.stack([w.weights[np.triu_indices(n, 1)] for w in stack])
-    mean, std = vals.mean(axis=0), vals.std(axis=0)
-    return np.where(std == 0, np.inf, mean / np.where(std == 0, 1.0, std)), mean
-
-
 def weight_sets(n, rng):
     """Tie-heavy, signed-zero-only, all-0.5, all-(-0.0) and distinct upper-triangle weights."""
     m = n * (n - 1) // 2
@@ -204,10 +178,10 @@ def weight_sets(n, rng):
     ]
 
 
-def lexsort_edge_set(values, n, keep, secondary=None):
+def lexsort_edge_set(values, n, keep):
     """The first k edges of the earlier three-key lexsort ranking."""
     rows, cols = np.triu_indices(n, 1)
-    order = ranked_upper_triangle_lexsort(values, rows, cols, secondary)
+    order = ranked_upper_triangle_lexsort(values, rows, cols)
     sel = order[:kept_edges_oracle(keep, rows.size)]
     return {(int(r), int(c)) for r, c in zip(rows[sel], cols[sel])}
 
@@ -218,45 +192,11 @@ class TestRankingMatchesLexsortOracle:
         stack = weight_sets(n, np.random.default_rng(n))
         rows, cols = np.triu_indices(n, 1)
         for keep in oracle_keeps(n):
-            per_subject = consistency_threshold(stack, keep, "per-subject")
+            per_subject = consistency_threshold(stack, keep)
             for w, b in zip(stack, per_subject):
                 expected = lexsort_edge_set(w.weights[rows, cols], n, keep)
                 assert edge_set(sparsity_threshold(w, keep)) == expected
                 assert edge_set(b) == expected
-
-    @pytest.mark.parametrize("n", ORACLE_SIZES)
-    def test_group_mask(self, n):
-        rng = np.random.default_rng(100 + n)
-        values = (-1.0, 0.0, 1.0, 2.0, 3.0)
-        base = tie_heavy(n, rng, values)
-        stacks = [
-            [tie_heavy(n, rng, values) for _ in range(2)],
-            [tie_heavy(n, rng, values) for _ in range(3)],
-            [base, base],  # every edge has stddev 0
-            [base, tie_heavy(n, rng, values), base],
-            [tie_heavy(n, rng) for _ in range(2)],
-            [random_weighted(n, rng) for _ in range(3)],
-        ]
-        for stack in stacks:
-            score, mean = group_mask_keys(stack)
-            for keep in oracle_keeps(n):
-                expected = lexsort_edge_set(score, n, keep, secondary=mean)
-                for b in consistency_threshold(stack, keep, "group-mask"):
-                    assert edge_set(b) == expected
-
-    def test_group_mask_tie_breaks(self):
-        # the mean breaks score ties against row-major order; equal means keep it
-        stack = [upper_weights(4, [0.0, 0.0, 1.0, 1.0, 2.0, 2.0]),
-                 upper_weights(4, [1.0, 2.0, 1.0, 1.0, 2.0, 4.0])]
-        score, mean = group_mask_keys(stack)
-        assert score.tolist() == [1.0, 1.0, np.inf, np.inf, np.inf, 3.0]
-        assert mean.tolist() == [0.5, 1.0, 1.0, 1.0, 2.0, 3.0]
-        expected = {1 / 3: {(1, 3), (0, 3)},
-                    0.5: {(1, 3), (0, 3), (1, 2)},
-                    0.77: {(1, 3), (0, 3), (1, 2), (2, 3), (0, 2)}}
-        for keep, edges in expected.items():
-            assert lexsort_edge_set(score, 4, keep, secondary=mean) == edges
-            assert edge_set(consistency_threshold(stack, keep, "group-mask")[0]) == edges
 
 
 class TestSelectionMatchesArgsortOracle:
@@ -361,8 +301,6 @@ class TestSelectionMatchesArgsortOracle:
             for keep in oracle_keeps(n):
                 b = sparsity_threshold(w, keep)
                 assert b == sparsity_threshold_argsort(w, keep)
-                assert not np.shares_memory(b.edges, flat)
-            for b in consistency_threshold([w, tie_heavy(n, rng)], 0.5, "group-mask"):
                 assert not np.shares_memory(b.edges, flat)
             assert np.array_equal(flat, np.flatnonzero(np.triu(np.ones((n, n)), 1)))
 

@@ -6,6 +6,7 @@
 package that leaves one behind would break every traced benchmark run.
 """
 
+import ast
 import importlib
 import sys
 from pathlib import Path
@@ -38,3 +39,34 @@ def test_tracer_restores_every_attribute(tracing):
     after = [getattr(module, attr) for module, attr, _ in tracing.WRAPPED]
     assert all(a is not b for a, b in zip(inside, before))
     assert all(a is b for a, b in zip(after, before))
+
+
+def kept_for_the_tracer():
+    """(module path, name) of each import in the lines under a
+    ``# Not called here`` comment in the package's modules."""
+    kept = []
+    for path in sorted((PERFBENCH.parent / "src" / "ubnin").glob("*.py")):
+        block = False
+        for line in path.read_text(encoding="utf-8").splitlines():
+            if line.startswith("# Not called here"):
+                block = True
+            elif block and line.startswith(("from ", "import ")):
+                kept += [(path, a.asname or a.name) for a in ast.parse(line).body[0].names]
+            else:
+                block = False
+    return kept
+
+
+def test_imports_kept_for_the_tracer_are_wrapped_and_unused(tracing):
+    # Such an import exists only for WRAPPED, so WRAPPED names it for its
+    # module, and the module does not use it: once WRAPPED is gone, every
+    # one of them can go with it.
+    wrapped = {(module.__name__, attr) for module, attr, _ in tracing.WRAPPED}
+    kept = kept_for_the_tracer()
+    assert kept
+    for path, name in kept:
+        module = f"ubnin.{path.stem}"
+        assert (module, name) in wrapped, f"{module}.{name}"
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        assert not any(isinstance(node, ast.Name) and node.id == name
+                       for node in ast.walk(tree)), f"{module} uses {name}"
