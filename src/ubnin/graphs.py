@@ -272,10 +272,10 @@ def consistency_threshold(stack: Sequence[WeightedNetwork], keep: float) -> list
 
     Every network is thresholded independently at the given keep fraction
     (``sparsity_threshold``), which preserves between-subject differences.
-    The stack must hold at least 2 networks with the same labels.
+    The stack must hold at least 1 network, and its networks the same labels.
     """
-    if len(stack) < 2:
-        raise ValidationError("consistency thresholding needs at least 2 networks")
+    if not stack:
+        raise ValidationError("consistency thresholding needs at least 1 network")
     first = stack[0]
     for idx, w in enumerate(stack[1:], start=2):
         if w.n != first.n or w.labels != first.labels:

@@ -33,7 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .codec import _encode_stack, to_decimal_string, to_record
+from .codec import _encode_stack, _render_stack
 from .errors import UbninError, ValidationError, _check_count, _check_fraction
 from .graphs import _keep_strongest, _upper_flat, sparsity_threshold, target_edge_count
 from .metrics import _reports
@@ -51,13 +51,14 @@ from .subjects import (
     stream_subjects_csv,
 )
 # Not called here: kept only because perfbench/tracing.py WRAPPED looks them up.
-from .codec import encode  # noqa: F401
+from .codec import encode, to_decimal_string  # noqa: F401
 from .graphs import consistency_threshold  # noqa: F401
 from .metrics import metrics_report  # noqa: F401
 from .subjects import individual_network  # noqa: F401
 
 MIN_COHORT_SIZE = 3  # correlation across fewer subjects is meaningless
 MAX_SWEEP_LEVELS = 10_000
+RENDER_CHUNK = 32  # registry codes per codec._render_stack call
 
 
 @dataclass(frozen=True)
@@ -274,18 +275,21 @@ def _block_codes(volumes: np.ndarray, keep: float) -> list:
 
 def _records(held: list):
     """Yield the registry record of each held (id, code) as the text of
-    ``json.dumps(record, indent=2)``, dropping the code (and the digits it
-    caches) from ``held`` once its record is made.
+    ``json.dumps(record, indent=2)``.
 
-    Only the id needs JSON's escaping: the node count and scale are ints,
-    and the value and numerator digit strings.
+    Codes are rendered ``RENDER_CHUNK`` at a time (``codec._render_stack``),
+    and each is dropped from ``held`` (with the digits it caches) once it
+    is rendered. Only the id needs JSON's escaping: the node count and scale
+    are ints, and the value and numerator digit strings.
     """
-    for i, (sid, code) in enumerate(held):
-        held[i] = None
-        record = to_record(code)
-        yield (f'{{\n  "id": {json.dumps(sid)},\n  "n": {record["n"]},\n'
-               f'  "value": "{to_decimal_string(code)}",\n'
-               f'  "numerator": "{record["numerator"]}",\n  "scale": {record["scale"]}\n}}')
+    for start in range(0, len(held), RENDER_CHUNK):
+        chunk = held[start:start + RENDER_CHUNK]
+        rendered = _render_stack([code for _, code in chunk])
+        held[start:start + len(chunk)] = [None] * len(chunk)
+        for (sid, code), (value, numerator) in zip(chunk, rendered):
+            yield (f'{{\n  "id": {json.dumps(sid)},\n  "n": {code.n},\n'
+                   f'  "value": "{value}",\n'
+                   f'  "numerator": "{numerator}",\n  "scale": {code.scale}\n}}')
 
 
 def run_fingerprint(config: RunConfig) -> dict:

@@ -561,3 +561,79 @@ class TestProperties:
     def test_decimal_string_round_trip(self, b):
         code = encode(b)
         assert parse_decimal_string(to_decimal_string(code), b.n) == code
+
+
+def rendered_one_at_a_time(codes):
+    """What ``_render_stack`` must return: each code's value and numerator
+    digits as ``to_decimal_string`` and ``to_record`` give them."""
+    return [(to_decimal_string(c), to_record(c)["numerator"]) for c in codes]
+
+
+def edge_codes(n):
+    """Zero, one and the largest integer; the smallest and largest values at
+    scale 1 and at ``max_scale(n)``; and the complete graph, whose numerator
+    is all ones at ``max_scale(n)``."""
+    k, pairs = max_scale(n), n * (n - 1) // 2
+    codes = [UbninCode(n, 0, 0), UbninCode(n, 1, 0), UbninCode(n, 2 ** (n - 1) - 1, 0),
+             UbninCode(n, (1 << pairs) - 1, k), complete_graph_code(n)]
+    if k:
+        codes += [UbninCode(n, 1, 1), UbninCode(n, (1 << n) - 1, 1), UbninCode(n, 1, k)]
+    return codes
+
+
+def full_scale_code(n, rng):
+    """A code at ``max_scale(n)``, as most subjects' codes in a registry are."""
+    pairs = n * (n - 1) // 2
+    return UbninCode(n, int.from_bytes(rng.bytes(pairs // 8 + 1), "little")
+                     >> (8 - pairs % 8) | 1, max_scale(n))
+
+
+class TestRenderStack:
+    """``codec._render_stack`` against the per-code renders and the int
+    arithmetic oracle, at every node count its tables cover and just past."""
+
+    def test_every_node_count_to_past_the_table_budget(self):
+        rng = np.random.default_rng(27)
+        n, past = 2, 0
+        while past < 3:
+            tables = codec._render_tables(n)
+            if tables is None:
+                past += 1
+            else:
+                assert not past, f"tables again at {n} nodes"
+                # Every product term is at most 65535 (10^8 - 1), one per
+                # 16-bit word: the sums stay integers below 2^53.
+                words = (n * (n - 1) // 2 + 15) // 16
+                assert [t.shape[0] for t in tables] == [words, words]
+                assert words * 65535 * (10 ** 8 - 1) < 2 ** 53
+            codes = edge_codes(n) + [random_code(n, rng) for _ in range(4)]
+            rendered = codec._render_stack(codes)
+            assert rendered == rendered_one_at_a_time(codes), n
+            assert [value for value, _ in rendered] == [to_decimal_string_int(c) for c in codes]
+            assert [num for _, num in rendered] == [str(c.numerator) for c in codes]
+            n += 1
+        assert 90 < n - 3 < 200  # a 90-region atlas renders in chunks; 400 regions never
+
+    @pytest.mark.parametrize("size", [1, 31, 32, 33, 63, 64, 65])
+    def test_chunk_sizes_and_mixed_scales(self, size):
+        # Mostly codes at max_scale(n), as in a registry, mixed with the edge
+        # codes and codes at any scale.
+        rng = np.random.default_rng(size)
+        pool = edge_codes(90) + [random_code(90, rng) for _ in range(8)]
+        codes = [pool[i // 3 % len(pool)] if i % 3 == 1 else full_scale_code(90, rng)
+                 for i in range(size)]
+        assert size == 1 or len({c.scale for c in codes}) > 4
+        rendered = codec._render_stack(codes)
+        assert rendered == rendered_one_at_a_time(codes)
+        assert [value for value, _ in rendered] == [to_decimal_string_int(c) for c in codes]
+
+    def test_empty_chunk(self):
+        assert codec._render_stack([]) == []
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(min_value=2, max_value=120), st.integers(min_value=1, max_value=9),
+           st.integers(min_value=0, max_value=2 ** 32))
+    def test_random_chunks(self, n, size, seed):
+        rng = np.random.default_rng(seed)
+        codes = [random_code(n, rng) for _ in range(size)]
+        assert codec._render_stack(codes) == rendered_one_at_a_time(codes)

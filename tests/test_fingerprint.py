@@ -5,6 +5,7 @@ registry is written, and no scipy on its way."""
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -18,8 +19,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from ubnin import (DegenerateDesignError, ValidationError, encode, load_subjects_csv, pipeline,
-                   residualize_covariate, to_decimal_string, to_record)
+from ubnin import (DegenerateDesignError, ValidationError, codec, encode, load_subjects_csv,
+                   pipeline, residualize_covariate, to_decimal_string, to_record)
 from ubnin.graphs import target_edge_count
 from ubnin.pipeline import RunConfig, run_fingerprint
 from oracles import run_fingerprint_lists, subject_code
@@ -233,7 +234,8 @@ def test_registry_of_one_subject_with_an_id_to_escape(tmp_path):
 
 def test_codes_made_as_rows_are_read_a_block_at_a_time(tmp_path, monkeypatch):
     # Codes are made as rows are read, at most one block (4 subjects at 90
-    # regions) behind the reader; records as the registry is written.
+    # regions) behind the reader; records as the registry is written, one
+    # chunk of up to RENDER_CHUNK codes at a time.
     events = []
 
     def stream(*args, _real=pipeline.stream_subjects_csv):
@@ -244,24 +246,81 @@ def test_codes_made_as_rows_are_read_a_block_at_a_time(tmp_path, monkeypatch):
         events.append(len(volumes))
         return _real(volumes, keep)
 
-    def render(code, _real=pipeline.to_decimal_string):
-        events.append("render")
-        return _real(code)
+    def render(codes, _real=pipeline._render_stack):
+        events.append(("render", len(codes)))
+        return _real(codes)
 
     monkeypatch.setattr(pipeline, "stream_subjects_csv", stream)
     monkeypatch.setattr(pipeline, "_block_codes", block_codes)
-    monkeypatch.setattr(pipeline, "to_decimal_string", render)
+    monkeypatch.setattr(pipeline, "_render_stack", render)
     data = tmp_path / "subjects.csv"
     data.write_text(subjects_csv_text(10, 90, 9))
     run_fingerprint(RunConfig(input=str(data), out_dir=str(tmp_path / "out")))
     assert events == (["row"] * 4 + [4] + ["row"] * 4 + [4] + ["row"] * 2 + [2]
-                      + ["render"] * 10)
+                      + [("render", 10)])
+
+
+def test_records_are_rendered_a_chunk_at_a_time(monkeypatch):
+    rng = np.random.default_rng(27)
+    codes = [encode(random_binary(12, 0.3, rng)) for _ in range(2 * pipeline.RENDER_CHUNK + 2)]
+    held = [(f"s{i}", code) for i, code in enumerate(codes)]
+    chunks = []
+
+    def render(codes, _real=pipeline._render_stack):
+        chunks.append(len(codes))
+        return _real(codes)
+
+    monkeypatch.setattr(pipeline, "_render_stack", render)
+    records = pipeline._records(held)
+    first = next(records)
+    assert held[:pipeline.RENDER_CHUNK] == [None] * pipeline.RENDER_CHUNK
+    assert None not in held[pipeline.RENDER_CHUNK:]
+    texts = [first, *records]
+    assert chunks == [pipeline.RENDER_CHUNK, pipeline.RENDER_CHUNK, 2]
+    assert held == [None] * len(codes)
+    assert [json.loads(t) for t in texts] == [
+        {"id": f"s{i}", "n": 12, "value": to_decimal_string(c)} | to_record(c)
+        for i, c in enumerate(codes)]
+
+
+def test_a_400_region_registry_builds_no_render_table(tmp_path, monkeypatch):
+    # A 400-node table would take minutes to build, and its product sums
+    # would pass 2^53: such codes render one at a time.
+    def refused(*args):
+        raise AssertionError("render table built")
+
+    monkeypatch.setattr(codec, "_limb_table", refused)
+    codec._render_tables.cache_clear()
+    data = tmp_path / "subjects.csv"
+    data.write_text(subjects_csv_text(3, 400, 27))
+    config = RunConfig(input=str(data), out_dir=str(tmp_path / "out"))
+    assert isinstance(assert_same_as_lists(config)[0], bytes)
+
+
+def test_registry_bytes_do_not_depend_on_blas_threads(tmp_path):
+    # 70 subjects: full chunks of codes, and one part-filled.
+    data = tmp_path / "subjects.csv"
+    data.write_text(subjects_csv_text(70, 90, 27))
+    out = tmp_path / "out"
+    registries = []
+    for threads in ("1", "2"):
+        done = subprocess.run(
+            [sys.executable, "-m", "ubnin", "fingerprint", "--input", str(data),
+             "--out-dir", str(out)],
+            capture_output=True, text=True, timeout=120,
+            env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1",
+                     OPENBLAS_NUM_THREADS=threads))
+        assert done.returncode == 0, done.stderr
+        registries.append((out / "fingerprints.json").read_bytes())
+    assert registries[0] == registries[1]
+    assert json.loads(registries[0])["subjects"] == 70
 
 
 def traced_peak(tmp_path, n_subjects):
     data = tmp_path / f"subjects-{n_subjects}.csv"
     data.write_text(subjects_csv_text(n_subjects, 90, 10))
     config = RunConfig(input=str(data), out_dir=str(tmp_path / f"out-{n_subjects}"))
+    codec._render_tables.cache_clear()  # each run builds its render tables, as a new process does
     tracemalloc.start()
     try:
         run_fingerprint(config)
@@ -291,20 +350,21 @@ def test_registry_text_is_never_held_whole(tmp_path):
 
 def test_failed_registry_write_leaves_no_file(tmp_path, monkeypatch):
     data = tmp_path / "subjects.csv"
-    data.write_text(subjects_csv_text(5, 10, 12))
+    # A full chunk of records is written before the last record fails.
+    data.write_text(subjects_csv_text(pipeline.RENDER_CHUNK + 1, 10, 12))
     out = tmp_path / "out"
     config = RunConfig(input=str(data), out_dir=str(out))
     registry = out / "fingerprints.json"
-    real = pipeline.to_decimal_string
+    real = pipeline._render_stack
     calls = []
 
-    def failing_last(code):
-        calls.append(code)
-        if len(calls) == 5:
+    def failing_last(codes):
+        calls.append(codes)
+        if len(calls) == 2:
             raise RuntimeError("the last record failed")
-        return real(code)
+        return real(codes)
 
-    monkeypatch.setattr(pipeline, "to_decimal_string", failing_last)
+    monkeypatch.setattr(pipeline, "_render_stack", failing_last)
     with pytest.raises(RuntimeError, match="the last record failed"):
         run_fingerprint(config)
     assert list(out.iterdir()) == []
@@ -315,7 +375,7 @@ def test_failed_registry_write_leaves_no_file(tmp_path, monkeypatch):
         run_fingerprint(config)
     assert [p.name for p in out.iterdir()] == ["fingerprints.json"]
     assert registry.read_text() == "earlier\n"
-    monkeypatch.setattr(pipeline, "to_decimal_string", real)
+    monkeypatch.setattr(pipeline, "_render_stack", real)
     run_fingerprint_lists(config)
     want = registry.read_bytes()
     run_fingerprint(config)

@@ -140,7 +140,11 @@ class TestConsistencyThreshold:
                 [random_weighted(4, rng, ("a", "b", "c", "d")), random_weighted(4, rng)], 0.5
             )
         with pytest.raises(ValidationError):
-            consistency_threshold([random_weighted(4, rng)], 0.5)
+            consistency_threshold([], 0.5)
+
+    def test_one_network_is_thresholded_alone(self):
+        w = random_weighted(6, np.random.default_rng(10))
+        assert consistency_threshold([w], 0.4) == [sparsity_threshold(w, 0.4)]
 
 
 TIE_VALUES = (-1.0, -0.5, -0.0, 0.0, 0.5, 1.0)
