@@ -27,9 +27,12 @@ The work arrays are views of buffers that each thread keeps and reuses for
 all its tests (``_work_array``); not one set per process, because numpy
 releases the GIL, so threads that test at once need arrays of their own.
 
-``one_way_anova`` takes its tail probability from ``scipy.special``, which
-it imports on its first call, so importing ``ubnin`` loads no scipy and a
-run that makes no ANOVA (``pipeline.run_fingerprint``) never pays for it.
+``one_way_anova`` computes its tail probability with the standard library
+(``_f_tail``): a continued fraction for the regularized incomplete beta
+function. At a given x it is within 2e-12 relative of 50-digit mpmath for 1
+to 25 between-group and up to 2*10^4 within-group degrees of freedom (the
+largest cohort has 245), and within 4e-11 at 10^6. The p of ``one_way_anova``
+also carries the rounding of x, about df_within ulps. No run imports scipy.
 """
 
 from __future__ import annotations
@@ -258,9 +261,15 @@ class AnovaResult:
 def one_way_anova(groups) -> AnovaResult:
     """Standard one-way F test across two or more groups of values.
 
-    The upper tail probability comes from the regularized incomplete beta
-    function, I_x(d2/2, d1/2) at x = d2 / (d2 + d1*F). Groups with all values
+    The upper tail probability is the regularized incomplete beta function
+    I_x(d2/2, d1/2) at x = d2 / (d2 + d1*F), from ``_f_tail`` (see the module
+    docstring for its accuracy), clipped to [smallest normal float, 1]. Groups with all values
     identical across the board give F = 0, p = 1 by definition.
+
+    The values are first divided by the power of two that brings the largest
+    magnitude into [0.5, 1). That is exact, so F keeps its bits wherever the
+    sums stay in float64's normal range, and values near 1e200 or 1e-170 give
+    an accurate F where their squares would overflow to nan or underflow to 0.
     """
     arrays = [np.asarray(g, dtype=np.float64) for g in groups]
     if len(arrays) < 2:
@@ -276,6 +285,8 @@ def one_way_anova(groups) -> AnovaResult:
         raise DegenerateDesignError(
             f"{n_total} observations cannot support {k} group means plus residual variance"
         )
+    shift = -math.frexp(max(float(np.abs(a).max()) for a in arrays))[1]
+    arrays = [np.ldexp(a, shift) for a in arrays]
     grand = float(np.concatenate(arrays).mean())
     means = np.array([a.mean() for a in arrays])
     ss_between = float((sizes * (means - grand) ** 2).sum())
@@ -286,10 +297,91 @@ def one_way_anova(groups) -> AnovaResult:
         if ss_between == 0.0:
             return AnovaResult(F=0.0, df_between=df_between, df_within=df_within, p=1.0)
         raise DegenerateDesignError("zero within-group variance with unequal group means")
-    from scipy import special  # see the module docstring
-
     f_stat = (ss_between / df_between) / (ss_within / df_within)
     x = df_within / (df_within + df_between * f_stat)
-    p = float(special.betainc(df_within / 2.0, df_between / 2.0, x))
+    p = _f_tail(df_between, df_within, x)
     p = min(max(p, np.finfo(np.float64).tiny), 1.0)
     return AnovaResult(F=f_stat, df_between=df_between, df_within=df_within, p=p)
+
+
+# The continued fraction below stops when a step changes its value by at
+# most one part in 2^52, and gives up after this many steps. Steps grow as
+# the square root of the smaller shape: 419 at 10^6 degrees of freedom each.
+_CF_STEPS = 10_000
+_CF_TINY = 1e-300  # the modified Lentz method's stand-in for a zero denominator
+
+
+def _f_tail(df_between: int, df_within: int, x: float) -> float:
+    """I_x(a, b), a = df_within/2 and b = df_between/2: the F test's upper tail.
+
+    Below x = (a+1)/(a+b+2) the continued fraction of I_x(a, b) converges
+    fast; above it, that of I_(1-x)(b, a) does, and the result is one minus
+    it. Both are scaled by x^a (1-x)^b / (B(a, b) a), or b in place of a, as
+    one ``exp`` of a sum of logarithms (``_ln_beta``).
+    """
+    if x <= 0.0:
+        return 0.0
+    if x >= 1.0:
+        return 1.0
+    a, b = df_within / 2.0, df_between / 2.0
+    front = math.exp(a * math.log(x) + b * math.log1p(-x) - _ln_beta(a, b))
+    if x < (a + 1.0) / (a + b + 2.0):
+        return front * _beta_fraction(a, b, x) / a
+    return 1.0 - front * _beta_fraction(b, a, 1.0 - x) / b
+
+
+def _beta_fraction(a: float, b: float, x: float) -> float:
+    """The continued fraction of I_x(a, b), by the modified Lentz method.
+
+    Its terms are 1 + e_1/(1 + e_2/(1 + ...)), with
+    e_(2m) = m(b-m)x / ((a+2m-1)(a+2m)) and
+    e_(2m+1) = -(a+m)(a+b+m)x / ((a+2m)(a+2m+1)).
+    """
+    def nonzero(v):
+        return v if abs(v) > _CF_TINY else _CF_TINY
+
+    d = 1.0 / nonzero(1.0 - (a + b) * x / (a + 1.0))
+    c = 1.0
+    h = d
+    for m in range(1, _CF_STEPS + 1):
+        for e in (m * (b - m) * x / ((a + 2 * m - 1) * (a + 2 * m)),
+                  -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1))):
+            d = 1.0 / nonzero(1.0 + e * d)
+            c = nonzero(1.0 + e / c)
+            step = d * c
+            h *= step
+        if abs(step - 1.0) <= 2.0 ** -52:
+            return h
+    raise ArithmeticError(f"incomplete beta fraction at a={a}, b={b}, x={x} did not converge")
+
+
+def _ln_beta(a: float, b: float) -> float:
+    """ln B(a, b) for multiples of 1/2, without the cancellation of three lgammas.
+
+    With s the smaller and g the larger shape, ln B = ln Gamma(s) - ln(Gamma(g+s)
+    / Gamma(g)); the ratio is a sum of logarithms over the whole part of s,
+    plus ln(Gamma(g+1/2) / Gamma(g)) when s is a half-integer. At 10^5 degrees
+    of freedom lgamma(g) is near 5*10^5, so lgamma(a) + lgamma(b) - lgamma(a+b)
+    would be off by about 1e-10, and p by that share.
+    """
+    small, big = min(a, b), max(a, b)
+    whole = math.floor(small)
+    half = small - whole
+    ratio = math.fsum(math.log(big + half + i) for i in range(whole))
+    if half:
+        ratio += _ln_gamma_half_ratio(big)
+    return math.lgamma(small) - ratio
+
+
+def _ln_gamma_half_ratio(z: float) -> float:
+    """ln(Gamma(z + 1/2) / Gamma(z)); from z = 20 on, its asymptotic series in 1/z.
+
+    The series' terms come from Stirling's series of ln Gamma(z + h) at h = 1/2
+    and h = 0 (Bernoulli polynomials); the first one left out is 2e-17 at
+    z = 20.
+    """
+    if z < 20.0:
+        return math.lgamma(z + 0.5) - math.lgamma(z)
+    w = 1.0 / (z * z)
+    series = 1 / 8 - w * (1 / 192 - w * (1 / 640 - w * (17 / 14336 - w * (31 / 18432))))
+    return 0.5 * math.log(z) - series / z

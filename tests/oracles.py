@@ -65,6 +65,8 @@ that the fingerprint run calls (``subjects._similarity_stack`` and
 ``codec._encode_stack``).
 ``parse_threshold_spec_with_mode`` is the earlier ``--threshold`` parser,
 which returned a threshold mode and a strategy as well as the fraction.
+``f_statistic_float`` is the earlier F of ``one_way_anova``, computed on the
+values as given rather than scaled by a power of two first.
 """
 
 from __future__ import annotations
@@ -648,6 +650,17 @@ def f_statistic_fraction(groups) -> Fraction:
     ssb = sum(s * (m - grand) ** 2 for s, m in zip(sizes, means))
     ssw = sum(sum((v - m) ** 2 for v in g) for g, m in zip(groups, means))
     return (ssb / (k - 1)) / (ssw / (n - k))
+
+
+def f_statistic_float(groups) -> float:
+    """One-way ANOVA F statistic in float64, on the values as given."""
+    arrays = [np.asarray(g, dtype=np.float64) for g in groups]
+    sizes = np.array([a.size for a in arrays])
+    grand = float(np.concatenate(arrays).mean())
+    means = np.array([a.mean() for a in arrays])
+    ss_between = float((sizes * (means - grand) ** 2).sum())
+    ss_within = float(sum(((a - m) ** 2).sum() for a, m in zip(arrays, means)))
+    return (ss_between / (len(arrays) - 1)) / (ss_within / (int(sizes.sum()) - len(arrays)))
 
 
 def f_tail_mpmath(f_value, df_between, df_within, dps=50):

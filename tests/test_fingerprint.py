@@ -1,6 +1,6 @@
 """The fingerprint run: the same registry as the list-based run, one block of
 subjects' rows and matrices in memory at a time, only codes held until the
-registry is written, and no scipy on its way."""
+registry is written; and no run, the cohort's ANOVA included, imports scipy."""
 
 import csv
 import io
@@ -420,28 +420,44 @@ def test_json_text_of_a_list_value_is_never_held_whole(tmp_path):
     assert peak < path.stat().st_size / 4
 
 
-def test_no_scipy_until_the_first_anova(tmp_path):
-    # A child process: other tests in this session have imported scipy.
+def test_no_scipy_in_any_run(tmp_path):
+    # A child process: the benchmark's checks, run in this session, may import scipy.
     data = tmp_path / "subjects.csv"
     code = textwrap.dedent(f"""
         import json, sys
         sys.path[:0] = [{str(SRC)!r}, {str(TESTS)!r}]
         import ubnin, ubnin.cli
-        from ubnin import RunConfig, one_way_anova, run_fingerprint
+        from ubnin import RunConfig, one_way_anova, run_cohort, run_fingerprint
         from synth import subjects_csv_text
+
+        def scipy_loaded():
+            return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
         with open({str(data)!r}, "w") as fh:
-            fh.write(subjects_csv_text(6, 10, 11))
-        doc = run_fingerprint(RunConfig(input={str(data)!r}, out_dir={str(tmp_path / "out")!r}))
-        before = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+            fh.write(subjects_csv_text(60, 10, 11))
+        loaded = [scipy_loaded()]
+        doc = run_fingerprint(RunConfig(input={str(data)!r}, out_dir={str(tmp_path / "fp")!r}))
+        loaded.append(scipy_loaded())
+        cohort = run_cohort(RunConfig(input={str(data)!r}, out_dir={str(tmp_path / "lib")!r},
+                                      sweep_start=0.8, sweep_stop=0.8, iterations=5, n_rand=0))
+        loaded.append(scipy_loaded())
+        code = ubnin.cli.main(["cohort", "--input", {str(data)!r},
+                               "--out-dir", {str(tmp_path / "cli")!r}, "--sweep", "0.8:0.8:0.1",
+                               "--iterations", "5", "--n-rand", "0"])
+        loaded.append(scipy_loaded())
         anova = one_way_anova([[1.0, 2.0, 4.0], [2.5, 3.5, 6.0, 7.0], [0.5, 1.5]])
-        after = "scipy.special" in sys.modules
-        print(json.dumps([doc["subjects"], before, anova.to_dict(), after]))
+        loaded.append(scipy_loaded())
+        print(json.dumps([doc["subjects"], cohort["anova"], code, anova.to_dict(), loaded]))
     """)
     done = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True)
-    subjects, before, anova, after = json.loads(done.stdout)
-    assert subjects == 6
-    assert before == []
-    assert anova == {"F": 3.497737556561086, "df_between": 2, "df_within": 6,
-                     "p": 0.09841861871229315}
-    assert after
+    subjects, cohort_anova, exit_code, anova, loaded = json.loads(done.stdout.splitlines()[-1])
+    assert subjects == 60
+    assert exit_code == 0
+    assert {row["field"] for row in cohort_anova} == set(pipeline.CLINICAL_FIELDS)
+    assert (tmp_path / "cli" / "anova.csv").is_file()
+    assert loaded == [[]] * 5
+    assert (anova["F"], anova["df_between"], anova["df_within"]) == (3.497737556561086, 2, 6)
+    assert anova["p"] == pytest.approx(float(oracles.f_tail_mpmath(anova["F"], 2, 6)), rel=1e-12)
+    project = (TESTS.parent / "pyproject.toml").read_text(encoding="utf-8")
+    assert "scipy" not in project.split("\ndependencies = [", 1)[1].split("]", 1)[0]

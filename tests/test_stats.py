@@ -1,4 +1,7 @@
 import json
+import math
+import time
+import warnings
 from collections import Counter
 
 import numpy as np
@@ -15,7 +18,7 @@ from ubnin import (
     permutation_test,
     stats,
 )
-from oracles import f_statistic_fraction, f_tail_mpmath
+from oracles import f_statistic_float, f_statistic_fraction, f_tail_mpmath
 from synth import make_cohort, make_null_pair
 
 # exact F and 30-digit mpmath tail probability for groups {1,2} and {5,6}
@@ -42,6 +45,7 @@ class TestAnova:
             groups = [list(rng.normal(rng.uniform(-2, 2), 1.0, rng.integers(3, 9)))
                       for _ in range(int(rng.integers(2, 5)))]
             result = one_way_anova(groups)
+            assert result.F == f_statistic_float(groups)  # the power-of-two scaling is exact
             assert result.p == pytest.approx(
                 float(f_tail_mpmath(result.F, result.df_between, result.df_within)), rel=1e-10
             )
@@ -67,19 +71,118 @@ class TestAnova:
         groups = [list(rng.normal(0, 1, 6)) for _ in range(3)]
         shifted = [[v + 1234.5 for v in g] for g in groups]
         assert one_way_anova(shifted).F == pytest.approx(one_way_anova(groups).F, rel=1e-6)
+        for g in (groups, shifted):
+            assert one_way_anova(g).F == f_statistic_float(g)
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(23)
         groups = [list(rng.normal(i, 1, 5)) for i in range(3)]
         scaled = [[v * 37.5 for v in g] for g in groups]
         assert one_way_anova(scaled).F == pytest.approx(one_way_anova(groups).F, rel=1e-9)
+        for g in (groups, scaled):
+            assert one_way_anova(g).F == f_statistic_float(g)
 
     def test_p_decreases_with_f(self):
-        from scipy.special import betainc
-
-        ps = [float(betainc(6 / 2, 2 / 2, 6 / (6 + 2 * f))) for f in (0.5, 1, 2, 4, 8, 16)]
+        ps = [stats._f_tail(2, 6, 6 / (6 + 2 * f)) for f in (0.5, 1, 2, 4, 8, 16)]
         assert all(a > b for a, b in zip(ps, ps[1:]))
         assert all(0 < p <= 1 for p in ps)
+
+    @pytest.mark.parametrize("groups", [
+        [[1e200, 2e200], [3e200, 5e200]],
+        [[1e155, 2e155, 3e155], [4e155, 5e155]],
+        [[1e-170, 2e-170], [3e-170, 5e-170, 6e-170]],
+    ])
+    def test_extreme_magnitudes_give_the_exact_f(self, groups):
+        # Unscaled, the first two overflow to F = p = nan and the third
+        # underflows to F = 0, p = 1.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            result = one_way_anova(groups)
+        assert result.F == pytest.approx(float(f_statistic_fraction(groups)), rel=1e-12)
+        assert result.p == pytest.approx(
+            float(f_tail_mpmath(result.F, result.df_between, result.df_within)), rel=1e-12
+        )
+
+    def test_power_of_two_scaling_keeps_every_bit(self):
+        rng = np.random.default_rng(24)
+        groups = [list(rng.normal(i, 1, 6)) for i in range(3)]
+        result = one_way_anova(groups)
+        for e in (-1000, -900, -300, -1, 1, 300, 900, 1000):
+            scaled = one_way_anova([[math.ldexp(v, e) for v in g] for g in groups])
+            assert (scaled.F, scaled.p) == (result.F, result.p)
+
+    def test_f_zero_gives_p_exactly_one(self):
+        result = one_way_anova([[1.0, 3.0], [0.0, 4.0], [2.5, 1.5]])
+        assert result.F == 0.0 and result.p == 1.0
+        assert stats._f_tail(2, 3, 1.0) == 1.0
+
+    def test_underflowing_p_gives_the_smallest_normal_float(self):
+        groups = [[0.0, 1.0] * 300, [1e6, 1e6 + 1.0] * 300]
+        result = one_way_anova(groups)
+        assert stats._f_tail(result.df_between, result.df_within,
+                             result.df_within / (result.df_within + result.F)) == 0.0
+        assert result.p == np.finfo(float).tiny
+
+
+# d_within values of the accuracy grids; the largest real cohort has 245.
+WITHIN = (1, 2, 3, 5, 8, 13, 30, 60, 120, 245, 2000, 20000)
+F_VALUES = (1e-3, 0.1, 0.5, 1, 2, 4, 10, 32, 100, 1e3)
+
+
+def f_tail_error(df_between, df_within, f_value):
+    """Relative error of ``_f_tail`` against 50-digit mpmath at the same float x;
+    None where the exact p is below 1e-290, near where it underflows."""
+    import mpmath as mp
+
+    x = df_within / (df_within + df_between * f_value)
+    with mp.workdps(50):
+        exact = mp.betainc(mp.mpf(df_within) / 2, mp.mpf(df_between) / 2, 0, mp.mpf(x),
+                           regularized=True)
+        if exact < mp.mpf("1e-290"):
+            return None
+        return float(abs(stats._f_tail(df_between, df_within, x) - exact) / exact)
+
+
+class TestFTail:
+    @pytest.mark.parametrize("df_between", range(1, 26))  # 25 is the most --bins allows
+    def test_within_2e_12_of_mpmath(self, df_between):
+        errors = [f_tail_error(df_between, w, f) for w in WITHIN for f in F_VALUES]
+        assert max(e for e in errors if e is not None) <= 2e-12
+
+    @pytest.mark.parametrize("df_between", [60, 200, 1000])
+    def test_within_1e_10_of_mpmath_at_many_groups(self, df_between):
+        errors = [f_tail_error(df_between, w, f) for w in WITHIN[:-1] + (10_000,)
+                  for f in F_VALUES]
+        assert max(e for e in errors if e is not None) <= 1e-10
+
+    def test_log_gamma_half_ratio_matches_mpmath(self):
+        import mpmath as mp
+
+        for z in [0.5, 1, 1.5, 7, 19.5, 20, 20.5, 21, 33.5, 100, 1e3 + 0.5, 1e5, 1e6 + 0.5]:
+            with mp.workdps(50):
+                exact = mp.loggamma(mp.mpf(z) + 0.5) - mp.loggamma(z)
+                assert abs(stats._ln_gamma_half_ratio(z) - exact) <= 4e-15 * max(1, abs(exact))
+
+    def test_ends_of_the_unit_interval(self):
+        for df_between, df_within in ((1, 1), (25, 20000), (1000, 3)):
+            assert stats._f_tail(df_between, df_within, 0.0) == 0.0
+            assert stats._f_tail(df_between, df_within, 1.0) == 1.0
+
+    def test_under_a_millisecond_at_a_million_degrees_of_freedom(self):
+        for df_between in (1, 4, 25):
+            for f_value in (0.01, 1.0, 1.2, 3.0):
+                x = 10**6 / (10**6 + df_between * f_value)
+                best = math.inf
+                for _ in range(20):
+                    start = time.perf_counter()
+                    stats._f_tail(df_between, 10**6, x)
+                    best = min(best, time.perf_counter() - start)
+                assert best < 1e-3
+
+    def test_a_fraction_that_cannot_converge_raises(self):
+        # Steps grow as the square root of the shapes: about 10^6 here.
+        with pytest.raises(ArithmeticError, match="did not converge"):
+            stats._beta_fraction(1e12, 1e12, 0.5)
 
 
 class TestPermutationTest:
