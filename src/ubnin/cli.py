@@ -70,7 +70,7 @@ def cmd_decode(code_text, nodes, out_path):
     except OSError:  # a code literal longer than any file name
         is_file = False
     if is_file:
-        text = path.read_text(encoding="utf-8").strip()
+        text = path.read_text(encoding="utf-8-sig").strip()
     if text.lstrip().startswith("{"):
         code = from_record(text)
         if nodes is not None and nodes != code.n:
@@ -92,7 +92,9 @@ def _config_options(fn):
         click.option("--demographics", default=None,
                      help="Separate demographics CSV joined on subject id."),
         click.option("--residualize", default=None,
-                     help="Covariate to regress out of every region volume, e.g. gender."),
+                     help="Covariate to regress out of every region volume: gender or "
+                          "group as one dummy per level, age or a clinical field as one "
+                          "slope per region."),
         click.option("--out-dir", required=True, help="Directory for output files."),
     ]
     for dec in reversed(decorators):

@@ -259,12 +259,18 @@ def sparsity_threshold(w: WeightedNetwork, keep: float) -> BinaryNetwork:
     largest weights. Equal weights are resolved deterministically in ascending
     (row, col) order, so the result is reproducible for any weight multiset.
     """
-    n = w.n
+    return _built(BinaryNetwork, _threshold_stack(w.weights[None], keep)[0], w.labels)
+
+
+def _threshold_stack(weights: np.ndarray, keep: float) -> np.ndarray:
+    """The ``sparsity_threshold`` adjacency of each network of a C-ordered
+    (b, n, n) stack of weights, as one (b, n, n) bool array: one take of the
+    upper triangles and one ``_keep_strongest`` call for the whole stack."""
+    b, n = weights.shape[:2]
     flat = _upper_flat(n)
-    k = target_edge_count(keep, flat.size)
-    a = _keep_strongest(w.weights[None], w.weights.take(flat)[None], k,
-                        np.empty((1, n, n), dtype=bool))
-    return _built(BinaryNetwork, a[0], w.labels)
+    upper = weights.reshape(b, n * n).take(flat, axis=1)
+    return _keep_strongest(weights, upper, target_edge_count(keep, flat.size),
+                           np.empty((b, n, n), bool))
 
 
 def consistency_threshold(stack: Sequence[WeightedNetwork], keep: float) -> list[BinaryNetwork]:
@@ -320,7 +326,7 @@ def _numbered_rows(path, fh) -> Iterator[tuple[int, list[str]]]:
 
 
 def _read_matrix_rows(path) -> tuple[tuple[str, ...], list[list[str]]]:
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         header, rows = _csv_rows(path, fh)
         numbered = list(rows)
     labels = tuple(header)

@@ -35,9 +35,9 @@ import numpy as np
 from . import __version__
 from .codec import _encode_stack, _render_stack
 from .errors import UbninError, ValidationError, _check_count, _check_fraction
-from .graphs import _keep_strongest, _upper_flat, sparsity_threshold, target_edge_count
+from .graphs import _threshold_stack, sparsity_threshold
 from .metrics import _reports
-from .stats import _BLOCK_BYTES, one_way_anova, permutation_test
+from .stats import _block_size, one_way_anova, permutation_test
 from .subjects import (
     CLINICAL_FIELDS,
     DEFAULT_BIN_EDGES,
@@ -252,10 +252,9 @@ def _subject_codes(config: RunConfig):
 
 def _blocks(subjects, regions: int):
     """Yield the ids and the (b, regions) volumes of consecutive subjects,
-    reading ``subjects`` a block at a time: as many subjects as the block's
-    float64 (b, regions, regions) similarity stack fits ``stats._BLOCK_BYTES``
-    for, and at least one."""
-    size = max(1, _BLOCK_BYTES // (8 * regions * regions))
+    reading ``subjects`` a block at a time: ``stats._block_size`` subjects,
+    whose float64 (b, regions, regions) similarity stack fits its bytes."""
+    size = _block_size(regions)
     subjects = iter(subjects)
     while block := list(islice(subjects, size)):
         yield [s.id for s in block], np.array([s.volumes for s in block])
@@ -264,13 +263,8 @@ def _blocks(subjects, regions: int):
 def _block_codes(volumes: np.ndarray, keep: float) -> list:
     """``encode(sparsity_threshold(individual_network(v), keep))`` of each
     row ``v`` of a (b, r) block of volumes: one similarity stack, one
-    ``_keep_strongest`` call and one ``packbits`` for the whole block."""
-    weights = _similarity_stack(volumes)
-    b, r = volumes.shape
-    flat = _upper_flat(r)
-    edges = _keep_strongest(weights, weights.reshape(b, r * r).take(flat, axis=1),
-                            target_edge_count(keep, flat.size), np.empty((b, r, r), bool))
-    return _encode_stack(edges)
+    threshold of the stack and one ``packbits`` for the whole block."""
+    return _encode_stack(_threshold_stack(_similarity_stack(volumes), keep))
 
 
 def _records(held: list):

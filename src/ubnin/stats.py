@@ -12,9 +12,10 @@ is ``_pearson_network``) and its checks (``_pearson_rejection``), then per
 level one call of ``graphs._keep_strongest`` and one of
 ``metrics._clustering`` on the stack of the whole block.
 ``sparsity_threshold`` and ``nodal_clustering`` call the same two functions
-for one network, so the result does not depend on the block size. A block
-holds as many splits as fit ``_BLOCK_BYTES`` for its float64 (splits,
-regions, regions) correlation stack.
+for one network, so the result does not depend on the block size. One call
+of ``_block_statistic`` computes one block, of as many splits as
+``_block_size`` gives for their float64 (splits, regions, regions)
+correlation stack; the fingerprint blocks its subjects by the same rule.
 
 The levels are nested: the k strongest edges of a network hold the k' < k
 strongest. So a block visits its levels in ascending edge count, and each
@@ -157,11 +158,11 @@ def permutation_test(group_a: CohortTable, group_b: CohortTable, sparsities,
     # rows are filled in place, so the array stays C-ordered: the mean over
     # iterations below then sums in the same order as over a list of rows.
     stat = np.empty((iterations + 1, len(sparsities)))
-    block = max(1, _BLOCK_BYTES // (8 * r * r))
-    kernel = _BlockKernel(pool, n_a, labels, edges, min(block, iterations + 1))
+    ascending = sorted(range(len(edges)), key=edges.__getitem__)
+    block = _block_size(r)
     for start in range(0, iterations + 1, block):
         rows = np.array(list(islice(splits, block)))
-        stat[start:start + len(rows)] = kernel.statistic(rows)
+        stat[start:start + block] = _block_statistic(pool, n_a, labels, edges, ascending, rows)
 
     obs, perm_stats = stat[0], stat[1:]
     exceed = (np.abs(perm_stats) >= np.abs(obs)).sum(axis=0)
@@ -176,73 +177,61 @@ def permutation_test(group_a: CohortTable, group_b: CohortTable, sparsities,
     )
 
 
-class _BlockKernel:
-    """The statistic of a block of splits at a time, on this thread's work arrays.
+def _block_size(regions: int) -> int:
+    """Networks per block: as many float64 (regions, regions) matrices as fit
+    ``_BLOCK_BYTES``, and at least one."""
+    return max(1, _BLOCK_BYTES // (8 * regions * regions))
 
-    ``rows`` is the most splits a block holds; the arrays are sized for it.
-    The gathers pass ``mode="clip"`` to ``np.take``, which then writes to
-    ``out`` directly; the default "raise" fills a temporary and copies it.
-    Every index is in range, so the mode changes no value.
+
+def _block_statistic(pool, n_a, labels, edges, ascending, splits) -> np.ndarray:
+    """Mean clustering of A minus that of B, per split (row) and level (column).
+
+    Row i of ``splits`` orders the rows of ``pool`` with A's first ``n_a``.
+    ``edges`` holds each level's edge count and ``ascending`` the levels in
+    ascending edge count. The arrays are this thread's work arrays in the
+    block's shapes (``_work_array``).
+
+    The first rejected split raises what ``_pearson_rejection`` found in it,
+    group A before group B, each checked before the other group's stack
+    overwrites the shared work arrays. The gathers pass ``mode="clip"`` to
+    ``np.take``, which then writes to ``out`` directly; the default "raise"
+    fills a temporary and copies it. Every index is in range, so the mode
+    changes no value.
     """
-
-    def __init__(self, pool, n_a, labels, edges, rows):
-        n_total, r = pool.shape
-        self.pool, self.n_a, self.labels, self.edges = pool, n_a, labels, edges
-        self.upper_cells = _upper_flat(r)
-        # Levels in ascending edge count: each one partitions only the prefix
-        # that the level before it left unranked (``_keep_strongest``).
-        self.ascending = sorted(range(len(edges)), key=edges.__getitem__)
-        # The gathered and the centred volumes of one group of a block.
-        size = rows * max(n_a, n_total - n_a) * r
-        self.volumes = _work_array("volumes", (size,))
-        self.centred = _work_array("centred", (size,))
-        self.corr = _work_array("corr", (rows, r, r))
-        # The symmetrized correlations (c + c.T) / 2 of every network, A's then B's.
-        self.weights = _work_array("weights", (2 * rows, r, r))
-        # Their upper triangles, in an order that each level's partition changes.
-        self.upper = _work_array("upper", (2 * rows, self.upper_cells.size))
-        self.adjacency = _work_array("adjacency", (2 * rows, r, r), np.float32)
-        self.walks = _work_array("walks", (2 * rows, r, r), np.float32)
-
-    def statistic(self, splits) -> np.ndarray:
-        """Mean clustering of A minus that of B, per split (row) and level (column).
-
-        Row i of ``splits`` orders the pooled subjects with A's first
-        ``n_a``. The first rejected split raises what ``_pearson_rejection``
-        found in it, group A before group B, each checked before the other
-        group's stack overwrites the shared work arrays.
-        """
-        pool, n_a = self.pool, self.n_a
-        b, r = len(splits), pool.shape[1]
-        weights = self.weights[:2 * b]
-        first = None
-        with np.errstate(all="ignore"):  # what numpy warns about is rejected below
-            for g, rows in enumerate((splits[:, :n_a], splits[:, n_a:])):
-                size, shape = b * rows.shape[1] * r, (b, rows.shape[1], r)
-                volumes = np.take(pool, rows, axis=0, mode="clip",
-                                  out=self.volumes[:size].reshape(shape))
-                c, var = _pearson_stack(volumes, self.corr[:b],
-                                        self.centred[:size].reshape(shape))
-                found = _pearson_rejection(volumes, c, var, self.labels)
-                if found and (first is None or found[0] < first[0]):
-                    first = found
-                w = weights[g * b:(g + 1) * b]
-                np.add(c, c.transpose(0, 2, 1), out=w)
-                w *= 0.5  # the float of w / 2.0
-        if first:
-            raise first[1]
-        upper = weights.reshape(2 * b, r * r).take(self.upper_cells, axis=1, mode="clip",
-                                                   out=self.upper[:2 * b])
-        means = np.empty((len(self.edges), 2 * b))  # per level (row) and network
-        ranked = m = upper.shape[1]
-        for level in self.ascending:
-            k = self.edges[level]
-            a = _keep_strongest(weights, upper, k, self.adjacency[:2 * b], ranked)
-            # np.mean's sum; its division by the count follows for every level at once
-            np.add.reduce(_clustering(a, self.walks[:2 * b]), axis=1, out=means[level])
-            ranked = m - k
-        means /= r
-        return (means[:, :b] - means[:, b:]).T
+    b, r = len(splits), pool.shape[1]
+    # The symmetrized correlations (c + c.T) / 2 of every network, A's then B's.
+    weights = _work_array("weights", (2 * b, r, r))
+    first = None
+    with np.errstate(all="ignore"):  # what numpy warns about is rejected below
+        for g, rows in enumerate((splits[:, :n_a], splits[:, n_a:])):
+            shape = (b, rows.shape[1], r)  # one group's gathered and centred volumes
+            volumes = np.take(pool, rows, axis=0, mode="clip", out=_work_array("volumes", shape))
+            c, var = _pearson_stack(volumes, _work_array("corr", (b, r, r)),
+                                    _work_array("centred", shape))
+            found = _pearson_rejection(volumes, c, var, labels)
+            if found and (first is None or found[0] < first[0]):
+                first = found
+            w = weights[g * b:(g + 1) * b]
+            np.add(c, c.transpose(0, 2, 1), out=w)
+            w *= 0.5  # the float of w / 2.0
+    if first:
+        raise first[1]
+    # The upper triangles, in an order that each level's partition changes.
+    cells = _upper_flat(r)
+    upper = weights.reshape(2 * b, r * r).take(cells, axis=1, mode="clip",
+                                               out=_work_array("upper", (2 * b, cells.size)))
+    adjacency = _work_array("adjacency", (2 * b, r, r), np.float32)
+    walks = _work_array("walks", (2 * b, r, r), np.float32)
+    means = np.empty((len(edges), 2 * b))  # per level (row) and network
+    ranked = m = cells.size
+    for level in ascending:
+        k = edges[level]
+        a = _keep_strongest(weights, upper, k, adjacency, ranked)
+        # np.mean's sum; its division by the count follows for every level at once
+        np.add.reduce(_clustering(a, walks), axis=1, out=means[level])
+        ranked = m - k
+    means /= r
+    return (means[:, :b] - means[:, b:]).T
 
 
 @dataclass(frozen=True)

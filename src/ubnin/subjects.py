@@ -120,27 +120,28 @@ def _covariate_values(table: CohortTable, covariate: str) -> list:
 
 
 def residualize_covariate(table: CohortTable, covariate: str) -> CohortTable:
-    """Remove a categorical covariate's effect from every region volume.
+    """Remove a covariate's effect from every region volume.
 
     Fits ordinary least squares of each region's volumes on an intercept plus
-    dummy-coded covariate levels, and replaces each volume by its residual
-    plus the region's grand mean, preserving the natural volume scale. A
-    single-level covariate leaves the table unchanged.
+    the covariate, and replaces each volume by its residual plus the region's
+    grand mean, preserving the natural volume scale. ``gender`` and ``group``
+    are categorical: one 0/1 column per level after the first in sorted
+    order. ``age`` and the clinical fields are numeric: one column of their
+    values, so one slope per region. A covariate with a single value leaves
+    the table unchanged.
     """
     values = _covariate_values(table, covariate)
-    levels = sorted(set(values), key=str)
+    levels = sorted(set(values))
     if len(levels) < 2:
         return table
     n_subjects = len(table)
     if n_subjects < 3:
         raise DegenerateDesignError(f"residualization needs >= 3 subjects, got {n_subjects}")
-    if n_subjects < len(levels):
-        raise DegenerateDesignError(
-            f"{n_subjects} subjects cannot fit {len(levels)} covariate levels plus intercept"
-        )
-    design = np.column_stack(
-        [np.ones(n_subjects)] + [np.asarray([v == lvl for v in values], float) for lvl in levels[1:]]
-    )
+    if covariate in ("gender", "group"):
+        columns = [[v == lvl for v in values] for lvl in levels[1:]]
+    else:
+        columns = [values]
+    design = np.column_stack([np.ones(n_subjects), *np.asarray(columns, float)])
     y = table.volume_matrix()
     beta, *_ = np.linalg.lstsq(design, y, rcond=None)
     adjusted = y - design @ beta + y.mean(axis=0)
@@ -418,7 +419,7 @@ def stream_subjects_csv(path, demographics_path=None
 
 def _subject_rows(path, demographics_path):
     """Yield the region labels, then each valid subject; see ``stream_subjects_csv``."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         header, body = _csv_rows(path, fh)
         if demographics_path is None:
             clinical_cols, regions = _split_header(path, header)
@@ -437,6 +438,7 @@ def _subject_rows(path, demographics_path):
             demographics = _load_demographics(demographics_path)
         yield tuple(regions)
         errors: list[str] = []
+        seen: set[str] = set()
         for r, row in body:
             row_id = f"{path}: row {r}"
             if len(row) != len(header):
@@ -446,6 +448,10 @@ def _subject_rows(path, demographics_path):
             if not sid:
                 errors.append(f"{row_id}: empty subject id")
                 continue
+            if sid in seen:
+                errors.append(f"{row_id}: duplicate subject id {sid!r}")
+                continue
+            seen.add(sid)
             where = f"{row_id} ({sid})"
             if demographics is None:
                 fields = _parse_demographics(
@@ -475,7 +481,7 @@ def _subject_rows(path, demographics_path):
 
 def _load_demographics(path) -> dict:
     """Map each subject id of a demographics CSV to its parsed fields."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         header, body = _csv_rows(path, fh)
         body = list(body)
     if header[:1] != ["id"]:

@@ -45,7 +45,9 @@ one-network case of batches that share one set of reference draws
 its volume cells went through numpy a row at a time: it parses every cell
 with ``float``. ``load_subjects_csv_lists`` is the one-loop loader before it
 read its rows as they came (``subjects.stream_subjects_csv``): it reads every
-non-empty row into a list first. ``check_labels_converted`` is the label
+non-empty row into a list first. All three subjects loaders also reject a
+repeated subject id, a check that ``load_subjects_csv`` gained after them.
+``check_labels_converted`` is the label
 check before a tuple of ``str`` was checked without converting it.
 ``permutation_test_objects`` is the earlier ``permutation_test``: one serial
 loop that builds a ``WeightedNetwork`` and a ``BinaryNetwork`` per group and
@@ -675,7 +677,7 @@ def f_tail_mpmath(f_value, df_between, df_within, dps=50):
 
 
 # The earlier subjects loader, copied unchanged apart from the entry point's
-# name, with the header and cell helpers it calls.
+# name and the repeated-id check, with the header and cell helpers it calls.
 
 def _read_csv_rows(path) -> tuple[list[str], list[list[str]]]:
     with open(path, newline="") as fh:
@@ -744,6 +746,7 @@ def load_subjects_csv_two_loops(path, demographics_path=None) -> CohortTable:
         raise ValidationError(f"{path}: duplicate region column")
     demo = _load_demographics(demographics_path)
     errors: list[str] = []
+    seen: set[str] = set()
     subjects = []
     for r, row in enumerate(body, start=2):
         row_id = f"{path}: row {r}"
@@ -754,6 +757,10 @@ def load_subjects_csv_two_loops(path, demographics_path=None) -> CohortTable:
         if not sid:
             errors.append(f"{row_id}: empty subject id")
             continue
+        if sid in seen:
+            errors.append(f"{row_id}: duplicate subject id {sid!r}")
+            continue
+        seen.add(sid)
         if sid not in demo:
             errors.append(f"{row_id}: subject {sid!r} missing from demographics file")
             continue
@@ -773,6 +780,7 @@ def load_subjects_csv_two_loops(path, demographics_path=None) -> CohortTable:
 def _load_combined(path, header, body) -> CohortTable:
     clinical_cols, regions = _split_header(path, header)
     errors: list[str] = []
+    seen: set[str] = set()
     subjects = []
     for r, row in enumerate(body, start=2):
         row_id = f"{path}: row {r}"
@@ -783,6 +791,10 @@ def _load_combined(path, header, body) -> CohortTable:
         if not sid:
             errors.append(f"{row_id}: empty subject id")
             continue
+        if sid in seen:
+            errors.append(f"{row_id}: duplicate subject id {sid!r}")
+            continue
+        seen.add(sid)
         age = _parse_float(row[1], "age", errors, f"{row_id} ({sid})")
         if age is None:
             continue
@@ -885,6 +897,7 @@ def load_subjects_csv_cellwise(path, demographics_path=None) -> CohortTable:
         first_volume = 1
         demographics = package_subjects._load_demographics(demographics_path)
     errors: list[str] = []
+    seen: set[str] = set()
     subjects = []
     for r, row in enumerate(body, start=2):
         row_id = f"{path}: row {r}"
@@ -895,6 +908,10 @@ def load_subjects_csv_cellwise(path, demographics_path=None) -> CohortTable:
         if not sid:
             errors.append(f"{row_id}: empty subject id")
             continue
+        if sid in seen:
+            errors.append(f"{row_id}: duplicate subject id {sid!r}")
+            continue
+        seen.add(sid)
         where = f"{row_id} ({sid})"
         if demographics is None:
             fields = package_subjects._parse_demographics(
@@ -947,6 +964,7 @@ def load_subjects_csv_lists(path, demographics_path=None) -> CohortTable:
         first_volume = 1
         demographics = _load_demographics(demographics_path)
     errors: list[str] = []
+    seen: set[str] = set()
     subjects = []
     for r, row in enumerate(body, start=2):
         row_id = f"{path}: row {r}"
@@ -957,6 +975,10 @@ def load_subjects_csv_lists(path, demographics_path=None) -> CohortTable:
         if not sid:
             errors.append(f"{row_id}: empty subject id")
             continue
+        if sid in seen:
+            errors.append(f"{row_id}: duplicate subject id {sid!r}")
+            continue
+        seen.add(sid)
         where = f"{row_id} ({sid})"
         if demographics is None:
             fields = package_subjects._parse_demographics(

@@ -49,7 +49,7 @@ STACK = [random_weighted(6, np.random.default_rng(k)) for k in range(3)]
 MEASURE = [(metrics, "nodal_clustering")]
 DRAW = [(np.random, "default_rng")]
 EDGES = [(metrics, "edge_count")] + DRAW
-POOL = [(CohortTable, "volume_matrix"), (stats, "_BlockKernel")]
+POOL = [(CohortTable, "volume_matrix"), (stats, "_block_statistic")]
 RANK = [(graphs, "_keep_strongest")]
 SWEEP = [(pipeline, "sweep_values")]  # RunConfig's last check
 

@@ -318,6 +318,17 @@ class TestDecodeCommand:
         code, _, err = run(capsys, "decode", "--input", record)
         assert code == 1 and "digit string" in err
 
+    @pytest.mark.parametrize("text, nodes", [
+        ('{"n": 5, "numerator": "549", "scale": 6}\n', []),
+        ("8.578125\n", ["--nodes", "5"]),
+    ])
+    def test_code_file_with_a_byte_order_mark(self, tmp_path, capsys, text, nodes):
+        src = tmp_path / "code.txt"
+        src.write_text(text, encoding="utf-8-sig")
+        code, out, err = run(capsys, "decode", "--input", str(src), *nodes)
+        assert (code, err) == (0, "")
+        assert out == format_binary_matrix(path_graph(5))
+
     def test_nodes_via_environment_variable(self, capsys, monkeypatch):
         monkeypatch.setenv("UBNIN_DECODE_NODES", "5")
         code, out, _ = run(capsys, "decode", "--input", "8.578125")
@@ -408,18 +419,18 @@ class TestFingerprintCommand:
     def test_duplicate_rows_warned_but_allowed(self, tmp_path, capsys):
         rows = subjects_csv_text(3, 8, seed=5).splitlines()
         data = tmp_path / "subjects.csv"
-        data.write_text("\n".join(rows + [rows[1]]) + "\n")
+        data.write_text("\n".join(rows + ["copy-" + rows[1]]) + "\n")
         out_dir = tmp_path / "out"
         code, out, err = run(capsys, "fingerprint", "--input", str(data), "--out-dir", str(out_dir))
         assert code == 0
         assert "duplicate code" in err
         doc = json.loads((out_dir / "fingerprints.json").read_text())
-        assert doc["duplicates"] == [["s0001", "s0001"]]
+        assert doc["duplicates"] == [["s0001", "copy-s0001"]]
 
     def test_same_summary_and_warnings_as_the_list_based_run(self, tmp_path, capsys):
         header, *rows = subjects_csv_text(7, 10, seed=5).splitlines(keepends=True)
         data = tmp_path / "subjects.csv"
-        data.write_text("".join([header, *rows, rows[0], rows[2]]))
+        data.write_text("".join([header, *rows, "copy-" + rows[0], "copy-" + rows[2]]))
         out_dir = tmp_path / "out"
         want = run_fingerprint_lists(pipeline.RunConfig(input=str(data), out_dir=str(out_dir)))
         registry = (out_dir / "fingerprints.json").read_bytes()
@@ -729,6 +740,47 @@ class TestLayoutEquivalence:
             "co/anova.csv", "co/metrics.csv", "co/results.json", "co/significance.csv",
             "fp/fingerprints.json",
         ]
+        assert results[0] == results[1]
+
+
+class TestSubjectsFileChecks:
+    """What both runs accept and reject in a subjects file, in either layout."""
+
+    @pytest.mark.parametrize("command", ["fingerprint", "cohort"])
+    @pytest.mark.parametrize("two_file", [False, True])
+    def test_repeated_subject_id_rejected(self, tmp_path, capsys, command, two_file):
+        rows = [r.split(",") for r in subjects_csv_text(12, 6, seed=4).splitlines()]
+        files = split_subject_rows(rows) if two_file else [rows]
+        files[0][5][0] = files[0][2][0]  # row 6 repeats the id of row 3
+        files[0][9][-1] = "x"  # and row 10 holds a bad volume
+        paths = [tmp_path / name for name in ("subjects.csv", "demo.csv")[:len(files)]]
+        for path, content in zip(paths, files):
+            path.write_text(csv_text(content))
+        extra = ["--demographics", str(paths[1])] if two_file else []
+        code, out, err = run(capsys, command, "--input", str(paths[0]), *extra,
+                             "--out-dir", str(tmp_path / "out"))
+        assert (code, out) == (1, "")
+        assert err == ("error: invalid subject rows:\n"
+                       f"  {paths[0]}: row 6: duplicate subject id 's0002'\n"
+                       f"  {paths[0]}: row 10 (s0009): invalid volume 'x'\n")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", [
+        ["fingerprint"],
+        ["cohort", "--sweep", "0.6:0.9:0.3", "--iterations", "3", "--n-rand", "1"],
+    ])
+    def test_byte_order_mark_gives_the_same_outputs(self, tmp_path, monkeypatch, capsys,
+                                                    command):
+        text = subjects_csv_text(30, 8, seed=6)
+        results = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            where = tmp_path / encoding
+            where.mkdir()
+            (where / "subjects.csv").write_text(text, encoding=encoding)
+            monkeypatch.chdir(where)
+            streams = run(capsys, *command, "--input", "subjects.csv", "--out-dir", "out")
+            assert streams[0] == 0, streams[2]
+            results.append((streams, [p.read_bytes() for p in sorted(where.glob("out/*"))]))
         assert results[0] == results[1]
 
 

@@ -3,6 +3,7 @@ subjects' rows and matrices in memory at a time, only codes held until the
 registry is written; and no run, the cohort's ANOVA included, imports scipy."""
 
 import csv
+import importlib.util
 import io
 import json
 import os
@@ -52,9 +53,10 @@ def assert_same_as_lists(config):
 
 
 def with_duplicates(text):
-    """The subjects CSV with its first and third rows repeated at the end."""
+    """The subjects CSV with its first and third rows repeated at the end,
+    under ids of their own."""
     header, *rows = text.splitlines(keepends=True)
-    return "".join([header, *rows, rows[0], rows[2]])
+    return "".join([header, *rows, "copy-" + rows[0], "copy-" + rows[2]])
 
 
 def bad_rows_after_good():
@@ -206,6 +208,28 @@ def test_block_codes_equal_per_subject_codes(tmp_path, regions, block, decimals)
             [block] * (count // block) + [count % block] * (count % block > 0)
         codes = [code for _, volumes in blocks for code in pipeline._block_codes(volumes, 0.3)]
         assert codes == [subject_code(s, table.region_labels, 0.3) for s in subjects]
+
+
+def test_age_residualized_paper_input_keeps_every_subject_apart(tmp_path, monkeypatch):
+    """The benchmark's paper-shaped input at seed 1 holds 249 subjects, 139 of
+    them alone at their age. One dummy column per age fitted each of those
+    exactly, gave them all the grand mean and one code (111 distinct codes),
+    and left region r13 of PD cohort A without variance. One slope per region
+    keeps every subject's code its own."""
+    spec = importlib.util.spec_from_file_location("benchmark_inputs",
+                                                  TESTS.parent / "perfbench" / "inputs.py")
+    inputs = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, inputs)  # its dataclass looks itself up there
+    spec.loader.exec_module(inputs)
+    data = tmp_path / "subjects.csv"
+    inputs.write_subjects_csv(inputs.make_subjects(1, inputs.PAPER_COUNTS, 90), data)
+    doc = run_fingerprint(RunConfig(input=str(data), out_dir=str(tmp_path / "fp"),
+                                    residualize="age"))
+    assert doc["subjects"] == doc["distinct_codes"] == 249
+    doc = pipeline.run_cohort(RunConfig(input=str(data), out_dir=str(tmp_path / "co"),
+                                        residualize="age", sweep_start=0.6, sweep_stop=0.9,
+                                        sweep_step=0.3, iterations=2, n_rand=0))
+    assert doc["warnings"] == []
 
 
 @pytest.mark.parametrize("sid", ['say "hi"', "back\\slash", "Contrôle-ß-日本", "bell\x07\ttab",

@@ -567,6 +567,17 @@ class TestMatrixCsv:
         save_weighted_matrix(w, path)
         assert load_weighted_matrix(path) == w
 
+    @pytest.mark.parametrize("load, save, net", [
+        (load_binary_matrix, save_binary_matrix, path_graph(5)),
+        (load_weighted_matrix, save_weighted_matrix,
+         random_weighted(6, np.random.default_rng(3), labels=tuple("abcdef"))),
+    ])
+    def test_byte_order_mark_is_not_part_of_the_first_label(self, tmp_path, load, save, net):
+        path = tmp_path / "m.csv"
+        save(net, path)
+        path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert load(path) == net
+
     def test_asymmetric_binary_names_offending_cell(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n0,1,0\n0,0,1\n0,1,0\n")

@@ -55,7 +55,7 @@ def outcome(fn, *args, **kwargs):
 
 
 def block_rows(r: int) -> int:
-    return max(1, stats._BLOCK_BYTES // (8 * r * r))
+    return stats._block_size(r)
 
 
 def set_block_rows(monkeypatch, rows: int, r: int) -> None:

@@ -130,6 +130,34 @@ class TestResidualize:
         out = residualize_covariate(t, "group")
         assert np.allclose(out.volume_matrix(), t.volume_matrix().mean(axis=0), atol=1e-9)
 
+    @pytest.mark.parametrize("covariate", ["age", "updrs_off"])
+    def test_numeric_covariate_removes_one_slope_per_region(self, covariate):
+        rng = np.random.default_rng(11)
+        values = rng.uniform(30.0, 80.0, 25)
+        values[:3] = values[3]  # four subjects share a value, the rest are alone at theirs
+        volumes = rng.normal(600.0, 40.0, (25, 6)) + np.outer(values, rng.normal(0, 2, 6))
+        t = table([subject(f"s{i}", v, age=float(x), clinical={"updrs_off": float(x)})
+                   for i, (x, v) in enumerate(zip(values, volumes))])
+        x = values - values.mean()
+        slope = x @ (volumes - volumes.mean(axis=0)) / (x @ x)
+        out = residualize_covariate(t, covariate).volume_matrix()
+        np.testing.assert_allclose(out, volumes - np.outer(x, slope), rtol=0, atol=1e-9)
+        assert len({row.tobytes() for row in out}) == 25
+
+    @pytest.mark.parametrize("covariate", ["gender", "group"])
+    def test_categorical_covariate_fits_one_dummy_per_level(self, covariate):
+        rng = np.random.default_rng(12)
+        t = table([subject(f"s{i}", rng.normal(600.0, 40.0, 5), gender="FMX"[i % 3],
+                           group=("HC", "PD")[i % 2]) for i in range(12)])
+        values = [getattr(s, covariate) for s in t.subjects]
+        levels = sorted(set(values))
+        design = np.column_stack([np.ones(12)] + [[float(v == lvl) for v in values]
+                                                  for lvl in levels[1:]])
+        y = t.volume_matrix()
+        beta = np.linalg.lstsq(design, y, rcond=None)[0]
+        want = y - design @ beta + y.mean(axis=0)
+        assert np.array_equal(residualize_covariate(t, covariate).volume_matrix(), want)
+
     def test_missing_clinical_covariate_names_subjects(self):
         t = table([subject(f"s{i}", [1.0, 2.0], clinical={"updrs_off": 30.0} if i else None)
                    for i in range(3)])
@@ -448,6 +476,38 @@ class TestSubjectsCsv:
             load_subjects_csv(vols, demo)
         assert f"{demo}: row 3: duplicate subject id 'p1'" in str(err.value)
 
+    @pytest.mark.parametrize("two_file", [False, True])
+    def test_repeated_subject_id_rejected_after_the_last_row(self, tmp_path, two_file):
+        path = tmp_path / "s.csv"
+        demo = None
+        if two_file:
+            demo = tmp_path / "d.csv"
+            path.write_text("id,r1,r2\ns1,1,2\ns1,3,4\ns2,5,6\ns3,x,8\n")
+            demo.write_text("id,age,gender,group\ns1,40,M,PD\ns2,41,F,HC\ns3,42,F,HC\n")
+        else:
+            path.write_text("id,age,gender,group,r1,r2\ns1,40,M,PD,1,2\ns1,40,M,PD,3,4\n"
+                            "s2,41,F,HC,5,6\ns3,42,F,HC,x,8\n")
+        regions, subjects = stream_subjects_csv(path, demo)
+        assert next(subjects).id == "s1" and next(subjects).id == "s2"
+        with pytest.raises(ValidationError) as err:
+            next(subjects)
+        assert str(err.value) == ("invalid subject rows:\n"
+                                  f"  {path}: row 3: duplicate subject id 's1'\n"
+                                  f"  {path}: row 5 (s3): invalid volume 'x'")
+
+    def test_byte_order_mark_accepted(self, tmp_path):
+        text = subjects_csv_text(6, 5, seed=8)
+        volumes, demographics = split_subject_rows([r.split(",") for r in text.splitlines()])
+        for name, content in (("s", text), ("v", csv_text(volumes)),
+                              ("d", csv_text(demographics))):
+            (tmp_path / f"{name}.csv").write_text(content, encoding="utf-8")
+            (tmp_path / f"{name}-bom.csv").write_text(content, encoding="utf-8-sig")
+        assert (tmp_path / "s-bom.csv").read_bytes().startswith(b"\xef\xbb\xbf")
+        want = table_fields(load_subjects_csv(tmp_path / "s.csv"))
+        assert table_fields(load_subjects_csv(tmp_path / "s-bom.csv")) == want
+        assert table_fields(load_subjects_csv(tmp_path / "v-bom.csv",
+                                              tmp_path / "d-bom.csv")) == want
+
     @pytest.mark.parametrize("column", ["age", "gender", "group"])
     def test_demographics_column_required(self, tmp_path, column):
         vols = tmp_path / "v.csv"
@@ -637,9 +697,9 @@ class TestLoaderMatchesOracle:
                   if load_outcome(load_subjects_csv, tmp_path, *LOADER_CORPUS[case])[0] == "all"}
         assert loaded == {
             "one-file", "one-file no clinical", "one-file clinical reordered",
-            "one-file padded cells", "one-file header only", "one-file duplicate rows",
+            "one-file padded cells", "one-file header only",
             "one-file blank lines between rows", "two-file blank lines between rows",
-            "two-file", "two-file clinical in any order", "two-file extra and duplicate rows",
+            "two-file", "two-file clinical in any order",
             "two-file unused negative age", "two-file repeated demographics column",
         }
 
