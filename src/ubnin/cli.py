@@ -94,7 +94,8 @@ def _config_options(fn):
         click.option("--residualize", default=None,
                      help="Covariate to regress out of every region volume: gender or "
                           "group as one dummy per level, age or a clinical field as one "
-                          "slope per region."),
+                          "slope per region. A clinical field needs a value for every "
+                          "subject, so HC subjects without clinical scores rule it out."),
         click.option("--out-dir", required=True, help="Directory for output files."),
     ]
     for dec in reversed(decorators):

@@ -4,7 +4,9 @@ Networks are labeled, symmetric, and loop-free. ``WeightedNetwork`` holds
 real-valued association or similarity weights, ``BinaryNetwork`` a boolean
 adjacency matrix. Both are immutable after construction. Their constructors
 check every input; the library's own operators, whose output is valid by
-construction, wrap it with ``_built`` instead.
+construction, wrap it with ``_built`` instead. ``_built`` serves any frozen
+dataclass of the package: the loader's subject records and the encoder's
+codes skip their constructors' checks through it too.
 """
 
 from __future__ import annotations
@@ -121,19 +123,23 @@ class BinaryNetwork:
         return f"BinaryNetwork(n={self.n}, edges={edge_count(self)})"
 
 
-def _built(cls, array: np.ndarray, labels: tuple[str, ...]):
-    """A ``cls`` network over an array that is valid by construction.
+def _built(cls, *values):
+    """A ``cls`` instance over field values that are valid by construction.
 
-    Skips the constructor's checks and its copy: the caller passes a fresh
-    square array of the field's dtype (bool edges, float64 weights) with at
-    least 2 rows, symmetric, with a zero diagonal and finite entries, and
-    labels that ``_check_labels`` has accepted. The array becomes read-only.
+    Skips the constructor's checks, conversions and copies: the caller
+    passes every field's value, in field order, in the form that the
+    constructor stores, each one fresh or immutable. Every array among them
+    becomes read-only. For a network: a square array of the field's dtype
+    (bool edges, float64 weights) with at least 2 rows, symmetric, with a
+    zero diagonal and finite entries, and labels that ``_check_labels`` has
+    accepted.
     """
-    net = object.__new__(cls)
-    array.setflags(write=False)
-    object.__setattr__(net, "edges" if cls is BinaryNetwork else "weights", array)
-    object.__setattr__(net, "labels", labels)
-    return net
+    obj = object.__new__(cls)
+    for value in values:
+        if type(value) is np.ndarray:
+            value.setflags(write=False)
+    obj.__dict__.update(zip(cls.__dataclass_fields__, values))  # the field names, in order
+    return obj
 
 
 def _check_matrix(m: np.ndarray, labels, what: str) -> tuple[str, ...]:

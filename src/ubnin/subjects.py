@@ -40,7 +40,7 @@ class SubjectRecord:
             raise ValidationError("subject id must be a non-empty string")
         age = float(self.age)
         if not math.isfinite(age) or age <= 0:
-            raise ValidationError(f"subject {self.id}: age must be a positive number, got {self.age}")
+            raise _age_error(self.id, self.age)
         v = np.array(self.volumes, dtype=np.float64, copy=True)
         if v.ndim != 1:
             raise ValidationError(f"subject {self.id}: volumes must be a flat vector")
@@ -61,6 +61,10 @@ class SubjectRecord:
         # unpickled array would be writable.
         return SubjectRecord, (self.id, self.age, self.gender, self.group, self.volumes,
                                dict(self.clinical))
+
+
+def _age_error(sid: str, age) -> ValidationError:
+    return ValidationError(f"subject {sid}: age must be a positive number, got {age}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,10 +114,15 @@ def _covariate_values(table: CohortTable, covariate: str) -> list:
     if covariate == "age":
         return [s.age for s in table.subjects]
     if covariate in CLINICAL_FIELDS:
-        missing = [s.id for s in table.subjects if covariate not in s.clinical]
-        if missing:
+        lacking = [s for s in table.subjects if covariate not in s.clinical]
+        if lacking:
+            groups = ", ".join(sorted({s.group for s in lacking}))
+            ids = ", ".join(s.id for s in lacking[:10])
+            more = ", ..." if len(lacking) > 10 else ""
             raise ValidationError(
-                f"covariate {covariate!r} missing for subjects: {', '.join(missing)}"
+                f"covariate {covariate!r} missing for {len(lacking)} of {len(table)} "
+                f"subjects, in groups {groups}: {ids}{more}; a clinical covariate needs "
+                "a value for every subject"
             )
         return [s.clinical[covariate] for s in table.subjects]
     raise ValidationError(f"unknown covariate {covariate!r}")
@@ -469,12 +478,13 @@ def _subject_rows(path, demographics_path):
             if volumes is None:
                 continue
             age, gender, group, clinical = fields
-            try:
-                subject = SubjectRecord(sid, age, gender, group, volumes, clinical)
-            except ValidationError as exc:
-                errors.append(f"{row_id}: {exc}")
+            if age <= 0:
+                errors.append(f"{row_id}: {_age_error(sid, age)}")
                 continue
-            yield subject
+            # The row's cells passed SubjectRecord's checks above: a non-empty
+            # id, finite values and a flat vector of fresh float64 volumes.
+            yield _built(SubjectRecord, sid, age, gender, group, volumes,
+                         types.MappingProxyType(dict(clinical)))
     if errors:
         raise ValidationError("invalid subject rows:\n  " + "\n  ".join(errors))
 
@@ -496,6 +506,7 @@ def _load_demographics(path) -> dict:
     idx = {c: header.index(c) for c in header}
     clinical_idx = [(k, idx[k]) for k in CLINICAL_FIELDS if k in idx]
     errors: list[str] = []
+    seen: set[str] = set()
     out: dict[str, tuple] = {}
     for r, row in body:
         row_id = f"{path}: row {r}"
@@ -506,9 +517,10 @@ def _load_demographics(path) -> dict:
         if not sid:
             errors.append(f"{row_id}: empty subject id")
             continue
-        if sid in out:
+        if sid in seen:
             errors.append(f"{row_id}: duplicate subject id {sid!r}")
             continue
+        seen.add(sid)
         fields = _parse_demographics(
             row[idx["age"]], row[idx["gender"]], row[idx["group"]],
             [(k, row[i]) for k, i in clinical_idx], errors, f"{row_id} ({sid})",

@@ -30,7 +30,12 @@ prefix left unranked by the level before. ``encode_tril`` and
 ``tril_indices`` lookup), and ``to_decimal_string_int`` and
 ``parse_decimal_string_int`` the earlier value form (int multiplication and
 division by 5^scale), the latter with ``is_digits_str``, the earlier digit
-check on the string itself. ``load_subjects_csv_two_loops`` is the earlier
+check on the string itself. ``encode_stack_canonical``, ``decode_scatter``
+and ``digits_to_int_split`` are the earlier ``codec._encode_stack`` (every
+code through ``UbninCode.canonical`` and its checks), ``decode`` (a zeroed
+matrix, a scatter into its lower triangle and an OR with its transpose) and
+``_digits_to_int`` (one ``int`` call up to 640 digits, halves beyond).
+``load_subjects_csv_two_loops`` is the earlier
 ``load_subjects_csv``, with its ``_load_combined`` and ``_load_demographics``
 (a subject-row loop per CSV layout, and a clinical-cell loop in each of
 ``_load_combined`` and ``_load_demographics``). ``metrics_report_separate``
@@ -47,6 +52,11 @@ with ``float``. ``load_subjects_csv_lists`` is the one-loop loader before it
 read its rows as they came (``subjects.stream_subjects_csv``): it reads every
 non-empty row into a list first. All three subjects loaders also reject a
 repeated subject id, a check that ``load_subjects_csv`` gained after them.
+They build every record through the ``SubjectRecord`` constructor and its
+checks, where ``load_subjects_csv`` builds a row's record without them once
+the row has passed its own. Like the package's ``_load_demographics``, the
+list-based one here reports a repeated id even when the id's first row
+failed to parse.
 ``check_labels_converted`` is the label
 check before a tuple of ``str`` was checked without converting it.
 ``permutation_test_objects`` is the earlier ``permutation_test``: one serial
@@ -103,7 +113,6 @@ from ubnin import (
     sparsity_threshold,
 )
 from ubnin.codec import (
-    _digits_to_int,
     _int_to_digits,
     _lower_flat,
     max_scale,
@@ -592,6 +601,40 @@ def decode_tril(code, labels=None) -> BinaryNetwork:
     return BinaryNetwork(e, () if labels is None else labels)
 
 
+def encode_stack_canonical(edges) -> list[UbninCode]:
+    """The code of each adjacency of a (b, n, n) stack, each built through
+    ``UbninCode.canonical`` and its checks."""
+    n = edges.shape[1]
+    lower = edges.reshape(len(edges), n * n).take(_lower_flat(n), axis=1)
+    rows = np.packbits(lower, axis=1, bitorder="little")
+    return [UbninCode.canonical(n, int.from_bytes(row.tobytes(), "little"), max_scale(n))
+            for row in rows]
+
+
+def decode_scatter(code, labels=None) -> BinaryNetwork:
+    """The unpacked bits scattered into a zeroed lower triangle, then OR-ed
+    with the transpose."""
+    n = code.n
+    pairs = n * (n - 1) // 2
+    num = code.numerator << (max_scale(n) - code.scale)
+    raw = np.frombuffer(num.to_bytes((pairs + 7) // 8, "little"), dtype=np.uint8)
+    e = np.zeros(n * n, dtype=bool)
+    e[_lower_flat(n)] = np.unpackbits(raw, count=pairs, bitorder="little").view(bool)
+    e = e.reshape(n, n)
+    e |= e.T
+    return BinaryNetwork(e, () if labels is None else labels)
+
+
+def digits_to_int_split(digits: str) -> int:
+    """A digit string as an int: one ``int`` call up to 640 digits, the
+    least any interpreter limit allows, and halves joined by a power of
+    ten beyond."""
+    if len(digits) <= 640:
+        return int(digits)
+    k = len(digits) // 2
+    return digits_to_int_split(digits[:-k]) * 10 ** k + digits_to_int_split(digits[-k:])
+
+
 def to_decimal_string_int(code) -> str:
     """Digits of numerator * 5^scale with the point ``scale`` digits from the right."""
     if code.scale == 0:
@@ -615,7 +658,7 @@ def parse_decimal_string_int(text: str, n: int) -> UbninCode:
     k = len(frac_part)
     if len(int_part.lstrip("0")) > n - 1 or k > max_scale(n):
         raise MalformedCodeError(f"{text!r} is out of range for {n} nodes")
-    m = _digits_to_int(int_part + frac_part)
+    m = digits_to_int_split(int_part + frac_part)
     m, rest = divmod(m, 5 ** k)
     if rest:
         raise MalformedCodeError(f"{text!r} is not a dyadic rational; it cannot be a network code")
@@ -839,6 +882,7 @@ def _load_demographics(path) -> dict:
             raise ValidationError(f"{path}: demographics file must contain {col!r}")
     idx = {c: header.index(c) for c in header}
     errors: list[str] = []
+    seen: set[str] = set()
     out: dict[str, tuple] = {}
     for r, row in enumerate(body, start=2):
         row_id = f"{path}: row {r}"
@@ -849,9 +893,10 @@ def _load_demographics(path) -> dict:
         if not sid:
             errors.append(f"{row_id}: empty subject id")
             continue
-        if sid in out:
+        if sid in seen:
             errors.append(f"{row_id}: duplicate subject id {sid!r}")
             continue
+        seen.add(sid)
         age = _parse_float(row[idx["age"]], "age", errors, f"{row_id} ({sid})")
         if age is None:
             continue

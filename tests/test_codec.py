@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 import tracemalloc
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -27,8 +28,11 @@ from ubnin import codec
 from ubnin.codec import _encode_stack, _lower_flat, max_scale
 from oracles import (
     column_codes,
+    decode_scatter,
     decode_tril,
+    digits_to_int_split,
     encode_fraction,
+    encode_stack_canonical,
     encode_tril,
     is_digits_str,
     parse_decimal_string_int,
@@ -533,6 +537,103 @@ class TestMatchesIntArithmeticOracles:
         flat = _lower_flat(n)
         assert flat.tolist() == np.ravel_multi_index(np.tril_indices(n, -1), (n, n)).tolist()
         assert not flat.flags.writeable
+
+
+def random_stack(n, rng):
+    """Adjacencies of n nodes: empty, complete, a single edge at each end of
+    the lower triangle, and random graphs at densities from 0 to 1."""
+    stack = np.zeros((7, n, n), dtype=bool)
+    stack[1] = ~np.eye(n, dtype=bool)
+    stack[2, 1, 0] = stack[2, 0, 1] = True
+    stack[3, n - 1, n - 2] = stack[3, n - 2, n - 1] = True
+    for g, p in zip(stack[4:], rng.random(3)):
+        g[...] = np.tril(rng.random((n, n)) < p, -1)
+        g |= g.T
+    return stack
+
+
+class TestMatchesEarlierCodec:
+    """The codec's conversions against their earlier forms in oracles.py."""
+
+    def test_digits_to_int_at_every_length(self):
+        # Under the default limit (4300), the least one (640) and none (0).
+        rng = np.random.default_rng(30)
+        digits = "".join(map(str, rng.integers(0, 10, 10_000)))
+        default = sys.get_int_max_str_digits()
+        try:
+            for length in range(1, 10_001):
+                text = digits[-length:]
+                want = digits_to_int_split(text)
+                for limit in (default, 640, 0):
+                    sys.set_int_max_str_digits(limit)
+                    assert codec._digits_to_int(text) == want, (length, limit)
+        finally:
+            sys.set_int_max_str_digits(default)
+
+    def test_encode_stack_at_every_size(self):
+        rng = np.random.default_rng(31)
+        for n in range(2, 401):
+            stack = random_stack(n, rng)
+            codes = _encode_stack(stack)
+            assert codes == encode_stack_canonical(stack), n
+            for code in codes:
+                assert all(type(x) is int for x in (code.n, code.numerator, code.scale))
+                assert UbninCode(code.n, code.numerator, code.scale) == code
+
+    def test_decode_at_every_size(self):
+        rng = np.random.default_rng(32)
+        for n in range(2, 401):
+            for code in [random_code(n, rng), *edge_codes(n)]:
+                got, want = decode(code), decode_scatter(code)
+                assert got == want, n
+                assert got.edges.dtype == bool and got.edges.flags.c_contiguous
+                assert not got.edges.flags.writeable
+
+    @pytest.mark.parametrize("n", [2, 3, 90])
+    def test_symmetric_index_is_cached_int32(self, n):
+        index = codec._symmetric_index(n)
+        assert index.dtype == np.int32 and not index.flags.writeable
+        assert index is codec._symmetric_index(n)
+        limit = codec._symmetric_index.cache_info().maxsize
+        assert limit <= codec._lower_flat.cache_info().maxsize
+
+
+# (n, numerator, scale) of codes the constructor rejects, and its messages.
+REJECTED_CODES = [
+    ((1, 0, 0), "node count must be >= 2, got 1"),
+    ((5, -1, 0), "numerator must be nonnegative"),
+    ((5, 1, -1), "scale must be nonnegative"),
+    ((5, 1098, 7), "non-canonical code: even numerator with nonzero scale"),
+    ((5, 16, 0), "value >= 2^4, out of range for 5 nodes"),
+    ((5, 1, 7), "scale 7 exceeds bound 6 for 5 nodes"),
+]
+
+
+class TestOutsideInputChecked:
+    """Codes from outside the library pass every check, whatever their types."""
+
+    @pytest.mark.parametrize("fields, message", REJECTED_CODES)
+    @pytest.mark.parametrize("kind", [int, np.int64, float])
+    def test_rejections(self, fields, message, kind):
+        with pytest.raises(MalformedCodeError) as err:
+            UbninCode(*map(kind, fields))
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("fields", [(np.int64(3), np.int64(1), np.int64(1)),
+                                        (np.uint16(3), np.uint16(1), np.uint16(1)),
+                                        (3.0, 1.0, 1.0), (3, True, False)])
+    def test_fields_become_ints(self, fields):
+        code = UbninCode(*fields)
+        assert all(type(x) is int for x in (code.n, code.numerator, code.scale))
+        assert (code.n, code.numerator, code.scale) == tuple(map(int, fields))
+
+    def test_record_and_value_rejections(self):
+        with pytest.raises(MalformedCodeError, match="^non-canonical code"):
+            from_record({"n": 5, "numerator": "1098", "scale": 7})
+        with pytest.raises(MalformedCodeError, match="^scale 7 exceeds bound 6 for 5 nodes$"):
+            from_record({"n": 5, "numerator": 1, "scale": 7})
+        with pytest.raises(MalformedCodeError, match="^node count must be >= 2, got 1$"):
+            parse_decimal_string("0", 1)
 
 
 @st.composite

@@ -19,6 +19,7 @@ from ubnin import (
     load_subjects_csv,
     residualize_covariate,
 )
+from ubnin import subjects as subjects_module
 from ubnin.subjects import _pearson_network, _pearson_stack, stream_subjects_csv
 from oracles import (
     load_subjects_csv_cellwise,
@@ -161,8 +162,23 @@ class TestResidualize:
     def test_missing_clinical_covariate_names_subjects(self):
         t = table([subject(f"s{i}", [1.0, 2.0], clinical={"updrs_off": 30.0} if i else None)
                    for i in range(3)])
-        with pytest.raises(ValidationError, match="s0"):
+        with pytest.raises(ValidationError) as err:
             residualize_covariate(t, "updrs_off")
+        assert str(err.value) == ("covariate 'updrs_off' missing for 1 of 3 subjects, in "
+                                  "groups HC: s0; a clinical covariate needs a value for "
+                                  "every subject")
+
+    def test_missing_clinical_covariate_lists_ten_ids(self):
+        t = table([subject(f"s{i}", [1.0, i], group=("HC", "PD", "PD", "SWEDD")[i % 4],
+                           clinical={"hy_stage": 2.0} if i % 4 == 1 else None)
+                   for i in range(30)])
+        with pytest.raises(ValidationError) as err:
+            residualize_covariate(t, "hy_stage")
+        ids = ", ".join(f"s{i}" for i in range(30) if i % 4 != 1)
+        assert str(err.value) == (
+            "covariate 'hy_stage' missing for 22 of 30 subjects, in groups HC, PD, SWEDD: "
+            f"{', '.join(ids.split(', ')[:10])}, ...; a clinical covariate needs a value "
+            "for every subject")
 
     def test_unknown_covariate_rejected(self):
         t = table([subject(f"s{i}", [1.0, 2.0]) for i in range(3)])
@@ -467,6 +483,17 @@ class TestSubjectsCsv:
             load_subjects_csv(vols, demo)
         assert f"{vols}: row 3: subject 'p1' missing from demographics file" in str(err.value)
 
+    def test_duplicate_demographics_id_after_a_bad_row_rejected(self, tmp_path):
+        vols = tmp_path / "v.csv"
+        demo = tmp_path / "d.csv"
+        vols.write_text("id,r1,r2\np1,1.0,2.0\n")
+        demo.write_text("id,age,gender,group\np1,x,F,HC\np1,40,F,HC\n")
+        with pytest.raises(ValidationError) as err:
+            load_subjects_csv(vols, demo)
+        assert str(err.value) == ("invalid demographics rows:\n"
+                                  f"  {demo}: row 2 (p1): invalid age 'x'\n"
+                                  f"  {demo}: row 3: duplicate subject id 'p1'")
+
     def test_duplicate_demographics_id_rejected(self, tmp_path):
         vols = tmp_path / "v.csv"
         demo = tmp_path / "d.csv"
@@ -613,6 +640,8 @@ LOADER_CORPUS = {
                                         DEMOGRAPHICS + "p1,forty,M,PD,,,,\np2,inf,M,PD,,,,\n"
                                         "p3,40,M,PD,x,nan,,\np4,40,M,PD,1,2,3\n,40,M,PD,,,,\n"
                                         "p5,40,M,PD,1,nan,,\n"),
+    "two-file duplicate after a bad demographics row": (
+        VOLUMES + "p1,1,2,3\n", DEMOGRAPHICS + "p1,x,F,HC,,,,\np1,40,F,HC,,,,\n"),
     "two-file negative ages": (VOLUMES + "p1,1,2,3\np2,1,2,3\np1,1,2,3\n",
                                DEMOGRAPHICS + "p1,-3,M,PD,,,,\np2,0,F,HC,,,,\np3,-1,F,HC,,,,\n"),
     "two-file unused negative age": (VOLUMES + "p1,1,2,3\n",
@@ -786,6 +815,90 @@ def mutate(rows, rng):
         rows.insert(r, list(row))
     else:
         row[0] = rows[1 + int(rng.integers(len(rows) - 1))][0]
+
+
+def record_fields(s):
+    """Everything a record holds, with the types and array flags of its fields."""
+    v = s.volumes
+    return (type(s), s.id, type(s.age), s.age, s.gender, s.group,
+            type(s.clinical), [(k, type(x), x) for k, x in s.clinical.items()],
+            v.dtype, v.shape, v.flags.writeable, v.flags.c_contiguous, v.tobytes())
+
+
+class TestLoadedRecordsMatchTheConstructor:
+    """The loader builds each record without the constructor's checks; the
+    records equal what the constructor builds from the same fields."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("two_file", [False, True])
+    def test_synth_tables(self, tmp_path, seed, two_file):
+        rows = [r.split(",") for r in subjects_csv_text(
+            12, 5, seed=seed, groups=("PD", "HC", "SWEDD"), clinical=bool(seed % 2)).splitlines()]
+        path, demo = tmp_path / "s.csv", None
+        if two_file:
+            volumes, demographics = split_subject_rows(rows)
+            demo = tmp_path / "d.csv"
+            path.write_text(csv_text(volumes))
+            demo.write_text(csv_text(demographics))
+        else:
+            path.write_text(csv_text(rows))
+        loaded = load_subjects_csv(path, demo)
+        assert len(loaded) == 12
+        rebuilt = [SubjectRecord(s.id, s.age, s.gender, s.group, s.volumes, dict(s.clinical))
+                   for s in loaded.subjects]
+        oracle = load_subjects_csv_lists(path, demo)
+        assert ([record_fields(s) for s in loaded.subjects]
+                == [record_fields(s) for s in rebuilt]
+                == [record_fields(s) for s in oracle.subjects])
+
+    @pytest.mark.parametrize("case", sorted(LOADER_CORPUS))
+    def test_corpus_cases(self, tmp_path, case):
+        got = load_outcome(load_subjects_csv, tmp_path, *LOADER_CORPUS[case])
+        if got[0] == "all":
+            path = tmp_path / "subjects.csv"
+            demo = tmp_path / "demographics.csv" if LOADER_CORPUS[case][1] is not None else None
+            loaded = load_subjects_csv(path, demo).subjects
+            assert ([record_fields(s) for s in loaded]
+                    == [record_fields(s) for s in load_subjects_csv_lists(path, demo).subjects])
+
+    @pytest.mark.parametrize("two_file", [False, True])
+    def test_age_at_or_below_zero_message(self, tmp_path, two_file):
+        path = tmp_path / "s.csv"
+        demo = None
+        if two_file:
+            demo = tmp_path / "d.csv"
+            path.write_text("id,r1,r2\np1,1,2\np2,3,4\np3,5,x\n")
+            demo.write_text("id,age,gender,group\np1,-3,M,PD\np2,0,F,HC\np3,0,F,HC\n")
+        else:
+            path.write_text("id,age,gender,group,r1,r2\np1,-3,M,PD,1,2\np2,0,F,HC,3,4\n"
+                            "p3,0,F,HC,5,x\n")
+        with pytest.raises(ValidationError) as err:
+            load_subjects_csv(path, demo)
+        assert str(err.value) == (
+            "invalid subject rows:\n"
+            f"  {path}: row 2: subject p1: age must be a positive number, got -3.0\n"
+            f"  {path}: row 3: subject p2: age must be a positive number, got 0.0\n"
+            f"  {path}: row 4 (p3): invalid volume 'x'")
+        with pytest.raises(ValidationError) as want:
+            load_subjects_csv_lists(path, demo)
+        assert str(want.value) == str(err.value)
+
+    def test_no_record_shares_a_clinical_dict_with_the_demographics(self, tmp_path,
+                                                                    monkeypatch):
+        vols, demo = tmp_path / "v.csv", tmp_path / "d.csv"
+        vols.write_text("id,r1,r2\np1,1,2\n")
+        demo.write_text("id,age,gender,group,updrs_off\np1,40,M,PD,31.5\n")
+        parsed = []
+        load = subjects_module._load_demographics
+        monkeypatch.setattr(subjects_module, "_load_demographics",
+                            lambda p: parsed.append(load(p)) or parsed[0])
+        record, = load_subjects_csv(vols, demo).subjects
+        parsed[0]["p1"][3]["updrs_off"] = 0.0
+        assert record.clinical == {"updrs_off": 31.5}
+        with pytest.raises(TypeError):
+            record.clinical["updrs_off"] = 0.0
+        with pytest.raises(ValueError):
+            record.volumes[0] = 9.0
 
 
 class TestRecordValidation:
