@@ -26,9 +26,7 @@ from .graphs import (
     degree_sequence,
     edge_count,
     load_binary_matrix,
-    load_weighted_matrix,
     save_binary_matrix,
-    save_weighted_matrix,
     sparsity_threshold,
     target_edge_count,
 )
@@ -72,7 +70,7 @@ __all__ = [
     "UndefinedMetricError", "NotEstimableError",
     "WeightedNetwork", "BinaryNetwork", "sparsity_threshold", "consistency_threshold",
     "degree", "degree_sequence", "edge_count", "target_edge_count",
-    "load_weighted_matrix", "load_binary_matrix", "save_weighted_matrix", "save_binary_matrix",
+    "load_binary_matrix", "save_binary_matrix",
     "UbninCode", "encode", "decode", "to_decimal_string", "parse_decimal_string",
     "to_record", "from_record", "to_float64", "encode_float64_emulation",
     "complete_graph_code",

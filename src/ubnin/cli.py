@@ -104,37 +104,25 @@ def _config_options(fn):
 
 
 def parse_threshold_spec(text: str) -> float:
-    """Parse a --threshold value into its keep fraction: 'sparsity:<f>',
-    'consistency:<f>' and 'consistency:<f>:per-subject' all threshold each
-    subject's network on its own."""
-    names = ("sparsity", "consistency")
-    parts = text.split(":")
-    if parts[0] not in names:
-        raise ValidationError(f"threshold mode must be one of {names}, got {parts[0]!r}")
-    if len(parts) < 2:
-        raise ValidationError("threshold spec needs a fraction, e.g. sparsity:0.3")
+    """Parse a --threshold value, 'sparsity:<f>', into its keep fraction <f>."""
+    mode, _, fraction = text.partition(":")
+    if mode == "consistency":
+        raise ValidationError("the consistency threshold spellings were removed: use "
+                              "sparsity:<f>, which thresholds each subject the same way")
+    if mode != "sparsity":
+        raise ValidationError(f"threshold mode must be 'sparsity', got {mode!r}")
     try:
-        fraction = float(parts[1])
+        return float(fraction)
     except ValueError:
-        raise ValidationError(f"invalid threshold fraction {parts[1]!r}") from None
-    if len(parts) > 2 and parts[0] != "consistency":
-        raise ValidationError("only consistency thresholds take a strategy")
-    if len(parts) > 3:
-        raise ValidationError(f"malformed threshold spec {text!r}")
-    if parts[2:] == ["group-mask"]:
-        raise ValidationError("the group-mask threshold strategy was removed: it gave every "
-                              "subject the same network and code")
-    if parts[2:] not in ([], ["per-subject"]):
-        raise ValidationError(f"threshold strategy must be 'per-subject', got {parts[2]!r}")
-    return fraction
+        raise ValidationError(f"invalid threshold fraction {fraction!r}; "
+                              "expected sparsity:<f>, e.g. sparsity:0.3") from None
 
 
 @cli.command("fingerprint")
 @_config_options
-@click.option("--threshold", default="consistency:0.3:per-subject", show_default=True,
-              help="Binarization: keep the fraction <f> of each subject's strongest "
-                   "edges. sparsity:<f>, consistency:<f> and "
-                   "consistency:<f>:per-subject are the same.")
+@click.option("--threshold", default="sparsity:0.3", show_default=True,
+              help="Binarization, sparsity:<f>: keep the fraction <f> of each "
+                   "subject's strongest edges.")
 def cmd_fingerprint(input_path, demographics, residualize, out_dir, threshold):
     """Encode each subject's similarity network; write the code registry."""
     config = RunConfig(

@@ -56,7 +56,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import MalformedCodeError, _check_count
+from .errors import MalformedCodeError, ValidationError, _check_count
 from .graphs import BinaryNetwork, _built, _check_labels
 
 __all__ = [
@@ -219,15 +219,20 @@ def decode(code: UbninCode, labels=None) -> BinaryNetwork:
     ``take`` through a cached index (``_symmetric_index``). Inverse of
     :func:`encode` for every valid network; the bounds :class:`UbninCode`
     enforces make every code decodable, and the gathered matrix is a valid
-    adjacency by construction, so only the labels are checked.
+    adjacency by construction, so only the labels are checked. A code whose
+    matrix cannot be allocated raises ``ValidationError``.
     """
     n = code.n
     pairs = n * (n - 1) // 2
-    num = code.numerator << (max_scale(n) - code.scale)
-    raw = np.frombuffer(num.to_bytes((pairs + 7) // 8, "little"), dtype=np.uint8)
-    # The numerator is below 2^pairs: bit ``pairs``, padded or unused, is 0.
-    bits = np.unpackbits(raw, count=pairs + 1, bitorder="little").view(bool)
-    e = bits.take(_symmetric_index(n)).reshape(n, n)
+    try:
+        num = code.numerator << (max_scale(n) - code.scale)
+        raw = np.frombuffer(num.to_bytes((pairs + 7) // 8, "little"), dtype=np.uint8)
+        # The numerator is below 2^pairs: bit ``pairs``, padded or unused, is 0.
+        bits = np.unpackbits(raw, count=pairs + 1, bitorder="little").view(bool)
+        e = bits.take(_symmetric_index(n)).reshape(n, n)
+    except (MemoryError, OverflowError):
+        raise ValidationError(f"a network of {n} nodes is too large to decode: "
+                              "its adjacency matrix does not fit in memory") from None
     return _built(BinaryNetwork, e, _check_labels(labels, n))
 
 

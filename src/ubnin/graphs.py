@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import functools
 import io
-import math
 import operator
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,8 +22,6 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .errors import ValidationError, _check_fraction
-
-SYMMETRY_ATOL = 1e-12  # tolerance applied when loading weighted matrices from CSV
 
 
 def default_labels(n: int) -> tuple[str, ...]:
@@ -298,10 +295,8 @@ def consistency_threshold(stack: Sequence[WeightedNetwork], keep: float) -> list
 
 
 # ---------------------------------------------------------------------------
-# Matrix CSV format: first row is the node labels, then n rows of n values.
-# Binary matrices use 0/1 entries. Weighted input is validated for symmetry
-# at absolute tolerance SYMMETRY_ATOL, then symmetrized exactly. The subjects
-# readers read their rows through the same _csv_rows.
+# Matrix CSV format: first row is the node labels, then n rows of n 0/1
+# values. The subjects readers read their rows through the same _csv_rows.
 # ---------------------------------------------------------------------------
 
 def _csv_rows(path, fh) -> tuple[list[str], Iterator[tuple[int, list[str]]]]:
@@ -353,32 +348,6 @@ def _network(path, cls, matrix, labels):
         raise ValidationError(f"{path}: {exc}") from None
 
 
-def load_weighted_matrix(path) -> WeightedNetwork:
-    """Load a weighted network from matrix CSV."""
-    labels, body = _read_matrix_rows(path)
-    n = len(labels)
-    w = np.empty((n, n), dtype=np.float64)
-    for i, row in enumerate(body):
-        for j, cell in enumerate(row):
-            try:
-                v = float(cell)
-            except ValueError:
-                raise ValidationError(f"{path}: invalid number {cell!r} at ({i + 1},{j + 1})")
-            if not math.isfinite(v):
-                raise ValidationError(f"{path}: non-finite weight at ({i + 1},{j + 1})")
-            w[i, j] = v
-    diff = np.abs(w - w.T)
-    if np.any(diff > SYMMETRY_ATOL):
-        i, j = np.argwhere(diff > SYMMETRY_ATOL)[0]
-        raise ValidationError(
-            f"{path}: matrix is not symmetric at ({labels[i]},{labels[j]}): "
-            f"{w[i, j]} vs {w[j, i]}"
-        )
-    w = (w + w.T) / 2.0
-    np.fill_diagonal(w, 0.0)
-    return _network(path, WeightedNetwork, w, labels)
-
-
 def load_binary_matrix(path) -> BinaryNetwork:
     """Load a binary network from matrix CSV with strict 0/1 entries."""
     labels, body = _read_matrix_rows(path)
@@ -406,14 +375,6 @@ def format_binary_matrix(b: BinaryNetwork) -> str:
     return _format_matrix(b.labels, b.edges.astype(int).tolist())
 
 
-def format_weighted_matrix(w: WeightedNetwork) -> str:
-    """Render a weighted network in matrix CSV form (full float repr)."""
-    return _format_matrix(w.labels, [[repr(v) for v in row] for row in w.weights.tolist()])
-
-
 def save_binary_matrix(b: BinaryNetwork, path) -> None:
     Path(path).write_text(format_binary_matrix(b), encoding="utf-8")
 
-
-def save_weighted_matrix(w: WeightedNetwork, path) -> None:
-    Path(path).write_text(format_weighted_matrix(w), encoding="utf-8")

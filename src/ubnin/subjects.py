@@ -154,11 +154,15 @@ def residualize_covariate(table: CohortTable, covariate: str) -> CohortTable:
     y = table.volume_matrix()
     beta, *_ = np.linalg.lstsq(design, y, rcond=None)
     adjusted = y - design @ beta + y.mean(axis=0)
-    new_subjects = [
-        SubjectRecord(s.id, s.age, s.gender, s.group, adjusted[i], dict(s.clinical))
-        for i, s in enumerate(table.subjects)
-    ]
-    return table.replace_subjects(new_subjects)
+    finite = np.isfinite(adjusted).all(axis=1)
+    if not finite.all():  # volumes near the float64 limit can overflow the fit
+        sid = table.subjects[int(np.argmin(finite))].id
+        raise ValidationError(f"subject {sid}: non-finite volume value")
+    # Every other field comes from a checked record, and its clinical mapping
+    # is read-only: each new record shares it, over its own fresh row.
+    return table.replace_subjects(
+        _built(SubjectRecord, s.id, s.age, s.gender, s.group, adjusted[i], s.clinical)
+        for i, s in enumerate(table.subjects))
 
 
 def individual_network(subject, region_labels=None) -> WeightedNetwork:

@@ -57,6 +57,10 @@ checks, where ``load_subjects_csv`` builds a row's record without them once
 the row has passed its own. Like the package's ``_load_demographics``, the
 list-based one here reports a repeated id even when the id's first row
 failed to parse.
+``residualize_covariate_constructor`` is the earlier ``residualize_covariate``,
+which rebuilt every record through the ``SubjectRecord`` constructor, where
+the package builds each one without the checks, from the fit's fresh row
+and the record's own read-only clinical mapping.
 ``check_labels_converted`` is the label
 check before a tuple of ``str`` was checked without converting it.
 ``permutation_test_objects`` is the earlier ``permutation_test``: one serial
@@ -1047,6 +1051,32 @@ def load_subjects_csv_lists(path, demographics_path=None) -> CohortTable:
     if errors:
         raise ValidationError("invalid subject rows:\n  " + "\n  ".join(errors))
     return CohortTable("all", tuple(regions), tuple(subjects))
+
+
+
+def residualize_covariate_constructor(table: CohortTable, covariate: str) -> CohortTable:
+    """Remove a covariate's effect from every region volume, rebuilding each
+    record through the ``SubjectRecord`` constructor and its checks."""
+    values = package_subjects._covariate_values(table, covariate)
+    levels = sorted(set(values))
+    if len(levels) < 2:
+        return table
+    n_subjects = len(table)
+    if n_subjects < 3:
+        raise DegenerateDesignError(f"residualization needs >= 3 subjects, got {n_subjects}")
+    if covariate in ("gender", "group"):
+        columns = [[v == lvl for v in values] for lvl in levels[1:]]
+    else:
+        columns = [values]
+    design = np.column_stack([np.ones(n_subjects), *np.asarray(columns, float)])
+    y = table.volume_matrix()
+    beta, *_ = np.linalg.lstsq(design, y, rcond=None)
+    adjusted = y - design @ beta + y.mean(axis=0)
+    new_subjects = [
+        SubjectRecord(s.id, s.age, s.gender, s.group, adjusted[i], dict(s.clinical))
+        for i, s in enumerate(table.subjects)
+    ]
+    return table.replace_subjects(new_subjects)
 
 
 _TINY = np.finfo(np.float64).tiny

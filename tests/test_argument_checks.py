@@ -167,15 +167,14 @@ REJECTED = {
                                 "keep fraction must lie in (0, 1], got 1.5", []),
     "consistency-fraction-0": (lambda: consistency_threshold(STACK, 0.0),
                                "keep fraction must lie in (0, 1], got 0.0", RANK),
-    "threshold-spec-strategy": (lambda: parse_threshold_spec("consistency:0.3:mask"),
-                                "threshold strategy must be 'per-subject', got 'mask'", []),
-    "threshold-spec-strategy-before-fraction": (
+    "threshold-spec-consistency": (
         lambda: parse_threshold_spec("consistency:2.0:mask"),
-        "threshold strategy must be 'per-subject', got 'mask'", []),
-    "threshold-spec-group-mask": (
-        lambda: parse_threshold_spec("consistency:0.3:group-mask"),
-        "the group-mask threshold strategy was removed: it gave every subject the same "
-        "network and code", []),
+        "the consistency threshold spellings were removed: use sparsity:<f>, which "
+        "thresholds each subject the same way", []),
+    "threshold-spec-trailing-strategy": (
+        lambda: parse_threshold_spec("sparsity:0.3:per-subject"),
+        "invalid threshold fraction '0.3:per-subject'; expected sparsity:<f>, e.g. "
+        "sparsity:0.3", []),
     "anova-one-group": (lambda: one_way_anova([[1.0, 2.0]]), "need at least 2 groups", []),
     "anova-empty-group": (lambda: one_way_anova([[1.0], []]),
                           "every group must be a non-empty flat sequence", []),
@@ -228,7 +227,7 @@ ACCEPTED = {
     "consistency-per-subject": lambda: consistency_threshold(STACK, 1.0),
     "consistency-tiny-fraction": lambda: consistency_threshold(STACK, 5e-324),
     "sweep-to-1-plus-rounding": lambda: sweep_values(0.5, 1 + 1e-11, 0.5),
-    "threshold-spec-per-subject": lambda: parse_threshold_spec("consistency:5e-324:per-subject"),
+    "threshold-spec-tiny-fraction": lambda: parse_threshold_spec("sparsity:5e-324"),
 }
 
 

@@ -166,16 +166,15 @@ class TestSweepAndThresholdParsing:
 
     def test_threshold_spec_forms(self):
         assert parse_threshold_spec("sparsity:0.3") == 0.3
-        assert parse_threshold_spec("consistency:0.3") == 0.3
-        assert parse_threshold_spec("consistency:0.25:per-subject") == 0.25
+        assert parse_threshold_spec("sparsity:0.25") == 0.25
 
     @pytest.mark.parametrize("spec", [
-        # accepted by the parser
+        # accepted by the earlier parser
         "sparsity:0.3", "consistency:0.3", "consistency:0.3:per-subject",
         "consistency:0.25:group-mask", "sparsity:1.0", "sparsity:1", "consistency:.5",
         "sparsity: 0.3 ", "sparsity:1e-1", "sparsity:nan", "sparsity:2", "sparsity:-0.3",
         "consistency:0.3:bogus", "consistency:0.3:", "consistency:0.3:Group-Mask",
-        # rejected by the parser
+        # rejected by the earlier parser
         "", ":", "sparsity", "consistency", "median:0.5", "Sparsity:0.3", " sparsity:0.3",
         "sparsity:", "sparsity:x", "consistency:0,3", "sparsity:0.5:mask",
         "sparsity:0.3:group-mask", "sparsity:0.3:per-subject", "sparsity:0.3:",
@@ -183,24 +182,21 @@ class TestSweepAndThresholdParsing:
         "consistency:0.3::",
     ])
     def test_spec_means_what_it_meant_with_a_mode(self, spec):
-        """Each spelling gives the earlier parser's fraction, or its error.
-        A strategy other than per-subject, which the config rejected or, for
-        group-mask, ran the removed mask, is now rejected by the parser."""
-        try:
-            _, fraction, strategy = parse_threshold_spec_with_mode(spec)
-        except ValidationError as exc:
-            with pytest.raises(ValidationError) as err:
+        """A sparsity spelling gives the earlier parser's fraction, or is
+        rejected as it was. Every consistency spelling, which the earlier
+        parser accepted or rejected, now names its replacement."""
+        if spec.partition(":")[0] == "consistency":
+            with pytest.raises(ValidationError, match=(
+                    "^the consistency threshold spellings were removed: use sparsity:<f>")):
                 parse_threshold_spec(spec)
-            assert str(err.value) == str(exc)
             return
-        if strategy == "per-subject":
-            assert repr(parse_threshold_spec(spec)) == repr(fraction)  # repr: nan == nan
+        try:
+            _, fraction, _ = parse_threshold_spec_with_mode(spec)
+        except ValidationError:
+            with pytest.raises(ValidationError):
+                parse_threshold_spec(spec)
             return
-        removed = strategy == "group-mask"
-        with pytest.raises(ValidationError, match=(
-                "^the group-mask threshold strategy was removed: " if removed
-                else f"^threshold strategy must be 'per-subject', got {strategy!r}$")):
-            parse_threshold_spec(spec)
+        assert repr(parse_threshold_spec(spec)) == repr(fraction)  # repr: nan == nan
 
     def test_settings_on_which_nothing_depends_are_gone(self, capsys):
         from ubnin import PermutationResult
@@ -328,6 +324,17 @@ class TestDecodeCommand:
         code, out, err = run(capsys, "decode", "--input", str(src), *nodes)
         assert (code, err) == (0, "")
         assert out == format_binary_matrix(path_graph(5))
+
+    # The matrix cannot be allocated: far past the address space at 10^8
+    # nodes, past the largest int at 10^20. Either is refused at once.
+    @pytest.mark.parametrize("nodes", ["100000000", "100000000000000000000"])
+    @pytest.mark.parametrize("form", ["record", "literal"])
+    def test_code_too_large_to_decode_exits_one(self, capsys, nodes, form):
+        args = (["--input", f'{{"n": {nodes}, "numerator": "1", "scale": 0}}'] if form == "record"
+                else ["--input", "5", "--nodes", nodes])
+        assert run(capsys, "decode", *args) == (
+            1, "", f"error: a network of {nodes} nodes is too large to decode: its adjacency "
+                   "matrix does not fit in memory\n")
 
     def test_nodes_via_environment_variable(self, capsys, monkeypatch):
         monkeypatch.setenv("UBNIN_DECODE_NODES", "5")
@@ -469,32 +476,33 @@ class TestFingerprintCommand:
         assert "threshold_strategy" not in doc["config"]
         assert doc["config"]["residualize"] == "gender"
 
-    @pytest.mark.parametrize("fraction", ["0.3", "0.05"])
-    def test_per_subject_spellings_write_one_registry(self, tmp_path, capsys, fraction):
+    def test_default_threshold_is_sparsity_0_3(self, tmp_path, capsys):
         data = tmp_path / "subjects.csv"
         data.write_text(subjects_csv_text(9, 12, seed=9))
         out_dir = tmp_path / "out"
         registries = []
-        for spec in (f"sparsity:{fraction}", f"consistency:{fraction}",
-                     f"consistency:{fraction}:per-subject"):
+        for spec in ([], ["--threshold", "sparsity:0.3"]):
             code, _, err = run(capsys, "fingerprint", "--input", str(data),
-                               "--out-dir", str(out_dir), "--threshold", spec)
+                               "--out-dir", str(out_dir), *spec)
             assert code == 0, err
             registries.append((out_dir / "fingerprints.json").read_bytes())
-        assert registries[0] == registries[1] == registries[2]
-        assert list(json.loads(registries[0])["config"]) == [
-            f.name for f in dataclasses.fields(pipeline.RunConfig)]
+        assert registries[0] == registries[1]
+        config = json.loads(registries[0])["config"]
+        assert config["threshold_fraction"] == 0.3
+        assert list(config) == [f.name for f in dataclasses.fields(pipeline.RunConfig)]
 
-    def test_group_mask_consistency_is_removed(self, tmp_path, capsys):
-        # One shared mask gave every subject the same code.
+    # One rule, written three ways, and the removed group mask.
+    @pytest.mark.parametrize("spec", ["consistency:0.3", "consistency:0.3:per-subject",
+                                      "consistency:0.3:group-mask", "consistency"])
+    def test_consistency_spellings_are_removed(self, tmp_path, capsys, spec):
         data = tmp_path / "subjects.csv"
         data.write_text(subjects_csv_text(6, 10, seed=8))
         out_dir = tmp_path / "out"
         assert run(
             capsys, "fingerprint", "--input", str(data), "--out-dir", str(out_dir),
-            "--threshold", "consistency:0.3:group-mask",
-        ) == (1, "", "error: the group-mask threshold strategy was removed: it gave every "
-                     "subject the same network and code\n")
+            "--threshold", spec,
+        ) == (1, "", "error: the consistency threshold spellings were removed: use "
+                     "sparsity:<f>, which thresholds each subject the same way\n")
         assert not out_dir.exists()
 
     def test_demographics_join(self, tmp_path, capsys):
@@ -950,15 +958,12 @@ class TestCsvFieldLimit:
     (["cohort", "--swaps-per-edge", "-1"], "swaps_per_edge must be nonnegative"),
     (["fingerprint", "--threshold", "sparsity:1.5"],
      "threshold fraction must lie in (0, 1], got 1.5"),
-    (["fingerprint", "--threshold", "consistency:0.3:bogus"],
-     "threshold strategy must be 'per-subject', got 'bogus'"),
-    (["fingerprint", "--threshold", "consistency:0.3:group-mask"],
-     "the group-mask threshold strategy was removed: it gave every subject the same network "
-     "and code"),
+    (["fingerprint", "--threshold", "consistency:0.3:per-subject"],
+     "the consistency threshold spellings were removed: use sparsity:<f>, which thresholds "
+     "each subject the same way"),
     (["fingerprint", "--threshold", "sparsity:0.3:per-subject"],
-     "only consistency thresholds take a strategy"),
-    (["fingerprint", "--threshold", "consistency:0.3:per-subject:x"],
-     "malformed threshold spec 'consistency:0.3:per-subject:x'"),
+     "invalid threshold fraction '0.3:per-subject'; expected sparsity:<f>, e.g. sparsity:0.3"),
+    (["fingerprint", "--threshold", "median:0.3"], "threshold mode must be 'sparsity', got 'median'"),
 ])
 def test_bad_argument_exits_one_with_one_error_line(tmp_path, args, message):
     out = tmp_path / "out"

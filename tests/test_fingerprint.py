@@ -321,23 +321,55 @@ def test_a_400_region_registry_builds_no_render_table(tmp_path, monkeypatch):
     assert isinstance(assert_same_as_lists(config)[0], bytes)
 
 
-def test_registry_bytes_do_not_depend_on_blas_threads(tmp_path):
+def registries_in_children(tmp_path, envs):
+    """The registry that ``ubnin fingerprint`` writes in a child process under
+    each of ``envs``, environment variables set over this process's. Every
+    run writes to one output directory, which the registry's config names."""
     # 70 subjects: full chunks of codes, and one part-filled.
     data = tmp_path / "subjects.csv"
     data.write_text(subjects_csv_text(70, 90, 27))
     out = tmp_path / "out"
     registries = []
-    for threads in ("1", "2"):
+    for env in envs:
         done = subprocess.run(
             [sys.executable, "-m", "ubnin", "fingerprint", "--input", str(data),
              "--out-dir", str(out)],
             capture_output=True, text=True, timeout=120,
-            env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1",
-                     OPENBLAS_NUM_THREADS=threads))
+            env=dict(os.environ, PYTHONPATH=str(SRC), PYTHONDONTWRITEBYTECODE="1", **env))
         assert done.returncode == 0, done.stderr
         registries.append((out / "fingerprints.json").read_bytes())
-    assert registries[0] == registries[1]
     assert json.loads(registries[0])["subjects"] == 70
+    return registries
+
+
+def test_registry_bytes_do_not_depend_on_blas_threads(tmp_path):
+    one, two = registries_in_children(
+        tmp_path, [{"OPENBLAS_NUM_THREADS": "1"}, {"OPENBLAS_NUM_THREADS": "2"}])
+    assert one == two
+
+
+def openblas_kernels_selectable() -> bool:
+    """True when numpy's BLAS is an x86 OpenBLAS built with DYNAMIC_ARCH,
+    which picks its kernels when it loads and takes OPENBLAS_CORETYPE, and
+    this CPU runs the Haswell kernels (AVX2 and FMA)."""
+    try:
+        blas = np.__config__.CONFIG["Build Dependencies"]["blas"]
+        from numpy._core._multiarray_umath import __cpu_features__ as features
+    except (AttributeError, KeyError, ImportError):
+        return False
+    return ("DYNAMIC_ARCH" in blas.get("openblas configuration", "")
+            and features.get("AVX2", False) and features.get("FMA3", False))
+
+
+@pytest.mark.skipif(not openblas_kernels_selectable(),
+                    reason="numpy's BLAS is not an x86 DYNAMIC_ARCH OpenBLAS on an AVX2 CPU")
+def test_registry_bytes_do_not_depend_on_blas_kernel(tmp_path):
+    # The render's products are exact, so every kernel sums them to the same
+    # floats: Prescott's SSE3 kernels and Haswell's AVX2 ones.
+    prescott, haswell = registries_in_children(
+        tmp_path, [{"OPENBLAS_NUM_THREADS": "1", "OPENBLAS_CORETYPE": core}
+                   for core in ("Prescott", "Haswell")])
+    assert prescott == haswell
 
 
 def traced_peak(tmp_path, n_subjects):

@@ -13,9 +13,7 @@ from ubnin import (
     degree,
     edge_count,
     load_binary_matrix,
-    load_weighted_matrix,
     save_binary_matrix,
-    save_weighted_matrix,
     sparsity_threshold,
     target_edge_count,
 )
@@ -561,22 +559,12 @@ class TestMatrixCsv:
         save_binary_matrix(b, path)
         assert load_binary_matrix(path) == b
 
-    def test_weighted_round_trip(self, tmp_path):
-        w = random_weighted(6, np.random.default_rng(2), labels=tuple("abcdef"))
-        path = tmp_path / "w.csv"
-        save_weighted_matrix(w, path)
-        assert load_weighted_matrix(path) == w
-
-    @pytest.mark.parametrize("load, save, net", [
-        (load_binary_matrix, save_binary_matrix, path_graph(5)),
-        (load_weighted_matrix, save_weighted_matrix,
-         random_weighted(6, np.random.default_rng(3), labels=tuple("abcdef"))),
-    ])
-    def test_byte_order_mark_is_not_part_of_the_first_label(self, tmp_path, load, save, net):
+    def test_byte_order_mark_is_not_part_of_the_first_label(self, tmp_path):
+        net = path_graph(5)
         path = tmp_path / "m.csv"
-        save(net, path)
+        save_binary_matrix(net, path)
         path.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
-        assert load(path) == net
+        assert load_binary_matrix(path) == net
 
     def test_asymmetric_binary_names_offending_cell(self, tmp_path):
         path = tmp_path / "bad.csv"
@@ -590,38 +578,6 @@ class TestMatrixCsv:
         with pytest.raises(ValidationError, match="expected 0 or 1"):
             load_binary_matrix(path)
 
-    def test_weighted_symmetry_tolerance(self, tmp_path):
-        path = tmp_path / "w.csv"
-        path.write_text(f"a,b\n0,{0.5 + 4e-13!r}\n0.5,0\n")
-        w = load_weighted_matrix(path)
-        assert np.array_equal(w.weights, w.weights.T)
-
-        path.write_text("a,b\n0,0.5001\n0.5,0\n")
-        with pytest.raises(ValidationError, match="not symmetric"):
-            load_weighted_matrix(path)
-
-    def test_weighted_asymmetry_message_prints_plain_numbers(self, tmp_path):
-        path = tmp_path / "w.csv"
-        path.write_text("a,b,c\n0,0,1e-3\n0,0,0\n0.0011,0,0\n")
-        with pytest.raises(ValidationError) as err:
-            load_weighted_matrix(path)
-        assert str(err.value) == f"{path}: matrix is not symmetric at (a,c): 0.001 vs 0.0011"
-
-    @pytest.mark.parametrize("body,message", [
-        ("0,x\n0.5,0", r"invalid number 'x' at \(1,2\)"),
-        ("0,0.5\n,0", r"invalid number '' at \(2,1\)"),
-        ("0,nan\n0.5,0", r"non-finite weight at \(1,2\)"),
-        ("0,0.5\n-inf,0", r"non-finite weight at \(2,1\)"),
-        ("0,0.5\n1e500,0", r"non-finite weight at \(2,1\)"),
-        ("0,inf\nx,0", r"non-finite weight at \(1,2\)"),  # the first bad cell wins
-        ("0,x\ninf,0", r"invalid number 'x' at \(1,2\)"),
-    ])
-    def test_weighted_cell_errors_name_the_first_bad_cell(self, tmp_path, body, message):
-        path = tmp_path / "w.csv"
-        path.write_text(f"a,b\n{body}\n")
-        with pytest.raises(ValidationError, match=message):
-            load_weighted_matrix(path)
-
     def test_wrong_row_count_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         path.write_text("a,b,c\n0,1,0\n1,0,0\n")
@@ -633,20 +589,18 @@ class TestMatrixCsv:
         ("a,b\n0,1,1\n1,0\n", "row 2 has 3 values, expected 2"),
         ("a,b\n0,1\n\n1\n", "row 3 has 1 values, expected 2"),
     ])
-    @pytest.mark.parametrize("load", [load_binary_matrix, load_weighted_matrix])
-    def test_row_error_numbers_the_row_as_the_file_does(self, tmp_path, load, text, message):
+    def test_row_error_numbers_the_row_as_the_file_does(self, tmp_path, text, message):
         path = tmp_path / "bad.csv"
         path.write_text(text)
         with pytest.raises(ValidationError) as err:
-            load(path)
+            load_binary_matrix(path)
         assert str(err.value) == f"{path}: {message}"
 
     @pytest.mark.parametrize("header, message", [("a,a", "node labels must be unique"),
                                                  ("a,", "node labels must be non-empty")])
-    @pytest.mark.parametrize("load", [load_binary_matrix, load_weighted_matrix])
-    def test_label_errors_name_the_file(self, tmp_path, load, header, message):
+    def test_label_errors_name_the_file(self, tmp_path, header, message):
         path = tmp_path / "bad.csv"
         path.write_text(f"{header}\n0,1\n1,0\n")
         with pytest.raises(ValidationError) as err:
-            load(path)
+            load_binary_matrix(path)
         assert str(err.value) == f"{path}: {message}"

@@ -27,6 +27,7 @@ from oracles import (
     load_subjects_csv_two_loops,
     pearson_brute,
     pearson_network_three_checks,
+    residualize_covariate_constructor,
 )
 from synth import (
     csv_text,
@@ -184,6 +185,31 @@ class TestResidualize:
         t = table([subject(f"s{i}", [1.0, 2.0]) for i in range(3)])
         with pytest.raises(ValidationError, match="unknown covariate"):
             residualize_covariate(t, "height")
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("covariate", ["gender", "group", "age"])
+    def test_records_match_the_constructor(self, tmp_path, seed, covariate):
+        # Records built without the checks equal the checked ones, field by
+        # field, the volumes' bytes and read-only flags included.
+        path = tmp_path / "s.csv"
+        path.write_text(subjects_csv_text(30, 6, seed=seed, groups=("PD", "HC", "SWEDD")))
+        t = load_subjects_csv(path)
+        got = residualize_covariate(t, covariate)
+        want = residualize_covariate_constructor(t, covariate)
+        assert got.region_labels == want.region_labels
+        assert ([record_fields(s) for s in got.subjects]
+                == [record_fields(s) for s in want.subjects])
+
+    def test_overflowing_fit_is_reported_as_the_constructor_did(self):
+        t = table([subject(f"s{i}", [1e308, 1e308 * (0.5 + i / 10), 3.0], gender="FM"[i % 2])
+                   for i in range(4)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)  # the overflow in the fit
+            with pytest.raises(ValidationError) as want:
+                residualize_covariate_constructor(t, "gender")
+            with pytest.raises(ValidationError) as got:
+                residualize_covariate(t, "gender")
+        assert str(got.value) == str(want.value) == "subject s0: non-finite volume value"
 
 
 def three_checks(t):
