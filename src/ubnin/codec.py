@@ -40,6 +40,20 @@ the oracle for the chunked one. At 90 nodes a chunk of 32 codes renders in
 about 31 us a code against about 117 us one at a time (same VM, one BLAS
 thread).
 
+Parsing a value with k >= 1 fraction digits goes through the same value
+table wherever ``_render_tables`` has one (``_table_numerator``). The
+numerator comes from the leading digits alone: with j = ceil(0.30103 k),
+10^j > 2^k, and a dyadic value's numerator is the ceiling of A 2^(k-j) / 5^j,
+A being the integer part and the first j fraction digits, in Python ints.
+One exact float64 product of that candidate with the table, carried
+against the text's base-10^8 limbs, proves it. Integers, node counts past
+the budget, candidates out of range and values that are not dyadic go to
+the ``decimal`` division above, which is the oracle and raises every error.
+A 90-node value parses in 73-81 us against 117-132 us by the division
+alone (same VM, one BLAS thread), but the path's numpy calls cost 12-14 us
+at any size, so below about 60 nodes it is the slower one. The first parse
+of a node count in a process builds its tables, as the first render does.
+
 A separate double-precision emulation reproduces the behavior of running
 the recurrence in binary64, which caps out at 1024 nodes for complete graphs.
 """
@@ -297,11 +311,15 @@ _EXACT = decimal.Context(
 def _pow5(k: int) -> decimal.Decimal:
     """``5 ** k`` as an exact Decimal.
 
-    Keyed by the code's own scale. On the benchmark's ``fingerprint``
-    workload it serves parsing only: the registry (400 codes of 90 nodes,
-    K = 3916) renders through ``_render_stack``'s tables. Its records hold 6
-    distinct scales at seed 1 and 10 at seed 401, all within 14 of K, so
-    sixteen entries keep every one; a miss costs about 90 us at that size.
+    Keyed by the code's own scale. Its callers are ``to_decimal_string``,
+    for a single code and for every code past ``_render_stack``'s table
+    budget (over 120 nodes), and ``parse_decimal_string`` wherever
+    ``_table_numerator`` proves no numerator: an integer, a node count past
+    the budget, and every value it rejects. The benchmark's ``fingerprint``
+    workload (400 codes of 90 nodes, K = 3916) renders and parses through
+    the tables and calls it for none of its records. A registry's records
+    hold 6 distinct scales at seed 1 and 10 at seed 401, all within 14 of K,
+    so sixteen entries keep every one; a miss costs about 90 us at that size.
     """
     return _EXACT.power(5, k)
 
@@ -325,7 +343,8 @@ def parse_decimal_string(text: str, n: int) -> UbninCode:
     """Parse a decimal rendering back into a code for an n-node network.
 
     The value D / 10^k, with k fraction digits, is m / 2^k exactly when 5^k
-    divides D, and the quotient is m.
+    divides D, and the quotient is m: found through the render's value table
+    where ``_table_numerator`` can prove it, by exact division otherwise.
     """
     text = text.strip()
     int_part, sep, frac_part = text.partition(".")
@@ -337,6 +356,8 @@ def parse_decimal_string(text: str, n: int) -> UbninCode:
     # digits and a dyadic one has as many fraction digits as its scale.
     if len(int_part.lstrip("0")) > n - 1 or k > max_scale(n):
         raise MalformedCodeError(f"{text!r} is out of range for {n} nodes")
+    if k and (m := _table_numerator(int_part.lstrip("0") + frac_part, k, n)) is not None:
+        return UbninCode.canonical(n, m, k)
     m, rest = _EXACT.divmod(decimal.Decimal(int_part + frac_part), _pow5(k))
     if rest:
         raise MalformedCodeError(f"{text!r} is not a dyadic rational; it cannot be a network code")
@@ -355,11 +376,21 @@ _LIMB = 10 ** 8  # base of the limbs the chunked render computes in
 _TABLE_BYTES = 4 << 20
 
 
+_PLACES = 10.0 ** np.arange(7, -1, -1)  # place values of a limb's 8 digits
+_ASCII_ZEROS = 48 * 11111111  # what 8 digit bytes "0" add to a limb
+
+
+def _digit_limbs(digits: str, limbs: int) -> np.ndarray:
+    """float64 base-10^8 limbs of a digit string that fits ``limbs`` of
+    them, least significant first; exact, each below 2^53."""
+    raw = np.frombuffer(digits.zfill(8 * limbs).encode(), np.uint8).reshape(limbs, 8)
+    return (raw @ _PLACES)[::-1] - _ASCII_ZEROS
+
+
 def _limb_table(first: int, words: int, limbs: int) -> np.ndarray:
     """float64 (words, limbs) table whose row j holds the base-10^8 limbs of
     ``first * 2 ** (16 * j)``, least significant first."""
-    digits = np.frombuffer(_int_to_digits(first).zfill(limbs * 8).encode(), np.uint8) - 48
-    row = (digits.reshape(limbs, 8) @ 10 ** np.arange(7, -1, -1))[::-1]
+    row = _digit_limbs(_int_to_digits(first), limbs).astype(np.int64)
     table = np.empty((words, limbs))
     table[0] = row
     for j in range(1, words):
@@ -427,6 +458,55 @@ def _limb_digits(numerators: list[int], table: np.ndarray) -> str:
     digits[..., 0] = rest
     digits += 48
     return str(digits.data, "ascii")
+
+
+@functools.lru_cache(maxsize=16)
+def _pow5_int(j: int) -> int:
+    """``5 ** j`` as an int, the divisor of ``_table_numerator``'s quotient.
+    Keyed as ``_pow5`` is, through the scale, so sixteen entries keep every
+    scale of a registry's records."""
+    return 5 ** j
+
+
+def _table_numerator(digits: str, k: int, n: int) -> int | None:
+    """The m with m * 5^k == int(digits), proven through the value table of
+    ``_render_tables(n)``; None when n has no table, or m would be
+    2^(n-1+k) or more, or no such m exists. ``digits`` are a value's
+    integer part, leading zeros dropped, and its k >= 1 fraction digits.
+
+    With j = ceil(0.30103 k), 10^j > 2^k. Let A be the integer part and the
+    first j fraction digits: if m exists, m 5^j lies in
+    [A 2^(k-j), A 2^(k-j) + 2^(k-j)), which is shorter than 5^j, so m is
+    that interval's one multiple of 5^j, the ceiling of A 2^(k-j) / 5^j.
+    One exact float64 product of that candidate, shifted to the table's
+    scale, with the table gives the uncarried limbs of m 5^k 10^(K-k); the
+    check is that they carry to the text's limbs, with K - k zeros after.
+    """
+    tables = _render_tables(n)
+    if tables is None:
+        return None
+    table = tables[0]
+    words, limbs = table.shape
+    top = max_scale(n)
+    j = -(-k * 30103 // 100000)
+    lead = _digits_to_int(digits[:len(digits) - k + j])
+    m = -((-lead << (k - j)) // _pow5_int(j))
+    if m.bit_length() > n - 1 + k:
+        return None
+    product = np.frombuffer((m << (top - k)).to_bytes(2 * words, "little"), "<u2") @ table
+    # int(digits) < (m + 1) 5^k <= 2^(n-1) 10^k, so the text fits the limbs.
+    text = _digit_limbs(digits + "0" * (top - k), limbs)
+    # Both sides are integers below 2^53, least significant limb first, so
+    # d = text - product is exact. The product carries to the text's limbs
+    # exactly when carries c in [0, 10^8) exist with c_t - d_t = 10^8 c_(t+1),
+    # none into the bottom limb and none out of the top: then the sum of
+    # d_t 10^(8t) telescopes to 0. Each such c_t is d_t mod 10^8.
+    d = (text - product).astype(np.int64)
+    carries = d % _LIMB
+    rest = carries - d
+    if carries[0] or rest[-1] or not np.array_equal(rest[:-1], carries[1:] * _LIMB):
+        return None
+    return m
 
 
 def _render_stack(codes: list[UbninCode]) -> list[tuple[str, str]]:

@@ -152,10 +152,11 @@ def residualize_covariate(table: CohortTable, covariate: str) -> CohortTable:
         columns = [values]
     design = np.column_stack([np.ones(n_subjects), *np.asarray(columns, float)])
     y = table.volume_matrix()
-    beta, *_ = np.linalg.lstsq(design, y, rcond=None)
-    adjusted = y - design @ beta + y.mean(axis=0)
+    with np.errstate(all="ignore"):  # volumes near the float64 limit overflow the fit
+        beta, *_ = np.linalg.lstsq(design, y, rcond=None)
+        adjusted = y - design @ beta + y.mean(axis=0)
     finite = np.isfinite(adjusted).all(axis=1)
-    if not finite.all():  # volumes near the float64 limit can overflow the fit
+    if not finite.all():  # name the first subject the overflow reached
         sid = table.subjects[int(np.argmin(finite))].id
         raise ValidationError(f"subject {sid}: non-finite volume value")
     # Every other field comes from a checked record, and its clinical mapping

@@ -540,6 +540,17 @@ class TestFingerprintCommand:
         assert code == 2
         assert "3 subjects" in err
 
+    def test_overflowing_residualization_prints_one_error_line(self, tmp_path):
+        # numpy's overflow warnings in the fit once reached stderr before the error.
+        data = tmp_path / "subjects.csv"
+        data.write_text("id,age,gender,group,r1,r2,r3\n" + "".join(
+            f"s{i},40,{'FM'[i % 2]},PD,1e308,{1e308 * (0.5 + i / 10)!r},3.0\n"
+            for i in range(4)))
+        done = run_in_child(["fingerprint", "--input", str(data),
+                             "--out-dir", str(tmp_path / "o"), "--residualize", "gender"])
+        assert (done.returncode, done.stdout, done.stderr) == (
+            1, "", "error: subject s0: non-finite volume value\n")
+
 
 def cohort_csv(tmp_path, ages, group="G", n_regions=8, seed=50):
     rng = np.random.default_rng(seed)

@@ -738,3 +738,79 @@ class TestRenderStack:
         rng = np.random.default_rng(seed)
         codes = [random_code(n, rng) for _ in range(size)]
         assert codec._render_stack(codes) == rendered_one_at_a_time(codes)
+
+
+def table_parse_literals(text, n):
+    """``literal_variants`` of a value, and the inputs that reach the table
+    parse's edges: one-digit changes in the integer part, at the last
+    fraction digit of its quotient's leading part (j) and the one after, and
+    in the last digit; an integer part of leading zeros longer than the
+    digit limit; and dyadic values of 2^(n-1) and more that pass the
+    digit-count check."""
+    int_part, _, frac = text.partition(".")
+    j = -(-len(frac) * 30103 // 100000)
+    places = {len(int_part) - 1, len(int_part) + j, len(int_part) + j + 1, len(text) - 1}
+    changed = [text[:i] + str((int(text[i]) + step) % 10) + text[i + 1:]
+               for i in sorted(places) if i < len(text) and text[i] != "."
+               for step in (1, 9)]
+    point = f".{frac}" if frac else ""
+    return [*literal_variants(text, n), *changed, "0" * 5000 + text,
+            "9" * (n - 1) + point, str(2 ** (n - 1)) + point]
+
+
+class TestTableParse:
+    """``parse_decimal_string`` through ``_render_tables`` against the int
+    arithmetic oracle, at every node count the tables cover and just past."""
+
+    def outcomes(self, n, texts, monkeypatch):
+        """Check each text's outcome against the oracle's, and that no valid
+        value with a fraction reaches the libmpdec division where n has tables."""
+        divided, pow5 = [], codec._pow5
+
+        def counted(k):
+            divided.append(k)
+            return pow5(k)
+
+        monkeypatch.setattr(codec, "_pow5", counted)
+        tables = codec._render_tables(n) is not None
+        for literal in texts:
+            divided.clear()
+            got = outcome(parse_decimal_string, literal, n)
+            assert got == outcome(parse_decimal_string_int, literal, n), (n, literal[:60])
+            if tables and isinstance(got, UbninCode) and got.scale:
+                assert not divided, (n, literal[:60])
+        monkeypatch.undo()
+
+    def test_every_node_count_to_past_the_table_budget(self, monkeypatch):
+        rng = np.random.default_rng(32)
+        limit = sys.get_int_max_str_digits()
+        n, past = 2, 0
+        while past < 3:
+            past += codec._render_tables(n) is None
+            codes = edge_codes(n)[-3:] + [full_scale_code(n, rng), random_code(n, rng)]
+            texts = [t for c in codes for t in table_parse_literals(to_decimal_string(c), n)]
+            self.outcomes(n, texts, monkeypatch)
+            try:
+                sys.set_int_max_str_digits(640)
+                self.outcomes(n, texts, monkeypatch)
+            finally:
+                sys.set_int_max_str_digits(limit)
+            n += 1
+        assert 90 < n - 3 < 200
+
+    @pytest.mark.parametrize("n", [90, 120])
+    def test_valid_values_never_reach_the_division(self, n, monkeypatch):
+        rng = np.random.default_rng(n)
+        codes = edge_codes(n) + [full_scale_code(n, rng) for _ in range(4)]
+        texts = [to_decimal_string(c) for c in codes]
+
+        def refused(k):
+            raise AssertionError("libmpdec division")
+
+        monkeypatch.setattr(codec, "_pow5", refused)
+        scaled = [(t, c) for t, c in zip(texts, codes) if c.scale]
+        codec._render_tables.cache_clear()
+        assert [parse_decimal_string(t, n) for t, _ in scaled] == [c for _, c in scaled]
+        codec._render_tables.cache_clear()
+        codec._render_stack(codes)
+        assert [parse_decimal_string(t, n) for t, _ in scaled] == [c for _, c in scaled]

@@ -204,9 +204,11 @@ class TestResidualize:
         t = table([subject(f"s{i}", [1e308, 1e308 * (0.5 + i / 10), 3.0], gender="FM"[i % 2])
                    for i in range(4)])
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)  # the overflow in the fit
+            warnings.simplefilter("ignore", RuntimeWarning)  # the oracle's overflow in the fit
             with pytest.raises(ValidationError) as want:
                 residualize_covariate_constructor(t, "gender")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the program warns about nothing
             with pytest.raises(ValidationError) as got:
                 residualize_covariate(t, "gender")
         assert str(got.value) == str(want.value) == "subject s0: non-finite volume value"
