@@ -33,26 +33,32 @@ words; its product with a table whose row j holds the base-10^8 limbs of
 second product, with the limbs of 2^(16j), gives the numerators' digits.
 Every term is at most 65535 (10^8 - 1), so up to 1374 words (210 nodes)
 every partial sum is an integer below 2^53, and the product is the same in
-any BLAS summation order, blocking or thread count. The tables are built on
-first use, and only while a node count's pair fits a 4 MiB budget (to 120
-nodes); past it, each code renders on its own as above, and that path is
-the oracle for the chunked one. At 90 nodes a chunk of 32 codes renders in
-about 31 us a code against about 117 us one at a time (same VM, one BLAS
-thread).
+any BLAS summation order, blocking or thread count. Each carried limb
+becomes its 8 ASCII digits through a table of the 10,000 four-digit
+strings. The tables are built on first use, and only while a node count's
+pair fits a 4 MiB budget (to 120 nodes); past it, each code renders on its
+own as above, and that path is the oracle for the chunked one. At 90 nodes
+a chunk of 32 codes renders in about 26 us a code against about 117 us
+one at a time (same VM, one BLAS thread).
 
 Parsing a value with k >= 1 fraction digits goes through the same value
-table wherever ``_render_tables`` has one (``_table_numerator``). The
+table wherever ``_render_table`` has one (``_table_numerator``). The
 numerator comes from the leading digits alone: with j = ceil(0.30103 k),
 10^j > 2^k, and a dyadic value's numerator is the ceiling of A 2^(k-j) / 5^j,
 A being the integer part and the first j fraction digits, in Python ints.
 One exact float64 product of that candidate with the table, carried
-against the text's base-10^8 limbs, proves it. Integers, node counts past
-the budget, candidates out of range and values that are not dyadic go to
-the ``decimal`` division above, which is the oracle and raises every error.
-A 90-node value parses in 73-81 us against 117-132 us by the division
-alone (same VM, one BLAS thread), but the path's numpy calls cost 12-14 us
-at any size, so below about 60 nodes it is the slower one. The first parse
-of a node count in a process builds its tables, as the first render does.
+against the text's base-10^8 limbs, proves it, and the code is built from
+it without the constructor's checks. Integers, node counts past the
+budget, candidates out of range and values that are not dyadic go to the
+``decimal`` division above, which is the oracle and raises every error.
+A 90-node value parses in 74-85 us against 117-132 us by the division
+alone (same VM, one BLAS thread), but the path's numpy calls cost 12-20 us
+at any size, so below about 55 nodes it is the slower one: 26 against 8 us
+at 15 nodes, 23 against 18 at 45, 33 against 36 at 60. of a node count in a process builds its value table alone; the first
+render builds the numerator table as well. Tables are
+kept by their bytes, up to 8 MiB in all, and the least recently used go
+first: parsing values of 60, 75 and 90 nodes in turn builds each table
+once.
 
 A separate double-precision emulation reproduces the behavior of running
 the recurrence in binary64, which caps out at 1024 nodes for complete graphs.
@@ -65,6 +71,7 @@ import functools
 import json
 import math
 import sys
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -179,14 +186,17 @@ def _lower_flat(n: int) -> np.ndarray:
 
 @functools.lru_cache(maxsize=8)
 def _symmetric_index(n: int) -> np.ndarray:
-    """Read-only flat (n * n) index into an n-node code's unpacked bits and
-    one zero after them: cell (i, j) holds the bit position of the pair
+    """Read-only flat (n * n) intp index into an n-node code's unpacked bits
+    and one zero after them: cell (i, j) holds the bit position of the pair
     (max(i, j), min(i, j)) in the strict lower triangle, row-major, and a
-    diagonal cell the position of the zero. int32 while the positions fit."""
+    diagonal cell the position of the zero. intp, so that it can be a 1-D
+    fancy index, which numpy gathers by its fast path: 6.7 us at 90 nodes,
+    against 8.8 for ``take`` with an int32 or an intp index (medians of 300
+    interleaved rounds, 2-core VM, one CPU)."""
     pairs = n * (n - 1) // 2
-    index = np.full(n * n, pairs, np.int32 if pairs < 2 ** 31 else np.intp)
+    index = np.full(n * n, pairs, np.intp)
     flat = _lower_flat(n)
-    position = np.arange(pairs, dtype=index.dtype)
+    position = np.arange(pairs)
     index[flat] = position
     index[flat % n * n + flat // n] = position  # the mirrored cells (col, row)
     index.setflags(write=False)
@@ -229,8 +239,8 @@ def decode(code: UbninCode, labels=None) -> BinaryNetwork:
     """Reconstruct the binary network encoded by ``code``.
 
     Shifts the numerator back to scale ``max_scale(n)``, unpacks its bits
-    and one zero after them, and gathers the adjacency from them in one
-    ``take`` through a cached index (``_symmetric_index``). Inverse of
+    and one zero after them, and gathers the adjacency from them through a
+    cached 1-D index (``_symmetric_index``). Inverse of
     :func:`encode` for every valid network; the bounds :class:`UbninCode`
     enforces make every code decodable, and the gathered matrix is a valid
     adjacency by construction, so only the labels are checked. A code whose
@@ -243,7 +253,7 @@ def decode(code: UbninCode, labels=None) -> BinaryNetwork:
         raw = np.frombuffer(num.to_bytes((pairs + 7) // 8, "little"), dtype=np.uint8)
         # The numerator is below 2^pairs: bit ``pairs``, padded or unused, is 0.
         bits = np.unpackbits(raw, count=pairs + 1, bitorder="little").view(bool)
-        e = bits.take(_symmetric_index(n)).reshape(n, n)
+        e = bits[_symmetric_index(n)].reshape(n, n)
     except (MemoryError, OverflowError):
         raise ValidationError(f"a network of {n} nodes is too large to decode: "
                               "its adjacency matrix does not fit in memory") from None
@@ -345,7 +355,14 @@ def parse_decimal_string(text: str, n: int) -> UbninCode:
     The value D / 10^k, with k fraction digits, is m / 2^k exactly when 5^k
     divides D, and the quotient is m: found through the render's value table
     where ``_table_numerator`` can prove it, by exact division otherwise.
+
+    A proven quotient needs none of the constructor's checks: trailing
+    fraction zeros are stripped and k >= 1, so m 5^k ends in 5 and m is
+    odd, and both bounds are checked on the way. The node count is then
+    stored as the constructor stores it, converted by ``int``.
     """
+    if type(n) is not int:
+        n = int(n)
     text = text.strip()
     int_part, sep, frac_part = text.partition(".")
     if not _is_digits(int_part) or (sep and not _is_digits(frac_part)):
@@ -357,7 +374,7 @@ def parse_decimal_string(text: str, n: int) -> UbninCode:
     if len(int_part.lstrip("0")) > n - 1 or k > max_scale(n):
         raise MalformedCodeError(f"{text!r} is out of range for {n} nodes")
     if k and (m := _table_numerator(int_part.lstrip("0") + frac_part, k, n)) is not None:
-        return UbninCode.canonical(n, m, k)
+        return _built(UbninCode, n, m, k)
     m, rest = _EXACT.divmod(decimal.Decimal(int_part + frac_part), _pow5(k))
     if rest:
         raise MalformedCodeError(f"{text!r} is not a dyadic rational; it cannot be a network code")
@@ -370,14 +387,29 @@ def to_record(code: UbninCode) -> dict:
 
 
 _LIMB = 10 ** 8  # base of the limbs the chunked render computes in
-# Byte budget of one node count's pair of render tables (``_render_tables``).
+# Byte budget of one node count's pair of render tables (``_table_limbs``).
 # It admits node counts up to 120 (3.42 MiB at 116), well inside the 2^53
 # bound, which holds to 210.
 _TABLE_BYTES = 4 << 20
+# Bytes of render tables that ``_render_table`` keeps: room for the pairs of
+# two node counts at any size the budget admits (7.86 MiB at 120 nodes).
+_CACHE_BYTES = 8 << 20
 
 
 _PLACES = 10.0 ** np.arange(7, -1, -1)  # place values of a limb's 8 digits
 _ASCII_ZEROS = 48 * 11111111  # what 8 digit bytes "0" add to a limb
+
+
+@functools.cache
+def _quads() -> np.ndarray:
+    """The ASCII digits of 0 to 9999, each in the low 4 bytes of a
+    little-endian 8-byte word: a base-10^8 limb's 8 digits are two entries,
+    one shifted. Built on first use, as the render tables are, so that a
+    process that renders nothing never holds it, and in uint16, so that no
+    array passes 80 KB: 0.3 ms, where formatting 10,000 strings took 2.8."""
+    places = np.array([1000, 100, 10, 1], np.uint16)
+    digits = np.arange(10000, dtype=np.uint16)[:, None] // places % 10 + 48
+    return digits.astype(np.uint8).view("<u4").ravel().astype("<u8")
 
 
 def _digit_limbs(digits: str, limbs: int) -> np.ndarray:
@@ -399,29 +431,39 @@ def _limb_table(first: int, words: int, limbs: int) -> np.ndarray:
 
 
 def _carry(limbs: np.ndarray) -> np.ndarray:
-    """Carry int64 base-10^8 limbs (last axis, least significant first) in
-    place until each is below 10^8, and return them. The top limb never
-    carries: the number fits its limbs."""
-    while True:
-        high = limbs // _LIMB  # np.divmod is several times as slow
-        if not high.any():
-            return limbs
-        limbs[..., 1:] += high[..., :-1]
-        high *= _LIMB
-        limbs -= high
+    """Carry int64 base-10^8 limbs (last axis, least significant first),
+    each in [0, 2^53), until each is below 10^8, and return them; in place
+    where ``limbs`` is contiguous.
+
+    The top limb never carries, as the number fits its limbs, so the
+    carries run along the flattened array: what passes a row's top limb
+    into the next row is 0. One division leaves each limb below
+    10^8 + 2^53 / 10^8 < 2 * 10^8, so every later carry is 0 or 1, found by
+    a comparison. 108 against 132 us for a 32-code, 90-node value chunk,
+    where a division in every pass, along the rows, took the latter (2-core
+    VM, one CPU).
+    """
+    flat = limbs.reshape(-1)
+    high = flat // _LIMB  # np.divmod is several times as slow
+    flat[1:] += high[:-1]
+    high *= _LIMB
+    flat -= high
+    while (over := flat >= _LIMB).any():
+        flat[1:] += over[:-1]
+        flat -= over * _LIMB
+    return flat.reshape(limbs.shape)
 
 
-@functools.lru_cache(maxsize=2)
-def _render_tables(n: int):
-    """The value and numerator tables of n-node codes for ``_render_stack``,
-    or None when together they would pass ``_TABLE_BYTES``.
+def _table_limbs(n: int) -> tuple[int, int, int] | None:
+    """``(words, value limbs, numerator limbs)``: the shapes (words, limbs)
+    of the value and numerator tables of n-node codes, or None when together
+    they would pass ``_TABLE_BYTES``.
 
     A numerator at scale ``max_scale(n)`` has n(n-1)/2 bits, one row of
     16-bit words, and times ``5 ** max_scale(n)`` it is below
     2^(n-1) 10^max_scale(n). A number below 2^b has at most
     floor(b log10 2) + 1 digits, and 0.30103 > log10 2: that many digits,
-    8 to a limb, make a table row. Built on first use, not at import: the
-    90-node pair takes 1.24 MiB and about 10 ms.
+    8 to a limb, make a table row.
     """
     pairs = n * (n - 1) // 2
     words = (pairs + 15) // 16
@@ -429,8 +471,71 @@ def _render_tables(n: int):
     numerator_limbs = -(-(pairs * 30103 // 100000 + 1) // 8)
     if 8 * words * (value_limbs + numerator_limbs) > _TABLE_BYTES:
         return None
-    return (_limb_table(5 ** max_scale(n), words, value_limbs),
-            _limb_table(1, words, numerator_limbs))
+    return words, value_limbs, numerator_limbs
+
+
+_TableCacheInfo = namedtuple("_TableCacheInfo", "hits misses bytes maxbytes")
+
+
+class _ByteBoundCache:
+    """A function's arrays, kept by its arguments while their bytes total at
+    most ``maxbytes``; the least recently used go first to make room. An
+    entry count would be the wrong bound here: a render table takes from
+    8 bytes (2 nodes) to 3.0 MiB (120 nodes). A None result is not kept.
+
+    ``cache_info()`` and ``cache_clear()`` work as ``functools.lru_cache``'s
+    do, with bytes in place of entries.
+    """
+
+    def __init__(self, build, maxbytes: int):
+        functools.update_wrapper(self, build)
+        self._build, self._maxbytes = build, maxbytes
+        self.cache_clear()
+
+    def __call__(self, *key):
+        array = self._arrays.pop(key, None)
+        if array is not None:
+            self._hits += 1
+        else:
+            self._misses += 1
+            array = self._build(*key)
+            if array is None:
+                return None
+            self._bytes += array.nbytes
+            while self._bytes > self._maxbytes and self._arrays:
+                self._bytes -= self._arrays.pop(next(iter(self._arrays))).nbytes
+        self._arrays[key] = array  # a dict keeps insertion order: most recent last
+        return array
+
+    def cache_info(self) -> _TableCacheInfo:
+        return _TableCacheInfo(self._hits, self._misses, self._bytes, self._maxbytes)
+
+    def cache_clear(self) -> None:
+        self._arrays: dict = {}
+        self._bytes = self._hits = self._misses = 0
+
+
+def _render_table(n: int, numerator: bool) -> np.ndarray | None:
+    """The float64 value table (``numerator`` False) or numerator table of
+    n-node codes for ``_render_stack``, or None past ``_TABLE_BYTES``
+    (``_table_limbs``).
+
+    Row j of the value table holds the limbs of 2^(16j) 5^max_scale(n), and
+    of the numerator table those of 2^(16j). Built on first use, not at
+    import, and each on its own: a parse reads only the value table. At 90
+    nodes the two take 0.94 and 0.29 MiB. Kept by ``_ByteBoundCache``, up to
+    ``_CACHE_BYTES`` of them.
+    """
+    shape = _table_limbs(n)
+    if shape is None:
+        return None
+    words, value_limbs, numerator_limbs = shape
+    if numerator:
+        return _limb_table(1, words, numerator_limbs)
+    return _limb_table(5 ** max_scale(n), words, value_limbs)
+
+
+_render_table = _ByteBoundCache(_render_table, _CACHE_BYTES)
 
 
 def _limb_digits(numerators: list[int], table: np.ndarray) -> str:
@@ -442,21 +547,24 @@ def _limb_digits(numerators: list[int], table: np.ndarray) -> str:
     table's first number, not yet carried. Every term of a sum is at most
     65535 (10^8 - 1) and a sum has one per word, so while there are at most
     1374 words every partial sum is an integer below 2^53, and the product is
-    exact in any summation order.
+    exact in any summation order. Each carried limb's 8 digits are two
+    entries of ``_quads()``, four digits at a time: 71 against 141 us for the
+    digits of a 32-code, 90-node value chunk, where seven passes of
+    division by 10 took the latter (2-core VM, one CPU).
     """
     words, limbs = table.shape
     packed = b"".join(x.to_bytes(2 * words, "little") for x in numerators)
     stack = np.frombuffer(packed, "<u2").reshape(len(numerators), words)
-    # Limbs most significant first, and each one's 8 digits: scalar division
-    # by 10 is several times as fast as an array of powers of ten.
+    # Limbs most significant first. uint32 divides several times as fast as
+    # int64. At 90 nodes every array here stays under glibc's 128 KiB mmap
+    # threshold: one (32, 493, 2) intp index, mapped afresh on every call,
+    # made the table slower than the divisions it replaces.
     rest = np.ascontiguousarray(_carry((stack @ table).astype(np.int64))[:, ::-1], np.uint32)
-    digits = np.empty(rest.shape + (8,), np.uint8)
-    for place in range(7, 0, -1):
-        high = rest // 10
-        digits[..., place] = rest - high * 10
-        rest = high
-    digits[..., 0] = rest
-    digits += 48
+    high = rest // 10000
+    quads = _quads()
+    digits = quads.take(rest - high * 10000)
+    digits <<= 32
+    digits |= quads.take(high)
     return str(digits.data, "ascii")
 
 
@@ -470,7 +578,7 @@ def _pow5_int(j: int) -> int:
 
 def _table_numerator(digits: str, k: int, n: int) -> int | None:
     """The m with m * 5^k == int(digits), proven through the value table of
-    ``_render_tables(n)``; None when n has no table, or m would be
+    ``_render_table(n, False)``; None when n has no table, or m would be
     2^(n-1+k) or more, or no such m exists. ``digits`` are a value's
     integer part, leading zeros dropped, and its k >= 1 fraction digits.
 
@@ -482,10 +590,9 @@ def _table_numerator(digits: str, k: int, n: int) -> int | None:
     scale, with the table gives the uncarried limbs of m 5^k 10^(K-k); the
     check is that they carry to the text's limbs, with K - k zeros after.
     """
-    tables = _render_tables(n)
-    if tables is None:
+    table = _render_table(n, False)
+    if table is None:
         return None
-    table = tables[0]
     words, limbs = table.shape
     top = max_scale(n)
     j = -(-k * 30103 // 100000)
@@ -517,17 +624,17 @@ def _render_stack(codes: list[UbninCode]) -> list[tuple[str, str]]:
     ``5 ** max_scale(n)``, less the ``max_scale(n) - scale`` trailing zeros
     that the shift adds, with the point ``scale`` digits from the right.
     Both digit strings come from one exact float64 matrix product each
-    (``_limb_digits``) over cached tables (``_render_tables``). Past the
+    (``_limb_digits``) over cached tables (``_render_table``). Past the
     tables' byte budget, each code renders on its own.
     """
     if not codes:
         return []
     n = codes[0].n
-    tables = _render_tables(n)
-    if tables is None:
+    value_table = _render_table(n, False)
+    if value_table is None:
         return [(to_decimal_string(c), c._digits) for c in codes]
+    numerator_table = _render_table(n, True)
     top = max_scale(n)
-    value_table, numerator_table = tables
     values = _limb_digits([c.numerator << (top - c.scale) for c in codes], value_table)
     numerators = _limb_digits([c.numerator for c in codes], numerator_table)
     value_width, numerator_width = 8 * value_table.shape[1], 8 * numerator_table.shape[1]

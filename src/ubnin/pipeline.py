@@ -171,9 +171,11 @@ def _write_json(path: Path, doc: dict) -> None:
 
     The text is written a piece at a time, as ``json.dump`` writes it. A
     value of ``doc`` that is an iterator stands for a list, and yields the
-    ``json.dumps(item, indent=2)`` text of each of its items, which is
-    written as given: so the whole text is never held as one string, and
-    the iterator may drop each item once it has yielded its text.
+    text of each of its items as it stands in the file: the text of
+    ``json.dumps(item, indent=2)`` with four spaces after each newline, the
+    two levels of the list inside the document. It is written as given, so
+    the whole text is never held as one string, and the iterator may drop
+    each item once it has yielded its text.
     """
     _replace_file(path, chain(_json_pieces(doc), "\n"))
 
@@ -202,7 +204,7 @@ def _json_pieces(doc: dict):
     encodes it, and indented one level further by padding the newlines in
     its pieces: a JSON string holds no raw newline, so every newline in the
     text starts a line of indentation. An iterator value yields the text of
-    each item of a list (``_write_json``), padded the same way.
+    each item of a list already indented (``_write_json``).
     """
     mark = "{"
     for key, value in doc.items():
@@ -212,7 +214,7 @@ def _json_pieces(doc: dict):
             item_mark = "["
             for text in value:
                 yield f"{item_mark}\n    "
-                yield text.replace("\n", "\n    ")
+                yield text
                 item_mark = ","
             yield "[]" if item_mark == "[" else "\n  ]"
         else:
@@ -268,8 +270,10 @@ def _block_codes(volumes: np.ndarray, keep: float) -> list:
 
 
 def _records(held: list):
-    """Yield the registry record of each held (id, code) as the text of
-    ``json.dumps(record, indent=2)``.
+    """Yield the registry record of each held (id, code) as its text in the
+    registry: that of ``json.dumps(record, indent=2)``, written at the
+    records list's indentation (``_write_json``), so that it is rendered
+    once and never padded.
 
     Codes are rendered ``RENDER_CHUNK`` at a time (``codec._render_stack``),
     and each is dropped from ``held`` (with the digits it caches) once it
@@ -281,9 +285,9 @@ def _records(held: list):
         rendered = _render_stack([code for _, code in chunk])
         held[start:start + len(chunk)] = [None] * len(chunk)
         for (sid, code), (value, numerator) in zip(chunk, rendered):
-            yield (f'{{\n  "id": {json.dumps(sid)},\n  "n": {code.n},\n'
-                   f'  "value": "{value}",\n'
-                   f'  "numerator": "{numerator}",\n  "scale": {code.scale}\n}}')
+            yield (f'{{\n      "id": {json.dumps(sid)},\n      "n": {code.n},\n'
+                   f'      "value": "{value}",\n'
+                   f'      "numerator": "{numerator}",\n      "scale": {code.scale}\n    }}')
 
 
 def run_fingerprint(config: RunConfig) -> dict:

@@ -83,12 +83,24 @@ that the fingerprint run calls (``subjects._similarity_stack`` and
 which returned a threshold mode and a strategy as well as the fraction.
 ``f_statistic_float`` is the earlier F of ``one_way_anova``, computed on the
 values as given rather than scaled by a power of two first.
+``decode_take_int32``, ``carry_by_division``, ``limb_digits_by_tens`` and
+``parse_decimal_string_canonical`` are the earlier ``decode`` (a ``take``
+through an int32 index), ``codec._carry`` (a division
+in every pass), ``codec._limb_digits`` (each limb's digits by seven
+divisions by 10) and ``parse_decimal_string`` (the table's proven quotient
+built through ``UbninCode.canonical``).
+``records_padded`` and ``write_json_padded`` are the earlier registry
+writer: ``pipeline._records`` yielded each record's ``json.dumps(record,
+indent=2)`` text, and ``pipeline._write_json`` padded its newlines to the
+records list's indentation.
 """
 
 from __future__ import annotations
 
 import csv
+import json
 import math
+from collections.abc import Iterator
 from fractions import Fraction
 from pathlib import Path
 
@@ -119,6 +131,8 @@ from ubnin import (
 from ubnin.codec import (
     _int_to_digits,
     _lower_flat,
+    _render_stack,
+    _table_numerator,
     max_scale,
     to_decimal_string,
     to_record,
@@ -126,7 +140,7 @@ from ubnin.codec import (
 from ubnin.graphs import _built, _upper_flat, target_edge_count
 from ubnin import subjects as package_subjects
 from ubnin.metrics import _check_count
-from ubnin.pipeline import RunConfig, _load_table, _write_json
+from ubnin.pipeline import RENDER_CHUNK, RunConfig, _load_table, _write_json
 from ubnin.subjects import (
     CLINICAL_FIELDS,
     REQUIRED_COLUMNS,
@@ -627,6 +641,69 @@ def decode_scatter(code, labels=None) -> BinaryNetwork:
     e = e.reshape(n, n)
     e |= e.T
     return BinaryNetwork(e, () if labels is None else labels)
+
+
+def decode_take_int32(code, labels=None) -> BinaryNetwork:
+    """The unpacked bits gathered by one ``take`` through a flat int32
+    index."""
+    n = code.n
+    pairs = n * (n - 1) // 2
+    index = np.full(n * n, pairs, np.int32)
+    flat = _lower_flat(n)
+    index[flat] = index[flat % n * n + flat // n] = np.arange(pairs, dtype=np.int32)
+    num = code.numerator << (max_scale(n) - code.scale)
+    raw = np.frombuffer(num.to_bytes((pairs + 7) // 8, "little"), dtype=np.uint8)
+    bits = np.unpackbits(raw, count=pairs + 1, bitorder="little").view(bool)
+    return BinaryNetwork(bits.take(index).reshape(n, n), () if labels is None else labels)
+
+
+def carry_by_division(limbs: np.ndarray) -> np.ndarray:
+    """``codec._carry`` with a division in every pass, along the last axis."""
+    while True:
+        high = limbs // 10 ** 8
+        if not high.any():
+            return limbs
+        limbs[..., 1:] += high[..., :-1]
+        high *= 10 ** 8
+        limbs -= high
+
+
+def limb_digits_by_tens(numerators: list[int], table: np.ndarray) -> str:
+    """``codec._limb_digits`` with each carried limb's 8 digits found by
+    seven passes of division by 10, after ``carry_by_division``."""
+    words, limbs = table.shape
+    packed = b"".join(x.to_bytes(2 * words, "little") for x in numerators)
+    stack = np.frombuffer(packed, "<u2").reshape(len(numerators), words)
+    carried = carry_by_division((stack @ table).astype(np.int64))
+    rest = np.ascontiguousarray(carried[:, ::-1], np.uint32)
+    digits = np.empty(rest.shape + (8,), np.uint8)
+    for place in range(7, 0, -1):
+        high = rest // 10
+        digits[..., place] = rest - high * 10
+        rest = high
+    digits[..., 0] = rest
+    digits += 48
+    return str(digits.data, "ascii")
+
+
+def parse_decimal_string_canonical(text: str, n: int) -> UbninCode:
+    """``parse_decimal_string`` with every code built through
+    ``UbninCode.canonical`` and its checks, the table's proven quotient
+    included."""
+    text = text.strip()
+    int_part, sep, frac_part = text.partition(".")
+    if not is_digits_str(int_part) or (sep and not is_digits_str(frac_part)):
+        raise MalformedCodeError(f"not a nonnegative decimal number: {text!r}")
+    frac_part = frac_part.rstrip("0")
+    k = len(frac_part)
+    if len(int_part.lstrip("0")) > n - 1 or k > max_scale(n):
+        raise MalformedCodeError(f"{text!r} is out of range for {n} nodes")
+    if k and (m := _table_numerator(int_part.lstrip("0") + frac_part, k, n)) is not None:
+        return UbninCode.canonical(n, m, k)
+    m, rest = divmod(digits_to_int_split(int_part + frac_part), 5 ** k)
+    if rest:
+        raise MalformedCodeError(f"{text!r} is not a dyadic rational; it cannot be a network code")
+    return UbninCode.canonical(n, m, k)
 
 
 def digits_to_int_split(digits: str) -> int:
@@ -1205,6 +1282,49 @@ def run_fingerprint_lists(config: RunConfig) -> dict:
     _write_json(registry, doc)
     doc["registry_path"] = str(registry)
     return doc
+
+
+def records_padded(held: list):
+    """Each held (id, code)'s registry record as the text of
+    ``json.dumps(record, indent=2)``, rendered a chunk at a time by
+    ``codec._render_stack``, for ``write_json_padded`` to indent."""
+    for start in range(0, len(held), RENDER_CHUNK):
+        chunk = held[start:start + RENDER_CHUNK]
+        rendered = _render_stack([code for _, code in chunk])
+        held[start:start + len(chunk)] = [None] * len(chunk)
+        for (sid, code), (value, numerator) in zip(chunk, rendered):
+            yield (f'{{\n  "id": {json.dumps(sid)},\n  "n": {code.n},\n'
+                   f'  "value": "{value}",\n'
+                   f'  "numerator": "{numerator}",\n  "scale": {code.scale}\n}}')
+
+
+def write_json_padded(path, doc: dict) -> None:
+    """``json.dump(doc, fh, indent=2)`` and a newline, a piece at a time, an
+    iterator value standing for a list of the ``json.dumps(item, indent=2)``
+    texts it yields, each padded to the list's indentation by a
+    ``str.replace`` of its newlines."""
+    encoder = json.JSONEncoder(indent=2)
+
+    def pieces():
+        mark = "{"
+        for key, value in doc.items():
+            yield f"{mark}\n  {json.dumps(key)}: "
+            mark = ","
+            if isinstance(value, Iterator):
+                item_mark = "["
+                for text in value:
+                    yield f"{item_mark}\n    "
+                    yield text.replace("\n", "\n    ")
+                    item_mark = ","
+                yield "[]" if item_mark == "[" else "\n  ]"
+            else:
+                for piece in encoder.iterencode(value):
+                    yield piece.replace("\n", "\n  ")
+        yield "{}" if mark == "{" else "\n}"
+
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.writelines(pieces())
+        fh.write("\n")
 
 
 THRESHOLD_MODES = ("sparsity", "consistency")

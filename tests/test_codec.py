@@ -29,12 +29,16 @@ from ubnin.codec import _encode_stack, _lower_flat, max_scale
 from oracles import (
     column_codes,
     decode_scatter,
+    carry_by_division,
+    decode_take_int32,
     decode_tril,
     digits_to_int_split,
     encode_fraction,
     encode_stack_canonical,
     encode_tril,
     is_digits_str,
+    limb_digits_by_tens,
+    parse_decimal_string_canonical,
     parse_decimal_string_int,
     to_decimal_string_int,
 )
@@ -585,14 +589,15 @@ class TestMatchesEarlierCodec:
         for n in range(2, 401):
             for code in [random_code(n, rng), *edge_codes(n)]:
                 got, want = decode(code), decode_scatter(code)
-                assert got == want, n
+                assert got == want == decode_take_int32(code), n
                 assert got.edges.dtype == bool and got.edges.flags.c_contiguous
                 assert not got.edges.flags.writeable
 
     @pytest.mark.parametrize("n", [2, 3, 90])
-    def test_symmetric_index_is_cached_int32(self, n):
+    def test_symmetric_index_is_cached_intp(self, n):
+        # numpy's fast path for a 1-D fancy index takes intp only.
         index = codec._symmetric_index(n)
-        assert index.dtype == np.int32 and not index.flags.writeable
+        assert index.dtype == np.intp and not index.flags.writeable
         assert index is codec._symmetric_index(n)
         limit = codec._symmetric_index.cache_info().maxsize
         assert limit <= codec._lower_flat.cache_info().maxsize
@@ -697,8 +702,9 @@ class TestRenderStack:
         rng = np.random.default_rng(27)
         n, past = 2, 0
         while past < 3:
-            tables = codec._render_tables(n)
-            if tables is None:
+            tables = [codec._render_table(n, False), codec._render_table(n, True)]
+            if tables[0] is None:
+                assert tables[1] is None
                 past += 1
             else:
                 assert not past, f"tables again at {n} nodes"
@@ -706,6 +712,9 @@ class TestRenderStack:
                 # 16-bit word: the sums stay integers below 2^53.
                 words = (n * (n - 1) // 2 + 15) // 16
                 assert [t.shape[0] for t in tables] == [words, words]
+                for t in tables:
+                    codes = [random_code(n, rng).numerator for _ in range(3)]
+                    assert codec._limb_digits(codes, t) == limb_digits_by_tens(codes, t)
                 assert words * 65535 * (10 ** 8 - 1) < 2 ** 53
             codes = edge_codes(n) + [random_code(n, rng) for _ in range(4)]
             rendered = codec._render_stack(codes)
@@ -759,7 +768,7 @@ def table_parse_literals(text, n):
 
 
 class TestTableParse:
-    """``parse_decimal_string`` through ``_render_tables`` against the int
+    """``parse_decimal_string`` through ``_render_table`` against the int
     arithmetic oracle, at every node count the tables cover and just past."""
 
     def outcomes(self, n, texts, monkeypatch):
@@ -772,11 +781,16 @@ class TestTableParse:
             return pow5(k)
 
         monkeypatch.setattr(codec, "_pow5", counted)
-        tables = codec._render_tables(n) is not None
+        tables = codec._render_table(n, False) is not None
         for literal in texts:
             divided.clear()
             got = outcome(parse_decimal_string, literal, n)
             assert got == outcome(parse_decimal_string_int, literal, n), (n, literal[:60])
+            assert got == outcome(parse_decimal_string_canonical, literal, n), (n, literal[:60])
+            if isinstance(got, UbninCode):
+                # Built without the constructor: the same code, and fields, through it.
+                fields = (got.n, got.numerator, got.scale)
+                assert all(type(x) is int for x in fields) and UbninCode(*fields) == got
             if tables and isinstance(got, UbninCode) and got.scale:
                 assert not divided, (n, literal[:60])
         monkeypatch.undo()
@@ -786,7 +800,7 @@ class TestTableParse:
         limit = sys.get_int_max_str_digits()
         n, past = 2, 0
         while past < 3:
-            past += codec._render_tables(n) is None
+            past += codec._render_table(n, False) is None
             codes = edge_codes(n)[-3:] + [full_scale_code(n, rng), random_code(n, rng)]
             texts = [t for c in codes for t in table_parse_literals(to_decimal_string(c), n)]
             self.outcomes(n, texts, monkeypatch)
@@ -809,8 +823,82 @@ class TestTableParse:
 
         monkeypatch.setattr(codec, "_pow5", refused)
         scaled = [(t, c) for t, c in zip(texts, codes) if c.scale]
-        codec._render_tables.cache_clear()
+        codec._render_table.cache_clear()
         assert [parse_decimal_string(t, n) for t, _ in scaled] == [c for _, c in scaled]
-        codec._render_tables.cache_clear()
+        codec._render_table.cache_clear()
         codec._render_stack(codes)
         assert [parse_decimal_string(t, n) for t, _ in scaled] == [c for _, c in scaled]
+
+    def test_node_count_of_another_int_type(self):
+        # A numpy node count once overflowed in the table's shift.
+        code = complete_graph_code(90)
+        for n in (np.int64(90), np.uint16(90), 90.0):
+            parsed = parse_decimal_string(to_decimal_string(code), n)
+            assert parsed == code and type(parsed.n) is int
+
+
+class TestTableCache:
+    """``codec._render_table`` keeps tables by bytes, each table on its own."""
+
+    def test_parses_of_three_node_counts_in_turn_build_each_table_once(self):
+        values = {n: to_decimal_string(complete_graph_code(n)) for n in (60, 75, 90)}
+        codec._render_table.cache_clear()
+        for _ in range(4):
+            for n, text in values.items():
+                assert parse_decimal_string(text, n) == complete_graph_code(n)
+        info = codec._render_table.cache_info()
+        # Three value tables, and no numerator table: a parse never reads one.
+        assert (info.hits, info.misses) == (9, 3)
+        assert info.bytes == sum(codec._render_table(n, False).nbytes for n in values)
+
+    def test_least_recently_used_tables_go_past_the_byte_bound(self):
+        codec._render_table.cache_clear()
+        maxbytes = codec._render_table.cache_info().maxbytes
+        built = []
+        for n in range(96, 121):
+            built.append(codec._render_table(n, False).nbytes)
+            assert codec._render_table.cache_info().bytes <= maxbytes
+        kept = codec._render_table.cache_info()
+        assert kept.misses == len(built) and kept.bytes < sum(built)
+        # The newest tables are kept, the oldest rebuilt.
+        codec._render_table(120, False)
+        assert codec._render_table.cache_info().misses == kept.misses
+        codec._render_table(96, False)
+        assert codec._render_table.cache_info().misses == kept.misses + 1
+        codec._render_table.cache_clear()
+        assert codec._render_table.cache_info() == (0, 0, 0, maxbytes)
+
+    def test_nothing_is_kept_past_the_table_budget(self):
+        codec._render_table.cache_clear()
+        assert codec._render_table(121, False) is None
+        assert codec._render_table(400, True) is None
+        assert codec._render_table.cache_info().bytes == 0
+
+
+def test_limb_digits_at_the_quad_edges():
+    # Limbs 0, 9999, 10000 and 99999999, least significant first, through
+    # the numerator table of 90-node codes: 151 limbs, most of them 0.
+    table = codec._render_table(90, True)
+    limbs = [99999999, 10000, 9999, 0, 1]
+    x = sum(limb * 10 ** (8 * t) for t, limb in enumerate(limbs))
+    want = str(x).zfill(8 * table.shape[1])
+    assert want.endswith("00000001" "00000000" "00009999" "00010000" "99999999")
+    assert codec._limb_digits([x, 0], table) == want + "0" * len(want)
+    assert limb_digits_by_tens([x, 0], table) == want + "0" * len(want)
+    assert codec._quads().astype("<u4").tobytes().decode() == "".join(f"{i:04d}" for i in range(10000))
+
+
+def test_carry_matches_a_division_in_every_pass():
+    # Uncarried limbs up to 2^53 below a top limb of 0, and rows that one
+    # carry ripples through to the top.
+    rng = np.random.default_rng(33)
+    limbs = rng.integers(0, 2 ** 53, size=(6, 40))
+    limbs[:, -1] = 0
+    limbs[3:, :-1] = 10 ** 8 - 1
+    limbs[3:, 0] += np.arange(1, 4)
+    for rows in (limbs, limbs[3], limbs[:1]):
+        got = codec._carry(rows.copy())
+        assert np.array_equal(got, carry_by_division(rows.copy()))
+        assert got.shape == rows.shape and got.max() < 10 ** 8
+    assert np.array_equal(codec._carry(limbs[3:].copy())[:, [0, 1, -1]],
+                          [[0, 0, 1], [1, 0, 1], [2, 0, 1]])

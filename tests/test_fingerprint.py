@@ -233,14 +233,16 @@ def test_age_residualized_paper_input_keeps_every_subject_apart(tmp_path, monkey
 
 
 @pytest.mark.parametrize("sid", ['say "hi"', "back\\slash", "Contrôle-ß-日本", "bell\x07\ttab",
-                                 "s0001"])
+                                 "line\u2028separator", "s0001"])
 def test_record_text_is_json_dumps_text(sid):
+    # As it stands in the registry: inside the records list, two levels in.
     code = encode(random_binary(90, 0.3, np.random.default_rng(16)))
     held = [(sid, code)]
     text, = pipeline._records(held)
     assert held == [None]
     record = {"id": sid, "n": code.n, "value": to_decimal_string(code)} | to_record(code)
-    assert text == json.dumps(record, indent=2)
+    assert text == json.dumps(record, indent=2).replace("\n", "\n    ")
+    assert text.isascii()
 
 
 def test_registry_of_one_subject_with_an_id_to_escape(tmp_path):
@@ -254,6 +256,52 @@ def test_registry_of_one_subject_with_an_id_to_escape(tmp_path):
     doc = json.loads(registry)
     assert [r["id"] for r in doc["records"]] == [sid]
     assert registry.decode() == json.dumps(doc, indent=2) + "\n"
+
+
+# Ids that JSON escapes: a quote, a backslash, non-ASCII and U+2028.
+ESCAPED_IDS = ['say "hi"', "back\\slash", "Contrôle-ß-日本", "line\u2028separator"]
+
+
+def registry_input(n_subjects, regions, seed):
+    """A subjects CSV whose first ids are ``ESCAPED_IDS`` and whose last row,
+    of two or more, repeats the first row's volumes: a duplicate code."""
+    header, *rows = subjects_csv_text(n_subjects, regions, seed).splitlines()
+    cells = [row.split(",") for row in rows]
+    for sid, row in zip(ESCAPED_IDS, cells):
+        row[0] = sid
+    volumes = len(header.split(",")) - regions
+    if len(cells) > 1:
+        cells[-1][volumes:] = cells[0][volumes:]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(cells)
+    return f"{header}\n{buf.getvalue()}"
+
+
+def registry_by_earlier_writer(config, monkeypatch):
+    """The registry that the earlier writer gives: each record at indent 2,
+    its newlines padded by ``str.replace``, its digits found by division."""
+    with monkeypatch.context() as patched:
+        patched.setattr(pipeline, "_records", oracles.records_padded)
+        patched.setattr(pipeline, "_write_json", oracles.write_json_padded)
+        patched.setattr(codec, "_limb_digits", oracles.limb_digits_by_tens)
+        run_fingerprint(config)
+    return (Path(config.out_dir) / "fingerprints.json").read_bytes()
+
+
+@pytest.mark.parametrize("n_subjects, regions", [(1, 90), (31, 90), (32, 90), (33, 90),
+                                                 (400, 90), (40, 3), (6, 120), (6, 121)])
+def test_registry_is_the_earlier_writers_bytes(tmp_path, monkeypatch, n_subjects, regions):
+    # Chunk edges of RENDER_CHUNK, the benchmark's size, and node counts up
+    # to and past the render tables' budget (120).
+    data = tmp_path / "subjects.csv"
+    data.write_text(registry_input(n_subjects, regions, n_subjects + regions), encoding="utf-8")
+    config = RunConfig(input=str(data), out_dir=str(tmp_path / "out"))
+    registry, doc = assert_same_as_lists(config)
+    assert registry == registry_by_earlier_writer(config, monkeypatch)
+    assert registry.isascii()
+    records = json.loads(registry)["records"]
+    assert [r["id"] for r in records[:4]] == ESCAPED_IDS[:n_subjects]
+    assert len(records) == n_subjects and (n_subjects == 1 or doc["duplicates"])
 
 
 def test_codes_made_as_rows_are_read_a_block_at_a_time(tmp_path, monkeypatch):
@@ -314,7 +362,7 @@ def test_a_400_region_registry_builds_no_render_table(tmp_path, monkeypatch):
         raise AssertionError("render table built")
 
     monkeypatch.setattr(codec, "_limb_table", refused)
-    codec._render_tables.cache_clear()
+    codec._render_table.cache_clear()
     data = tmp_path / "subjects.csv"
     data.write_text(subjects_csv_text(3, 400, 27))
     config = RunConfig(input=str(data), out_dir=str(tmp_path / "out"))
@@ -376,7 +424,7 @@ def traced_peak(tmp_path, n_subjects):
     data = tmp_path / f"subjects-{n_subjects}.csv"
     data.write_text(subjects_csv_text(n_subjects, 90, 10))
     config = RunConfig(input=str(data), out_dir=str(tmp_path / f"out-{n_subjects}"))
-    codec._render_tables.cache_clear()  # each run builds its render tables, as a new process does
+    codec._render_table.cache_clear()  # each run builds its render tables, as a new process does
     tracemalloc.start()
     try:
         run_fingerprint(config)
@@ -449,14 +497,17 @@ JSON_VALUES = st.recursive(
 @given(st.dictionaries(st.text(max_size=3), JSON_VALUES, max_size=4), st.data())
 def test_written_json_is_json_dump_text(doc, data):
     # Any list value may be handed over as an iterator of its items' JSON
-    # texts, and is written the same.
-    streamed = {k: iter([json.dumps(x, indent=2) for x in v])
-                if isinstance(v, list) and data.draw(st.booleans()) else v
-                for k, v in doc.items()}
+    # texts, at the list's indentation, and is written the same. The earlier
+    # writer took each text at indent 2 and padded it.
+    lists = {k for k, v in doc.items() if isinstance(v, list) and data.draw(st.booleans())}
     with tempfile.TemporaryDirectory() as where:
-        path = Path(where) / "doc.json"
-        pipeline._write_json(path, streamed)
-        assert path.read_text() == json.dumps(doc, indent=2) + "\n"
+        path, padded = Path(where) / "doc.json", Path(where) / "padded.json"
+        pipeline._write_json(path, {k: iter([json.dumps(x, indent=2).replace("\n", "\n    ")
+                                             for x in v]) if k in lists else v
+                                    for k, v in doc.items()})
+        oracles.write_json_padded(padded, {k: iter([json.dumps(x, indent=2) for x in v])
+                                           if k in lists else v for k, v in doc.items()})
+        assert path.read_text() == padded.read_text() == json.dumps(doc, indent=2) + "\n"
 
 
 def test_json_text_of_a_list_value_is_never_held_whole(tmp_path):
